@@ -1,7 +1,7 @@
 """Command-line interface.
 
     unipc run --config study.json --out results.csv [--format csv|json]
-              [--seed N] [--jobs N]
+              [--seed N]
     unipc fit --in results.csv
     unipc selftest
 
@@ -26,6 +26,7 @@ from .errors import (
     ReferenceAccuracyError,
     SingularSystemError,
     ValidationError,
+    typed,
 )
 from .schedule import NoiseSchedule
 from .study import ConvergenceStudy, emit, fit_order, run_study
@@ -33,11 +34,11 @@ from .study import ConvergenceStudy, emit, fit_order, run_study
 
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        cfg = typed(json.load(fh), "dict", "study config")
     if args.seed is not None:
         cfg["seed"] = args.seed
     study = ConvergenceStudy.from_json(cfg)
-    run_study(study, jobs=args.jobs)
+    run_study(study)
     emit(study, args.out, fmt=args.format)
     print(f"wrote {len(study.results)} rows to {args.out}")
     for config, fit, reason in study.fits():
@@ -134,7 +135,10 @@ def _selftest_roundtrip() -> tuple[bool, str]:
     rng = np.random.default_rng(0)
     for spec in ({"kind": "vp-linear"}, {"kind": "vp-cosine"}):
         sched = NoiseSchedule.from_json(spec)
-        for t in rng.uniform(sched.t_end, sched.t_start, size=200):
+        ts = list(rng.uniform(sched.t_end, sched.t_start, size=200)) + [sched.t_end, sched.t_start]
+        ts += [sched.t_end + 10.0**-k for k in range(2, 14)]
+        ts += [sched.t_start - 10.0**-k for k in range(2, 14)]
+        for t in ts:
             worst = max(worst, abs(sched.t_of_lambda(sched.lam(float(t))) - float(t)))
     return worst < 1e-10, f"max |t_of_lambda(lambda(t)) - t| = {worst:.3e}"
 
@@ -163,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--jobs", type=int, default=1)
     run.set_defaults(func=_cmd_run)
 
     fit = sub.add_parser("fit", help="fit convergence orders from a results CSV")
@@ -185,7 +188,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, ReferenceAccuracyError, FitError, SingularSystemError) as exc:
+    except (NumericError, ReferenceAccuracyError, FitError, SingularSystemError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and JSON field checks.
 
 Everything derives from UniPCError so callers can catch library failures
 with one clause.  DomainError and ValidationError also derive from
 ValueError, matching how bad arguments are usually handled in Python.
 """
+
+import math
+import numbers
 
 
 class UniPCError(Exception):
@@ -43,3 +46,29 @@ class ReferenceAccuracyError(UniPCError):
 
 class FitError(UniPCError):
     """Too few usable points remained for an order fit."""
+
+
+_JSON_KINDS = {
+    "int": numbers.Integral,
+    "number": numbers.Real,
+    "bool": bool,
+    "list": list,
+    "dict": dict,
+}
+
+
+def typed(value, kind: str, what: str):
+    """Return a decoded JSON value unchanged if it is of `kind`, else raise ValidationError.
+
+    kind is "int", "number" (finite), "bool", "list" or "dict"; a bool is
+    never accepted as an int or a number.
+    """
+    ok = isinstance(value, _JSON_KINDS[kind]) and (kind == "bool" or not isinstance(value, bool))
+    if ok and kind == "number":
+        try:
+            ok = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            ok = False
+    if not ok:
+        raise ValidationError(f"{what} must be {'an' if kind == 'int' else 'a'} {kind}, got {value!r}")
+    return value

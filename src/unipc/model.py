@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, typed
 from .schedule import NoiseSchedule
 
 PREDICTION_KINDS = ("noise", "data")
@@ -81,8 +81,20 @@ class SyntheticModel:
         return max(len(row) for row in self.coeffs) - 1
 
     @staticmethod
-    def _rows(values, dim: int) -> tuple[tuple[float, ...], ...]:
-        arr = np.asarray(values, dtype=float)
+    def _numbers(values) -> np.ndarray:
+        """Coefficients as a float array; ValidationError unless non-empty, numeric and finite."""
+        try:
+            arr = np.asarray(values)
+            ok = arr.dtype.kind in "iuf" and arr.size > 0 and bool(np.all(np.isfinite(arr)))
+        except ValueError:  # ragged nesting
+            ok = False
+        if not ok:
+            raise ValidationError(f"coefficients must be finite numbers, got {values!r}")
+        return arr.astype(float)
+
+    @classmethod
+    def _rows(cls, values, dim: int) -> tuple[tuple[float, ...], ...]:
+        arr = cls._numbers(values)
         if arr.ndim == 0:
             arr = np.full((dim, 1), float(arr))
         elif arr.ndim == 1:
@@ -97,7 +109,7 @@ class SyntheticModel:
 
     @classmethod
     def linear_in_x(cls, kappa, dim: int) -> "SyntheticModel":
-        arr = np.asarray(kappa, dtype=float)
+        arr = cls._numbers(kappa)
         if arr.ndim == 0:
             arr = np.full(dim, float(arr))
         if arr.ndim != 1 or arr.shape[0] != dim:
@@ -107,8 +119,11 @@ class SyntheticModel:
     @classmethod
     def from_json(cls, spec: dict) -> "SyntheticModel":
         """Build from e.g. {"family": "x-free-poly", "coeffs": [0.3, -1.2, 0.5], "dim": 4}."""
+        spec = typed(spec, "dict", "model")
         family = spec.get("family")
-        dim = int(spec.get("dim", 1))
+        dim = typed(spec.get("dim", 1), "int", "model dim")
+        if dim < 1:
+            raise ValidationError("dim must be >= 1")
         if family == "x-free-poly":
             return cls.x_free_poly(spec["coeffs"], dim)
         if family == "linear-in-x":

@@ -15,7 +15,8 @@ Two families are provided:
   vp-linear: log alpha_t = -t^2 (beta_max - beta_min)/4 - t beta_min/2,
              with a closed-form inverse for t_of_lambda.
   vp-cosine: log alpha_t = log cos(pi/2 (t+s)/(1+s)) - log cos(pi/2 s/(1+s)),
-             inverted by safeguarded bisection.
+             with the closed-form inverse
+             t = 2(1+s)/pi acos(alpha cos(pi s/(2(1+s)))) - s.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, typed
 
 SCHEDULE_KINDS = ("vp-linear", "vp-cosine")
 SKIP_KINDS = ("uniform-lambda", "uniform-time", "quadratic-time")
@@ -55,11 +56,19 @@ class NoiseSchedule:
             raise ValidationError("need 0 < beta_min < beta_max")
         if self.kind == "vp-cosine" and self.t_start >= 1.0:
             raise ValidationError("vp-cosine needs t_start < 1 (alpha vanishes at t=1)")
+        if self.kind == "vp-cosine" and not self.cosine_s >= 0.0:
+            raise ValidationError("vp-cosine needs cosine_s >= 0")
+        try:
+            usable = -math.inf < self.lambda_start < self.lambda_end < math.inf
+        except (ValueError, OverflowError):  # sigma or alpha underflows to 0 at an end
+            usable = False
+        if not usable:
+            raise ValidationError(f"no finite lambda range on [{self.t_end}, {self.t_start}]")
 
     @classmethod
     def from_json(cls, spec: dict) -> "NoiseSchedule":
         """Build from a JSON-style dict, e.g. {"kind": "vp-linear", "beta_min": 0.1, ...}."""
-        spec = dict(spec)
+        spec = dict(typed(spec, "dict", "schedule"))
         kind = spec.pop("kind", "vp-linear")
         if kind == "vp-cosine":
             spec.setdefault("t_start", 0.9946)
@@ -67,6 +76,8 @@ class NoiseSchedule:
         extra = set(spec) - known
         if extra:
             raise ValidationError(f"unknown schedule fields {sorted(extra)}")
+        for key, value in spec.items():
+            typed(value, "number", f"schedule field {key!r}")
         spec["cosine_s"] = spec.pop("cosine_s", 0.008)
         return cls(kind=kind, **spec)
 
@@ -133,7 +144,11 @@ class NoiseSchedule:
     # -- inverse map -----------------------------------------------------
 
     def t_of_lambda(self, lam: float) -> float:
-        """Invert lambda(t); closed form for vp-linear, bisection otherwise."""
+        """Invert lambda(t) in closed form from log alpha = -1/2 log(1 + e^{-2 lam}).
+
+        vp-linear takes the positive root of its quadratic in t; vp-cosine
+        takes t = 2(1+s)/pi acos(alpha cos(pi s/(2(1+s)))) - s.
+        """
         lam = float(lam)
         lo, hi = self.lambda_start, self.lambda_end
         if not lo - _EDGE_TOL <= lam <= hi + _EDGE_TOL:
@@ -149,22 +164,9 @@ class NoiseSchedule:
             db = self.beta_max - self.beta_min
             tmp = 2.0 * db * np.logaddexp(-2.0 * lam, 0.0)
             return float(tmp / ((math.sqrt(self.beta_min**2 + tmp) + self.beta_min) * db))
-        return self._t_of_lambda_bisect(lam)
-
-    def _t_of_lambda_bisect(self, lam: float, tol: float = 1e-15) -> float:
-        """Safeguarded bisection on the monotone map t -> lambda(t).
-
-        Iterates to float resolution so that grid lambdas re-derived from
-        the returned t stay within 1e-10 even where dlambda/dt is steep.
-        """
-        lo, hi = self.t_end, self.t_start  # lambda decreasing: lam(lo) >= lam >= lam(hi)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.lam(mid) > lam:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        s = self.cosine_s
+        alpha = math.exp(-0.5 * float(np.logaddexp(-2.0 * lam, 0.0)))
+        return 2.0 * (1.0 + s) / math.pi * math.acos(alpha * math.cos(0.5 * math.pi * s / (1.0 + s))) - s
 
     # -- ODE coefficients --------------------------------------------------
 

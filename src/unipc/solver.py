@@ -48,6 +48,7 @@ from .errors import (
     InsufficientHistoryError,
     NumericError,
     ValidationError,
+    typed,
 )
 from .model import ModelEvaluator, dynamic_threshold
 from .schedule import NoiseSchedule, TimeGrid
@@ -85,11 +86,14 @@ class SolverConfig:
             raise ValidationError(f"unknown prediction {self.prediction!r}")
         if self.corrector not in CORRECTORS:
             raise ValidationError(f"unknown corrector {self.corrector!r}")
+        typed(self.varying_coefficients, "bool", "varying_coefficients")
+        typed(self.half_a1, "bool", "half_a1")
         limit = coeffs.MAX_VARYING_ORDER if self.varying_coefficients else coeffs.MAX_ORDER
-        if not 1 <= self.order <= limit:
+        if not 1 <= typed(self.order, "int", "order") <= limit:
             raise ValidationError(f"order {self.order} outside 1..{limit}")
         if self.order_schedule is not None:
-            if not self.order_schedule.isdigit() or "0" in self.order_schedule:
+            digits = self.order_schedule
+            if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()) or "0" in digits:
                 raise ValidationError(
                     f"order schedule must be digits 1-9, got {self.order_schedule!r}"
                 )
@@ -142,10 +146,12 @@ class SolverConfig:
 
     @classmethod
     def from_json(cls, spec: dict) -> "SolverConfig":
-        spec = dict(spec)
+        spec = dict(typed(spec, "dict", "solver config"))
         th = spec.pop("thresholding", None)
         if th is not None:
-            th = Thresholding(ratio=float(th["ratio"]), floor=float(th["floor"]))
+            th = typed(th, "dict", "thresholding")
+            th = Thresholding(ratio=float(typed(th["ratio"], "number", "thresholding ratio")),
+                              floor=float(typed(th["floor"], "number", "thresholding floor")))
         known = {
             "order", "variant", "bh", "prediction", "corrector",
             "varying_coefficients", "order_schedule", "half_a1",

@@ -15,7 +15,6 @@ across implementations only statistical agreement is promised.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -24,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FitError, NumericError, ReferenceAccuracyError, ValidationError
+from .errors import (
+    DomainError, FitError, NumericError, ReferenceAccuracyError, ValidationError, typed,
+)
 from .model import SyntheticModel, exact_solution_xfree
 from .schedule import NoiseSchedule, TimeGrid, make_time_grid
 from .solver import SolverConfig, sample
@@ -88,10 +89,12 @@ def reference_solution(
         return x
 
     coarse = integrate(steps)
+    if not np.all(np.isfinite(coarse)):
+        raise ReferenceAccuracyError(f"fine-rk4 reference is not finite at {steps} steps")
     fine = integrate(2 * steps)
     scale = max(float(np.max(np.abs(fine))), 1e-12)
     drift = float(np.max(np.abs(coarse - fine))) / scale
-    if drift >= 1e-9:
+    if not drift < 1e-9:  # also NaN, when the fine result is not finite
         raise ReferenceAccuracyError(
             f"fine-rk4 not self-consistent: relative drift {drift:.3e} at {steps} steps"
         )
@@ -172,6 +175,8 @@ class ConvergenceStudy:
             raise ValidationError("step_counts must be strictly increasing")
         if not self.solver_configs:
             raise ValidationError("need at least one solver config")
+        if not self.seed >= 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.oracle_starts and not self.model.closed_form:
             raise ValidationError("oracle starting values need a closed-form model")
 
@@ -181,20 +186,22 @@ class ConvergenceStudy:
             "model", "schedule", "solvers", "step_counts", "error_norm",
             "reference", "seed", "skip", "oracle_starts",
         }
-        extra = set(cfg) - known
+        extra = set(typed(cfg, "dict", "study config")) - known
         if extra:
             raise ValidationError(f"unknown study fields {sorted(extra)}")
         try:
             return cls(
                 model=SyntheticModel.from_json(cfg["model"]),
                 schedule=NoiseSchedule.from_json(cfg["schedule"]),
-                solver_configs=[SolverConfig.from_json(s) for s in cfg["solvers"]],
-                step_counts=[int(m) for m in cfg["step_counts"]],
+                solver_configs=[SolverConfig.from_json(s)
+                                for s in typed(cfg["solvers"], "list", "solvers")],
+                step_counts=[typed(m, "int", "step count")
+                             for m in typed(cfg["step_counts"], "list", "step_counts")],
                 error_norm=cfg.get("error_norm", "max-abs"),
                 reference=cfg.get("reference", "closed-form"),
-                seed=int(cfg.get("seed", 0)),
+                seed=typed(cfg.get("seed", 0), "int", "seed"),
                 skip_kind=cfg.get("skip", "uniform-lambda"),
-                oracle_starts=bool(cfg.get("oracle_starts", False)),
+                oracle_starts=typed(cfg.get("oracle_starts", False), "bool", "oracle_starts"),
             )
         except KeyError as exc:
             raise ValidationError(f"study config missing field {exc}") from exc
@@ -223,7 +230,7 @@ def _error(norm: str, final: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sqrt(np.mean(diff**2)))
 
 
-def run_study(study: ConvergenceStudy, jobs: int = 1) -> ConvergenceStudy:
+def run_study(study: ConvergenceStudy) -> ConvergenceStudy:
     """Populate study.results; solver aborts become divergent (NaN) rows."""
     sched = study.schedule
     x_T = study.draw_x_T()
@@ -259,18 +266,11 @@ def run_study(study: ConvergenceStudy, jobs: int = 1) -> ConvergenceStudy:
             corrector=config.corrector, M=M, nfe=nfe, error=err, seconds=seconds,
         )
 
-    cells = [
-        (ci, config, M)
+    study.results = [
+        one_cell(ci, config, M)
         for ci, config in enumerate(study.solver_configs)
         for M in study.step_counts
     ]
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: one_cell(*c), cells))
-    else:
-        results = [one_cell(*c) for c in cells]
-    results.sort(key=lambda r: (r.config_index, r.M))
-    study.results = results
     return study
 
 

@@ -1,7 +1,10 @@
+import copy
 import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from unipc.cli import main
 
@@ -26,6 +29,16 @@ def config_path(tmp_path):
     path = tmp_path / "study.json"
     path.write_text(json.dumps(CONFIG))
     return str(path)
+
+
+def with_field(base, path, value):
+    """Deep copy of a study config with the value at a key path replaced."""
+    cfg = copy.deepcopy(base)
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cfg
 
 
 def strip_seconds(path):
@@ -55,10 +68,6 @@ class TestRun:
         assert len(doc["results"]) == 8
         assert all("slope" in f for f in doc["fits"])
 
-    def test_jobs_flag(self, config_path, tmp_path):
-        out = str(tmp_path / "results.csv")
-        assert main(["run", "--config", config_path, "--out", out, "--jobs", "4"]) == 0
-
     def test_bad_config_field_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CONFIG, "surprise": True}))
@@ -73,12 +82,102 @@ class TestRun:
         path.write_text("{not json")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_nonfinite_fine_rk4_reference_exits_3(self, tmp_path, capsys):
+        # A stiff linear model overflows the RK4 reference to NaN; NaN drift must fail the gate.
+        cfg = {**CONFIG, "model": {"family": "linear-in-x", "kappa": 1e6, "dim": 1},
+               "solvers": [{"order": 1, "corrector": "off"}], "step_counts": [1, 2, 3, 4],
+               "reference": "fine-rk4"}
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_schedule_exits_3(self, tmp_path, capsys):
+        # alpha(t_start) underflows, so e^{-lambda} overflows in the exact reference.
+        cfg = {**CONFIG, "schedule": {**CONFIG["schedule"], "beta_max": 2840.0}}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_object_config_exits_2(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+                     "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("solvers", 0, "order"), "3", id="order-str"),
+        pytest.param(("solvers", 0, "order"), 3.0, id="order-float"),
+        pytest.param(("solvers", 0, "order"), True, id="order-bool"),
+        pytest.param(("schedule", "beta_min"), "x", id="beta_min-str"),
+        pytest.param(("seed",), -1, id="seed-negative"),
+        pytest.param(("seed",), 1.5, id="seed-float"),
+        pytest.param(("step_counts",), ["a", 20, 40, 80], id="step_counts-str"),
+        pytest.param(("solvers",), 5, id="solvers-int"),
+        pytest.param(("solvers", 0, "thresholding"), {"ratio": "x", "floor": 1.0}, id="ratio-str"),
+        pytest.param(("solvers", 0, "half_a1"), "yes", id="half_a1-str"),
+        pytest.param(("solvers", 0, "varying_coefficients"), 1, id="varying-int"),
+        pytest.param(("oracle_starts",), "false", id="oracle_starts-str"),
+        pytest.param(("model", "coeffs"), [], id="coeffs-empty"),
+        pytest.param(("model", "coeffs"), [[1.0, 2.0], [3.0]], id="coeffs-ragged"),
+        pytest.param(("model", "dim"), -5, id="dim-negative"),
+        pytest.param(("schedule", "t_end"), 5e-324, id="t_end-subnormal"),
+        pytest.param(("solvers", 0, "order_schedule"), "\u00b2", id="order_schedule-superscript"),
+    ])
+    def test_wrong_typed_field_exits_2(self, tmp_path, capsys, path, value):
+        base = with_field(CONFIG, ("solvers", 0, "prediction"), "data")  # for thresholding
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps(with_field(base, path, value)))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_invalid_order_schedule_exits_2(self, config_path, tmp_path):
         cfg = json.loads(open(config_path).read())
         cfg["solvers"] = [{"order": 3, "order_schedule": "331"}]
         path = tmp_path / "sched.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+# Ints stay small so that a drawn dim or step count cannot allocate much or run long.
+JSON_VALUES = st.one_of(
+    st.integers(-8, 64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=6),
+    st.none(),
+    st.lists(st.one_of(st.integers(-8, 64), st.floats(), st.text(max_size=3)), max_size=5),
+    st.dictionaries(st.text(max_size=6), st.one_of(st.integers(-8, 64), st.floats()), max_size=3),
+)
+
+# Every schema field of a small closed-form study, as a key path into FUZZ_BASE.
+FUZZ_BASE = {**CONFIG, "step_counts": [2, 3, 4, 6],
+             "model": {**CONFIG["model"], "dim": 2}, "oracle_starts": False,
+             "solvers": [{"order": 2, "variant": "multistep", "bh": "b2", "prediction": "data",
+                          "corrector": "standard", "varying_coefficients": False,
+                          "order_schedule": None, "thresholding": {"ratio": 0.995, "floor": 1.0},
+                          "half_a1": True}]}
+FUZZ_PATHS = (
+    [(key,) for key in FUZZ_BASE]
+    + [("model", key) for key in FUZZ_BASE["model"]]
+    + [("schedule", key) for key in FUZZ_BASE["schedule"]]
+    + [("solvers", 0, key) for key in FUZZ_BASE["solvers"][0]]
+    + [("solvers", 0, "thresholding", key) for key in ("ratio", "floor")]
+    + [("step_counts", 0)]
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(FUZZ_PATHS), value=JSON_VALUES)
+    def test_any_field_value_exits_0_2_or_3(self, tmp_path, path, value):
+        config = tmp_path / "fuzz.json"
+        config.write_text(json.dumps(with_field(FUZZ_BASE, path, value)))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) in (0, 2, 3)
 
 
 class TestFit:

@@ -158,13 +158,6 @@ class TestRunStudy:
         run_study(study)
         assert len(study.results) == 4
 
-    def test_parallel_matches_sequential(self):
-        seq = run_study(small_study([SolverConfig(order=1, corrector="off"), SolverConfig(order=2)]))
-        par = run_study(small_study([SolverConfig(order=1, corrector="off"), SolverConfig(order=2)]),
-                        jobs=4)
-        for a, b in zip(seq.results, par.results):
-            assert (a.config_index, a.M, a.error, a.nfe) == (b.config_index, b.M, b.error, b.nfe)
-
     def test_oracle_starts_requires_closed_form(self):
         with pytest.raises(ValidationError):
             ConvergenceStudy(
