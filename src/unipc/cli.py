@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import coeffs
+from . import coeffs, solver
 from .errors import (
     DomainError,
     FitError,
@@ -28,7 +28,8 @@ from .errors import (
     ValidationError,
     typed,
 )
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, make_time_grid
+from .solver import SolverConfig
 from .study import ConvergenceStudy, emit, fit_order, run_study
 
 
@@ -130,6 +131,56 @@ def _selftest_varying() -> tuple[bool, str]:
     return worst < 1e-12, f"max |C A - I| = {worst:.3e}"
 
 
+def _plan_row_residual(sched, times, nodes, P: int, N: int, a, c, prediction: str) -> float:
+    """Order-condition residual of one plan row, from scalar schedule maps and basis.
+
+    The update from node P to node N that combines the outputs at `nodes`
+    with weights solved exactly must reproduce x_N/x_P for a zero model and
+    satisfy sum_j c_j r_j^n = scale * h n! basis_{n+1}(h) for n below the
+    number of nodes (r_j the offsets in units of h; scale -sigma_N for noise
+    and alpha_N for data prediction).  Each condition's error is taken
+    relative to the size of its terms, which reach |r|^n.
+    """
+    alpha_p, sigma_p, lam_p = sched.alpha_sigma_lambda(times[P])
+    alpha_n, sigma_n, lam_n = sched.alpha_sigma_lambda(times[N])
+    h = lam_n - lam_p
+    r = np.array([(sched.lam(times[j]) - lam_p) / h for j in nodes])
+    if prediction == "noise":
+        exact_a, scale, basis = alpha_n / alpha_p, -sigma_n, coeffs.varphi
+    else:
+        exact_a, scale, basis = sigma_n / sigma_p, alpha_n, coeffs.psi
+    u = np.asarray(c) / scale
+    residual = abs(a / exact_a - 1.0)
+    for n in range(len(nodes)):
+        terms = u * r**n
+        error = abs(float(np.sum(terms)) - h * math.factorial(n) * basis(n + 1, h))
+        residual = max(residual, error / float(np.sum(np.abs(terms))))
+    return residual
+
+
+def _selftest_plan() -> tuple[bool, str]:
+    sched = NoiseSchedule()
+    M = 12
+    grid = make_time_grid(sched, M, "quadratic-time")  # step sizes and offsets vary
+    times = [float(t) for t in grid.times]
+    worst, rows = 0.0, 0
+    for order in range(1, 6):
+        for bh in coeffs.BH_KINDS:
+            for prediction in ("noise", "data"):
+                config = SolverConfig(order=order, bh=bh, prediction=prediction, half_a1=False)
+                a, c, _, orders = solver._plan(sched, grid, config, 1)
+                row = q = 0
+                for i, p in enumerate(orders, start=1):
+                    # predictor on nodes i-p..i-1, then the corrector on i-p..i
+                    for w in (p, p + 1) if i < M else (p,):
+                        nodes = range(i - p, i - p + w)
+                        worst = max(worst, _plan_row_residual(
+                            sched, times, nodes, i - 1, i, a[row], c[q:q + w], prediction))
+                        row, q = row + 1, q + w
+                rows += row
+    return worst < 1e-12, f"max relative order-condition residual = {worst:.3e} over {rows} rows"
+
+
 def _selftest_roundtrip() -> tuple[bool, str]:
     worst = 0.0
     rng = np.random.default_rng(0)
@@ -149,6 +200,7 @@ def _cmd_selftest(args) -> int:
         ("weight-residuals", _selftest_residuals),
         ("varying-coefficient-inverse", _selftest_varying),
         ("schedule-roundtrip", _selftest_roundtrip),
+        ("plan-residuals", _selftest_plan),
     ]
     failed = 0
     for name, fn in checks:

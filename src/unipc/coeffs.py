@@ -28,6 +28,9 @@ so the system actually solved is the plain Vandermonde
     V(r) w = ( n! varphi_{n+1}(h) * h / B(h) )_n,
 
 whose conditioning depends only on the spacing of r.
+
+basis_table and moment_rows evaluate the basis and solve these systems for
+many step sizes at once; solve_weights is the one-system call into them.
 """
 
 from __future__ import annotations
@@ -49,12 +52,19 @@ SERIES_CROSSOVER = 0.5
 BH_KINDS = ("b1", "b2")
 
 
-def bh_value(bh: str, h: float) -> float:
-    """Normalizer B(h): b1 -> h, b2 -> e^h - 1."""
+#: Terms of the series sum_j (+-h)^j/(j+k)! that basis_table sums below the
+#: crossover: the first one left out is below 0.5^16/16! ~ 1e-18 of the sum.
+_SERIES_TERMS = 16
+_INV_FACTORIALS = np.array([1.0 / math.factorial(n) for n in range(_SERIES_TERMS + MAX_BASIS_K)])
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(MAX_BASIS_K + 1)])
+
+
+def bh_value(bh: str, h):
+    """Normalizer B(h): b1 -> h, b2 -> e^h - 1 (elementwise for arrays)."""
     if bh == "b1":
         return h
     if bh == "b2":
-        return math.expm1(h)
+        return np.expm1(h)
     raise DomainError(f"unknown B(h) variant {bh!r}")
 
 
@@ -102,6 +112,62 @@ def psi(k: int, h: float) -> float:
     for n in range(k):
         v = (1.0 / math.factorial(n) - v) / h
     return v
+
+
+def basis_table(hs, kmax: int, prediction: str = "noise") -> np.ndarray:
+    """varphi_k(h) (noise) or psi_k(h) (data) for k = 0..kmax at every h of hs.
+
+    Returns an (len(hs), kmax + 1) array.  Below SERIES_CROSSOVER the series
+    is one matmul of the powers (+-h)^j by 1/(j+k)!; above it the one-term
+    recursion runs over all those step sizes at once.
+    """
+    hs = np.asarray(hs, dtype=float)
+    if not 0 <= kmax <= MAX_BASIS_K:
+        raise DomainError(f"basis index k={kmax} outside supported range 0..{MAX_BASIS_K}")
+    if not np.all(hs > 0.0):
+        raise DomainError(f"need h > 0, got {hs.tolist()}")
+    sign = 1.0 if prediction == "noise" else -1.0
+    small = hs < SERIES_CROSSOVER
+    if not small.any():
+        return _recursion(hs, kmax, sign)
+    out = np.empty((hs.size, kmax + 1))
+    powers = np.vander(sign * hs[small], _SERIES_TERMS, increasing=True)
+    out[small] = powers @ _INV_FACTORIALS[np.add.outer(np.arange(_SERIES_TERMS), np.arange(kmax + 1))]
+    if not small.all():
+        out[~small] = _recursion(hs[~small], kmax, sign)
+    return out
+
+
+def _recursion(hs: np.ndarray, kmax: int, sign: float) -> np.ndarray:
+    out = np.empty((kmax + 1, hs.size))
+    out[0] = np.exp(sign * hs)
+    for n in range(kmax):
+        out[n + 1] = sign * (out[n] - _INV_FACTORIALS[n]) / hs
+    return out.T
+
+
+def moment_rows(table: np.ndarray, hs, R) -> np.ndarray:
+    """Solve sum_m u_m R[j, m]^n = h_j n! basis_{n+1}(h_j), n = 0..k, for each row j.
+
+    R[j] holds k + 1 distinct offsets, one of them 0 for the node the step
+    starts from; table is basis_table(hs, kmax) with kmax > k.  u_m are the
+    coefficients on the model outputs at those offsets of an update whose
+    weights solve their system exactly (see solve_weights): on D_m they are
+    w_m B(h) / r_m, so B(h) cancels and u is the same for both variants.
+
+    All rows are solved together by the Bjorck-Pereyra algorithm for
+    Vandermonde systems (Golub & Van Loan, Algorithm 4.6.2): O(k^2) array
+    operations on (n, k+1) arrays, so no (n, k+1, k+1) matrix is formed.
+    """
+    r = np.asarray(R, dtype=float).T  # one node per row: the slices below are cheap
+    k = len(r) - 1
+    u = (table[:, 1:k + 2] * np.asarray(hs, dtype=float)[:, None] * _FACTORIALS[:k + 1]).T
+    for j in range(k):
+        u[j + 1:] -= r[j] * u[j:-1]
+    for j in range(k - 1, -1, -1):
+        u[j + 1:] /= r[j + 1:] - r[:k - j]
+        u[j:-1] -= u[j + 1:]
+    return u.T
 
 
 def _check_p(p: int, h: float, limit: int) -> None:
@@ -175,14 +241,10 @@ def solve_weights(
     if p == 1 and half_a1:
         weights = np.array([0.5])
     else:
-        scale = h / bh_value(bh, h)
-        basis = varphi if prediction == "noise" else psi
-        rhs = np.array([math.factorial(n) * basis(n + 1, h) * scale for n in range(1, p + 1)])
-        V = np.vander(r, N=p, increasing=True).T
-        try:
-            weights = np.linalg.solve(V, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by _check_r
-            raise SingularSystemError(str(exc)) from exc
+        hs = np.array([float(h)])
+        below = int(np.sum(r < 0.0))
+        u = moment_rows(basis_table(hs, p + 1, prediction), hs, np.insert(r, below, 0.0)[None, :])[0]
+        weights = np.delete(u, below) * r / bh_value(bh, h)
     return CoefficientSystem(
         p=p, h=float(h), r=tuple(r.tolist()), bh=bh, prediction=prediction, weights=weights
     )
@@ -216,3 +278,39 @@ def varying_coefficient_matrix(p: int, r) -> VaryingCoefficientMatrix:
     except np.linalg.LinAlgError as exc:  # distinct r makes C invertible; guard anyway
         raise SingularSystemError(str(exc)) from exc
     return VaryingCoefficientMatrix(p=int(p), r=tuple(r.tolist()), A=A)
+
+
+def update_rows(nodes, P, N, R: np.ndarray, bh: str = "b2", prediction: str = "noise",
+                half_a1: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of a batch of predictor/corrector updates, x_next = a x + c @ F.
+
+    nodes holds (log alpha, lambda, sigma) per node; row j steps from node
+    P[j] to node N[j] and combines the model outputs F at the offsets R[j]
+    (units of h, in node order, one 0 for node P[j] and NaN in leading
+    columns it does not use, where c is 0).  The weights are solved exactly
+    (moment_rows), except that half_a1 pins the weight of a single offset
+    to 1/2.
+    """
+    la, lam, sigma = nodes
+    h = lam[N] - lam[P]
+    if prediction == "noise":  # first: the first-order coefficient h varphi_1(h), over scale
+        a, scale, first = np.exp(la[N] - la[P]), -sigma[N], np.expm1(h)
+    else:
+        a, scale, first = sigma[N] / sigma[P], np.exp(la[N]), -np.expm1(-h)
+    if (R[:, 1:] <= R[:, :-1]).any():
+        raise SingularSystemError("offsets must be distinct and increasing along each update")
+    width = R.shape[1]
+    k = width - 1 - np.isnan(R).sum(axis=1)  # weights per row
+    c = np.zeros(R.shape)
+    for kk in set(k.tolist()):
+        sel = k == kk
+        Rk, hk = R[sel, width - kk - 1:], h[sel]
+        if kk == 0:
+            u = first[sel, None]
+        elif kk == 1 and half_a1:
+            u1 = 0.5 * bh_value(bh, hk) / Rk.sum(axis=1)  # the one nonzero offset
+            u = np.where(Rk == 0.0, (first[sel] - u1)[:, None], u1[:, None])
+        else:
+            u = moment_rows(basis_table(hk, kk + 1, prediction), hk, Rk)
+        c[sel, width - kk - 1:] = scale[sel, None] * u
+    return a, c

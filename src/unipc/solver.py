@@ -17,15 +17,24 @@ and the data-prediction update is
              + alpha_next * B(h) * sum_m (w_m / r_m) D_m.
 
 A predictor uses only past offsets (r_m < 1); a corrector additionally
-uses the current node r_p = 1, lifting the order of accuracy by one.  The
-weights w come from coeffs.solve_weights, or, in the varying-coefficients
-variant, from the h-independent matrix A = C^{-1}: the correction becomes
-sum_n h varphi_{n+1}(h) <column n of A, (D_m/r_m)_m>, i.e. w = A v with
-v_n = varphi_{n+1}(h) (psi for data prediction) and B replaced by h.
+uses the current node r_p = 1, lifting the order of accuracy by one.
 
-With one offset and the half_a1 shortcut the weight is pinned to 1/2
-instead of solved, which satisfies the accuracy condition for both B
-variants independently of h.
+Step plan.  No coefficient depends on x: with the D_m written out, an
+update is x_next = a x_prev + sum_j c_j f_j over the model outputs at
+consecutive nodes.  When the weights solve their system (coeffs) exactly,
+c is the unique solution of sum_j c_j r_j^n = s h n! varphi_{n+1}(h),
+n = 0..k, over the k + 1 nodes (r = 0 for x_prev's node; s = -sigma_next;
+psi and s = alpha_next for data prediction): B(h) cancels, and the
+varying-coefficients weights w = A v, A = C^{-1}, C = diag(1/n!) V(r),
+are that same solution.  Only the half_a1 shortcut, which pins a single
+weight to 1/2 (accurate for both B variants), depends on B.
+
+sample() builds the plan once per call from (schedule, grid, config): a
+and c of every predictor, corrector and singlestep interior node, for all
+steps at once (coeffs.basis_table and coeffs.moment_rows on batches of
+rows).  The run keeps the latest model outputs in a ring array, so each
+update costs one a x + c @ F.  predict, correct, unified_update and
+ddim_step build a single row the same way and apply it the same way.
 
 The multistep driver follows the warm-up discipline p_i = min(p, i),
 pushes the model output evaluated at the *uncorrected* predictor result
@@ -37,8 +46,7 @@ which re-evaluates at each corrected state).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -129,20 +137,7 @@ class SolverConfig:
         return digits
 
     def to_json(self) -> dict:
-        th = None
-        if self.thresholding is not None:
-            th = {"ratio": self.thresholding.ratio, "floor": self.thresholding.floor}
-        return {
-            "order": self.order,
-            "variant": self.variant,
-            "bh": self.bh,
-            "prediction": self.prediction,
-            "corrector": self.corrector,
-            "varying_coefficients": self.varying_coefficients,
-            "order_schedule": self.order_schedule,
-            "thresholding": th,
-            "half_a1": self.half_a1,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, spec: dict) -> "SolverConfig":
@@ -152,11 +147,7 @@ class SolverConfig:
             th = typed(th, "dict", "thresholding")
             th = Thresholding(ratio=float(typed(th["ratio"], "number", "thresholding ratio")),
                               floor=float(typed(th["floor"], "number", "thresholding floor")))
-        known = {
-            "order", "variant", "bh", "prediction", "corrector",
-            "varying_coefficients", "order_schedule", "half_a1",
-        }
-        extra = set(spec) - known
+        extra = set(spec) - {f.name for f in fields(cls)}
         if extra:
             raise ValidationError(f"unknown solver fields {sorted(extra)}")
         return cls(thresholding=th, **spec)
@@ -164,6 +155,8 @@ class SolverConfig:
 
 @dataclass
 class BufferEntry:
+    """A model output buffered at time t; updates take lambda from t, not from lam."""
+
     t: float
     lam: float
     output: np.ndarray
@@ -187,7 +180,7 @@ class SolverState:
             self.buffer.pop(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     index: int
     order: int
@@ -208,91 +201,76 @@ class SampleResult:
         return self.trajectory[-1]
 
 
-# -- update formulas -------------------------------------------------------
+# -- coefficient rows ----------------------------------------------------------
 
 
-def ddim_step(
-    sched: NoiseSchedule, x: np.ndarray, eps_prev: np.ndarray, t_prev: float, t_next: float
-) -> np.ndarray:
-    """First-order noise-prediction update (standalone DDIM)."""
-    la_p, la_n = sched.log_alpha(t_prev), sched.log_alpha(t_next)
-    lam_p = la_p - 0.5 * math.log(-math.expm1(2.0 * la_p))
-    lam_n = la_n - 0.5 * math.log(-math.expm1(2.0 * la_n))
-    sigma_n = math.sqrt(-math.expm1(2.0 * la_n))
-    return math.exp(la_n - la_p) * x - sigma_n * math.expm1(lam_n - lam_p) * eps_prev
+def _nodes(sched: NoiseSchedule, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log alpha, lambda, sigma) at node times, computed the one way every update uses."""
+    la = np.array([sched.log_alpha(t) for t in ts], dtype=float)
+    sig2 = -np.expm1(2.0 * la)
+    return la, la - 0.5 * np.log(sig2), np.sqrt(sig2)
 
 
-def _first_order_data(
-    sched: NoiseSchedule, x: np.ndarray, x0_prev: np.ndarray, t_prev: float, t_next: float
-) -> np.ndarray:
-    alpha_n, sigma_n, lam_n = sched.alpha_sigma_lambda(t_next)
-    _, sigma_p, lam_p = sched.alpha_sigma_lambda(t_prev)
-    return (sigma_n / sigma_p) * x - alpha_n * math.expm1(lam_p - lam_n) * x0_prev
+def _apply(a, c: np.ndarray, x: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """a x + c @ F: every predictor and corrector, as one combination."""
+    y = c @ F
+    y += a * x
+    return y
 
 
-def unified_update(
-    sched: NoiseSchedule,
-    x: np.ndarray,
-    t_prev: float,
-    t_next: float,
-    f_prev: np.ndarray,
-    rs,
-    Ds,
-    *,
-    bh: str = "b2",
-    prediction: str = "noise",
-    varying: bool = False,
-    half_a1: bool = False,
-) -> np.ndarray:
+def _guard(arr: np.ndarray, step: int) -> None:
+    if not np.isfinite(arr).all():
+        raise NumericError(f"non-finite value at step {step}", step=step)
+
+
+# -- one-step wrappers ------------------------------------------------------------
+
+
+def _update(sched: NoiseSchedule, x, ts, P: int, R, outputs, opts: dict) -> np.ndarray:
+    """The single update from node P of ts to its last node, over the outputs at offsets R
+    (R as in coeffs.update_rows; None for those of the first len(outputs) nodes of ts)."""
+    nodes = _nodes(sched, ts)
+    if R is None:
+        lam = nodes[1]
+        R = (lam[:len(outputs)] - lam[P]) / (lam[-1] - lam[P])
+    a, c = coeffs.update_rows(nodes, [P], [len(ts) - 1], R[None, :], **opts)
+    return _apply(a[0], c[0], np.asarray(x, dtype=float), np.stack(outputs))
+
+
+def unified_update(sched: NoiseSchedule, x: np.ndarray, t_prev: float, t_next: float,
+                   f_prev: np.ndarray, rs, Ds, *, bh: str = "b2", prediction: str = "noise",
+                   varying: bool = False, half_a1: bool = False) -> np.ndarray:
     """One predictor/corrector update from explicit offsets and differences.
 
     rs must be strictly increasing nonzero offsets in units of h; Ds the
     matching model-output differences.  A corrector passes r_p = 1 with the
     difference taken at the target node; a predictor passes offsets < 1
-    only.  Empty rs reduces to the first-order update exactly.
+    only.  Empty rs gives the first-order update.
     """
-    if len(rs) != len(Ds):
-        raise DomainError("rs and Ds must have equal length")
-    if prediction == "noise":
-        base = ddim_step(sched, x, f_prev, t_prev, t_next)
-    else:
-        base = _first_order_data(sched, x, f_prev, t_prev, t_next)
-    if not len(rs):
-        return base
-    h = sched.lam(t_next) - sched.lam(t_prev)
-    p = len(rs)
-    if varying:
-        vcm = coeffs.varying_coefficient_matrix(p, rs)
-        basis = coeffs.varphi if prediction == "noise" else coeffs.psi
-        v = np.array([basis(n + 1, h) for n in range(1, p + 1)])
-        weights, scale = vcm.A @ v, h
-    else:
-        system = coeffs.solve_weights(p, h, rs, bh=bh, prediction=prediction, half_a1=half_a1)
-        weights, scale = system.weights, coeffs.bh_value(bh, h)
-    acc = sum((w / r) * D for w, r, D in zip(weights, rs, Ds))
-    if prediction == "noise":
-        sigma_n = sched.sigma(t_next)
-        return base - sigma_n * scale * acc
-    alpha_n = sched.alpha(t_next)
-    return base + alpha_n * scale * acc
+    limit = coeffs.MAX_VARYING_ORDER if varying else coeffs.MAX_ORDER
+    if len(rs) != len(Ds) or len(rs) > limit:
+        raise DomainError(f"need equally many rs and Ds, at most {limit}")
+    r = coeffs._check_r(rs) if len(rs) else np.zeros(0)
+    below = int(np.sum(r < 0.0))
+    f_prev = np.asarray(f_prev, dtype=float)
+    outputs = [f_prev + D for D in Ds[:below]] + [f_prev] + [f_prev + D for D in Ds[below:]]
+    opts = dict(bh=bh, prediction=prediction, half_a1=half_a1 and not varying)
+    return _update(sched, x, [t_prev, t_next], 0, np.insert(r, below, 0.0), outputs, opts)
 
 
-def _history(
-    state: SolverState, lam_prev: float, h: float, p: int
-) -> tuple[list[float], list[np.ndarray], list[float]]:
-    """Past offsets/differences for a multistep update of order p (ascending r)."""
+def ddim_step(sched: NoiseSchedule, x: np.ndarray, eps_prev: np.ndarray, t_prev: float,
+              t_next: float) -> np.ndarray:
+    """First-order noise-prediction update (standalone DDIM)."""
+    return unified_update(sched, x, t_prev, t_next, eps_prev, [], [])
+
+
+def _history(state: SolverState, p: int) -> list[BufferEntry]:
+    if not state.buffer:
+        raise InsufficientHistoryError("buffer is empty; push the initial model output first")
     if len(state.buffer) < p:
         raise InsufficientHistoryError(
-            f"order {p} needs {p} buffered outputs, have {len(state.buffer)}"
-        )
-    f_prev = state.buffer[-1].output
-    rs, Ds, ts = [], [], []
-    for m in range(p, 1, -1):  # oldest first -> ascending (negative) r
-        entry = state.buffer[-m]
-        rs.append((entry.lam - lam_prev) / h)
-        Ds.append(entry.output - f_prev)
-        ts.append(entry.t)
-    return rs, Ds, ts
+            f"order {p} needs {p} buffered outputs, have {len(state.buffer)}")
+    return state.buffer[-p:]
 
 
 @dataclass
@@ -304,48 +282,34 @@ class PredictResult:
     evals: int
 
 
-def predict(
-    sched: NoiseSchedule,
-    state: SolverState,
-    t_next: float,
-    p: int,
-    *,
-    variant: str = "multistep",
-    model: ModelEvaluator | None = None,
-    bh: str = "b2",
-    prediction: str = "noise",
-    varying: bool = False,
-    half_a1: bool = True,
-) -> PredictResult:
+def predict(sched: NoiseSchedule, state: SolverState, t_next: float, p: int, *,
+            variant: str = "multistep", model: ModelEvaluator | None = None, bh: str = "b2",
+            prediction: str = "noise", varying: bool = False,
+            half_a1: bool = True) -> PredictResult:
     """p-th order predictor from the buffered history (multistep) or from
     freshly evaluated interior nodes (singlestep; costs p-1 extra calls)."""
-    if not state.buffer:
-        raise InsufficientHistoryError("buffer is empty; push the initial model output first")
-    t_prev = state.buffer[-1].t
-    lam_prev = state.buffer[-1].lam
-    h = sched.lam(t_next) - lam_prev
-    f_prev = state.buffer[-1].output
-    opts = dict(bh=bh, prediction=prediction, varying=varying, half_a1=half_a1)
+    opts = dict(bh=bh, prediction=prediction, half_a1=half_a1 and not varying)
+    entries = _history(state, p if variant == "multistep" else 1)
+    f_prev, ts = entries[-1].output, [e.t for e in entries]
+    outputs = [e.output for e in entries]
     if variant == "multistep":
-        rs, Ds, ts = _history(state, lam_prev, h, p)
-        x_pred = unified_update(sched, state.x, t_prev, t_next, f_prev, rs, Ds, **opts)
-        return PredictResult(x_pred, rs, Ds, ts + [t_prev], 0)
+        lam = _nodes(sched, ts + [t_next])[1]
+        rs = ((lam[:-2] - lam[-2]) / (lam[-1] - lam[-2])).tolist()
+        x_pred = _update(sched, state.x, ts + [t_next], p - 1, None, outputs, opts)
+        return PredictResult(x_pred, rs, [f - f_prev for f in outputs[:-1]], ts, 0)
     if model is None and p > 1:
         raise ValidationError("singlestep prediction needs the model for interior nodes")
-    rs = [m / p for m in range(1, p)]
-    Ds: list[np.ndarray] = []
-    interior = []
-    for m, r in enumerate(rs, start=1):
-        s_m = sched.t_of_lambda(lam_prev + r * h)
-        sub_rs = [j / m for j in range(1, m)]
-        x_m = unified_update(sched, state.x, t_prev, s_m, f_prev, sub_rs, Ds[: m - 1], **opts)
-        _guard(x_m, state.step_index + 1)
-        f_m = model(x_m, s_m)
-        _guard(f_m, state.step_index + 1)
-        Ds.append(f_m - f_prev)
-        interior.append(s_m)
-    x_pred = unified_update(sched, state.x, t_prev, t_next, f_prev, rs, Ds, **opts)
-    return PredictResult(x_pred, rs, Ds, interior + [t_prev], len(rs))
+    lam = _nodes(sched, [ts[0], t_next])[1]
+    interior = [sched.t_of_lambda(lam[0] + (m / p) * (lam[1] - lam[0])) for m in range(1, p)]
+    for m, s_m in enumerate(interior + [t_next], start=1):
+        R = np.arange(m) / m  # interior node j of m sits at j/m of the way to node m
+        x_m = _update(sched, state.x, ts[:1] + interior[:m - 1] + [s_m], 0, R, outputs, opts)
+        if m < p:
+            _guard(x_m, state.step_index + 1)
+            outputs.append(model(x_m, s_m))
+            _guard(outputs[-1], state.step_index + 1)
+    Ds = [f - f_prev for f in outputs[1:]]
+    return PredictResult(x_m, [m / p for m in range(1, p)], Ds, interior + ts, p - 1)
 
 
 @dataclass
@@ -355,22 +319,10 @@ class CorrectResult:
     evals: int
 
 
-def correct(
-    sched: NoiseSchedule,
-    state: SolverState,
-    t_next: float,
-    x_pred: np.ndarray,
-    p: int,
-    model: ModelEvaluator,
-    *,
-    rs: list[float] | None = None,
-    Ds: list[np.ndarray] | None = None,
-    bh: str = "b2",
-    prediction: str = "noise",
-    varying: bool = False,
-    half_a1: bool = True,
-    oracle: bool = False,
-) -> CorrectResult:
+def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.ndarray,
+            p: int, model: ModelEvaluator, *, rs: list[float] | None = None,
+            Ds: list[np.ndarray] | None = None, bh: str = "b2", prediction: str = "noise",
+            varying: bool = False, half_a1: bool = True, oracle: bool = False) -> CorrectResult:
     """Refine any p-th order estimate x_pred at t_next (plug-and-play UniC).
 
     Evaluates the model once at (x_pred, t_next); that output both enters the
@@ -382,51 +334,116 @@ def correct(
     rs/Ds may carry precomputed past offsets and differences (e.g. from a
     singlestep predictor); by default they are read from the buffer.
     """
-    t_prev = state.buffer[-1].t
-    lam_prev = state.buffer[-1].lam
-    h = sched.lam(t_next) - lam_prev
-    f_prev = state.buffer[-1].output
-    if rs is None or Ds is None:
-        rs, Ds, _ = _history(state, lam_prev, h, p)
+    opts = dict(bh=bh, prediction=prediction, half_a1=half_a1 and not varying)
+    explicit = rs is not None and Ds is not None
+    entries = _history(state, 1 if explicit else p)
     f_pred = model(np.asarray(x_pred, float), t_next)
     _guard(f_pred, state.step_index + 1)
-    corrected = unified_update(
-        sched, state.x, t_prev, t_next, f_prev,
-        list(rs) + [1.0], list(Ds) + [f_pred - f_prev],
-        bh=bh, prediction=prediction, varying=varying, half_a1=half_a1,
-    )
-    evals = 1
-    push = f_pred
-    if oracle:
-        push = model(corrected, t_next)
-        _guard(push, state.step_index + 1)
-        evals = 2
-    return CorrectResult(corrected, push, evals)
+    if explicit:
+        prev = entries[-1]
+        corrected = unified_update(sched, state.x, prev.t, t_next, prev.output,
+                                   list(rs) + [1.0], list(Ds) + [f_pred - prev.output], **opts)
+    else:
+        corrected = _update(sched, state.x, [e.t for e in entries] + [t_next], p - 1, None,
+                            [e.output for e in entries] + [f_pred], opts)
+    push = model(corrected, t_next) if oracle else f_pred
+    _guard(push, state.step_index + 1)
+    return CorrectResult(corrected, push, 1 + oracle)
 
 
-def _guard(arr: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite value at step {step}", step=step)
+# -- step plan ------------------------------------------------------------------
+
+
+#: Rows built together: bounds the build's temporaries (about 0.3 KB a row).
+_BATCH = 32
+
+
+def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int):
+    """Compile steps first..M of a run into its updates, for all steps at once.
+
+    Returns (a, c, ts, orders): the updates in the order the run applies
+    them, per step the singlestep interior nodes m = 1..p-1, the predictor,
+    then the corrector if the step is corrected.  These combine the
+    outputs of the w = m, p and p + 1 latest nodes: update j is
+    a[j] x + c[q:q+w] @ F, with x the state the step starts from, F those
+    outputs (oldest first) and q the sum of the widths before it.  ts holds
+    the node times in evaluation order, orders the order of each step.
+
+    Row r steps from node P to node N and combines the outputs of nodes
+    low..E, at offsets from the node lambdas (multistep: the grid nodes) or
+    at the nominal fractions of a singlestep step from node b, which adds
+    interior nodes b + m at lambda_b + (m/p) h, then its grid node b + p.
+    """
+    M = grid.num_steps
+    orders = config.resolved_orders(M)[first - 1:]
+    p = np.array(orders)
+    corr = (np.arange(first, M + 1) < M) & (config.corrector != "off")
+    single = config.variant == "singlestep"
+    ts = grid.times.tolist()
+    nodes = _nodes(sched, ts)
+    base = np.arange(first - 1, M)  # node each step starts from
+    if single:
+        lam, ts, base = nodes[1], ts[:first], []
+        for i, p_i in zip(range(first, M + 1), orders):
+            base.append(len(ts) - 1)
+            h = lam[i] - lam[i - 1]
+            ts += [sched.t_of_lambda(lam[i - 1] + (m / p_i) * h) for m in range(1, p_i)]
+            ts.append(float(grid.times[i]))
+        nodes, base = _nodes(sched, ts), np.array(base)
+    lam = nodes[1]
+    count = 1 + corr + (p - 1 if single else 0)  # rows per step
+    ends = np.cumsum(count)
+    a = np.empty(ends[-1])
+    c = np.empty(int(((p * (p + 1) // 2 if single else p) + corr * (p + 1)).sum()))
+    opts = dict(bh=config.bh, prediction=config.prediction,
+                half_a1=config.half_a1 and not config.varying_coefficients)
+    q = 0
+    for j in range(0, ends[-1], _BATCH):
+        rows = np.arange(j, min(j + _BATCH, ends[-1]))
+        s = np.searchsorted(ends, rows, side="right")  # step of each row
+        pos = rows - (ends - count)[s]  # 0 for the step's first row
+        P = base[s]
+        if single:  # interior nodes, predictor, corrector
+            N = P + np.minimum(pos + 1, p[s])
+            E, low = N - 1 + (pos == p[s]), P
+        else:  # predictor, corrector
+            N = P + 1
+            E, low = P + pos, N - p[s]
+        J = E[:, None] + np.arange(-int((E - low).max()), 1)  # each row's nodes, oldest first
+        if single:
+            R = (J - P[:, None]) / (N - P)[:, None]
+        else:
+            R = (lam[np.maximum(J, 0)] - lam[P][:, None]) / (lam[N] - lam[P])[:, None]
+        R[J < low[:, None]] = np.nan  # nodes the row does not use
+        a[rows], cb = coeffs.update_rows(nodes, P, N, R, **opts)
+        used = cb[~np.isnan(R)]
+        c[q:q + len(used)] = used
+        q += len(used)
+    return a, c, ts, orders
 
 
 # -- driver ----------------------------------------------------------------
 
 
-def sample(
-    model: ModelEvaluator,
-    sched: NoiseSchedule,
-    grid: TimeGrid,
-    config: SolverConfig,
-    x_init: np.ndarray,
-    *,
-    warm_start: list[np.ndarray] | None = None,
-) -> SampleResult:
+def _state(value, dim: int, what: str) -> np.ndarray:
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
+    if x.shape != (dim,):
+        raise ValidationError(f"{what} must be a 1-d array of length {dim}, got shape {x.shape}")
+    return x
+
+
+def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig,
+           x_init: np.ndarray, *, warm_start: list[np.ndarray] | None = None) -> SampleResult:
     """Run the full sampling loop from x at t_0 = grid.times[0] down to t_M.
 
     warm_start optionally supplies already-accurate states for the first k
     grid nodes after t_0 (classic multistep starter injection); the loop then
     begins at step k+1 with a filled history buffer.  Total model calls stay
     at M for corrector in {off, standard} and 2M-1 for oracle (multistep).
+    States are 1-d arrays of length model.dim.
     """
     if model.prediction != config.prediction:
         raise ValidationError(
@@ -436,78 +453,60 @@ def sample(
     M = grid.num_steps
     if abs(lambdas[0] - sched.lam(times[0])) > 1e-8 or abs(lambdas[-1] - sched.lam(times[-1])) > 1e-8:
         raise ValidationError("grid does not belong to this schedule")
-    orders = config.resolved_orders(M)
+    x = _state(x_init, model.dim, "x_init")
+    warm = [_state(xs, model.dim, f"warm_start[{j}]") for j, xs in enumerate(warm_start or [])]
+    if len(warm) > M - 1:
+        raise ValidationError("warm_start longer than the grid allows")
+    first = len(warm) + 1
+    a, c, ts, orders = _plan(sched, grid, config, first)
+    th = config.thresholding
+    # Node n's output sits in rows n % K and n % K + K of the ring, so the
+    # w <= K latest outputs are always the slice ring[(n + 1 - w) % K:][:w].
+    K = max(orders) + (config.corrector != "off")
+    ring = np.zeros((2 * K, model.dim))
+    nfe = n = row = q = 0  # model calls, latest node, next update and its coefficients
 
-    evalfn = model
-    if config.thresholding is not None:
-        th = config.thresholding
+    def evaluate(x_at: np.ndarray, node: int, step: int) -> None:
+        nonlocal nfe
+        out = model(x_at, ts[node])
+        if th is not None:
+            out = dynamic_threshold(out, th.ratio, th.floor)
+        nfe += 1
+        _guard(out, step)
+        ring[node % K] = ring[node % K + K] = out
 
-        def evalfn(x, t, _m=model, _th=th):
-            return dynamic_threshold(_m(x, t), _th.ratio, _th.floor)
+    def update(w: int) -> np.ndarray:  # the next update, over the w latest outputs
+        nonlocal row, q
+        row, q = row + 1, q + w
+        return _apply(a[row - 1], c[q - w:q], x, ring[(n + 1 - w) % K:][:w])
 
-    x = np.asarray(x_init, dtype=float)
-    _guard(x, 0)
-    state = SolverState(x=x, capacity=max(orders))
-    out0 = evalfn(x, times[0])
-    _guard(out0, 0)
-    state.push(BufferEntry(times[0], lambdas[0], out0))
-    state.nfe = 1
-    trajectory = [x.copy()]
-    trace: list[StepRecord] = []
-
-    first = 1
-    if warm_start:
-        if len(warm_start) > M - 1:
-            raise ValidationError("warm_start longer than the grid allows")
-        for j, xs in enumerate(warm_start, start=1):
-            xs = np.asarray(xs, dtype=float)
-            _guard(xs, j)
-            out = evalfn(xs, times[j])
-            _guard(out, j)
-            state.push(BufferEntry(times[j], lambdas[j], out))
-            state.nfe += 1
-            state.x = xs
-            trajectory.append(xs.copy())
-        first = len(warm_start) + 1
-
-    for i in range(first, M + 1):
-        p_i = orders[i - 1]
-        t_next = times[i]
-        pred = predict(
-            sched, state, t_next, p_i,
-            variant=config.variant, model=evalfn,
-            bh=config.bh, prediction=config.prediction,
-            varying=config.varying_coefficients, half_a1=config.half_a1,
-        )
-        state.nfe += pred.evals
-        _guard(pred.x_pred, i)
-        used = list(pred.used_ts)
-        corrected = False
-        if config.corrector != "off" and i < M:
-            res = correct(
-                sched, state, t_next, pred.x_pred, p_i, evalfn,
-                rs=pred.rs, Ds=pred.Ds,
-                bh=config.bh, prediction=config.prediction,
-                varying=config.varying_coefficients, half_a1=config.half_a1,
-                oracle=config.corrector == "oracle",
-            )
-            state.nfe += res.evals
-            _guard(res.corrected, i)
-            state.push(BufferEntry(t_next, lambdas[i], res.push_output))
-            state.x = res.corrected
-            used.append(t_next)
-            corrected = True
-        else:
-            if i < M:
-                out = evalfn(pred.x_pred, t_next)
-                _guard(out, i)
-                state.push(BufferEntry(t_next, lambdas[i], out))
-                state.nfe += 1
-            state.x = pred.x_pred
-        state.step_index = i
-        trajectory.append(state.x.copy())
-        trace.append(
-            StepRecord(i, p_i, times[i - 1], t_next, tuple(used), corrected)
-        )
-
-    return SampleResult(trajectory=trajectory, nfe=state.nfe, trace=trace)
+    trajectory, trace = [], []
+    for n, x in enumerate([x] + warm):
+        _guard(x, n)
+        evaluate(x, n, n)
+        trajectory.append(x.copy())
+    single = config.variant == "singlestep"
+    for i, p in zip(range(first, M + 1), orders):
+        b = n
+        used = ts[b + 1:b + p] + ts[b:b + 1] if single else ts[b - p + 1:b + 1]
+        for w in range(1, p if single else 1):  # interior node n + 1 combines w outputs
+            x_m = update(w)
+            _guard(x_m, i)
+            n += 1
+            evaluate(x_m, n, i)
+        x_next = update(p)
+        _guard(x_next, i)
+        if i < M:
+            n += 1
+            evaluate(x_next, n, i)
+            if config.corrector != "off":
+                x_next = update(p + 1)
+                if config.corrector == "oracle":
+                    evaluate(x_next, n, i)
+                _guard(x_next, i)
+                used.append(ts[n])
+        trace.append(StepRecord(i, p, ts[b], ts[b + (p if single else 1)], tuple(used),
+                                i < M and config.corrector != "off"))
+        x = x_next
+        trajectory.append(x)
+    return SampleResult(trajectory=trajectory, nfe=nfe, trace=trace)

@@ -64,7 +64,10 @@ def reference_solution(
         raise ValidationError(f"unknown reference mode {mode!r}")
     x_T = np.asarray(x_T, dtype=float)
     if mode == "closed-form":
-        return exact_solution_xfree(model, sched, x_T, t_start, t_end)
+        exact = exact_solution_xfree(model, sched, x_T, t_start, t_end)
+        if not np.all(np.isfinite(exact)):
+            raise ReferenceAccuracyError("closed-form reference is not finite")
+        return exact
     evaluator = model.evaluator(sched)
 
     def integrate(n: int) -> np.ndarray:

@@ -47,3 +47,102 @@ def fitted_slope(hs, errors) -> float:
     A = np.vstack([x, np.ones_like(x)]).T
     (slope, _), *_ = np.linalg.lstsq(A, y, rcond=None)
     return float(slope)
+
+
+# -- reference sampler ---------------------------------------------------------
+#
+# The per-step predictor-corrector formulas written out one step at a time, as
+# a check on the step plan that unipc.solver compiles: offset and difference
+# lists, the basis by its series, one Vandermonde solve per update (or the
+# inverse A = C^{-1} for varying coefficients), and the same warm-up and
+# buffering rules.  It uses the schedule's scalar maps and nothing else from
+# the package.
+
+
+def basis_series(k: int, h: float, sign: float) -> float:
+    """varphi_k(h) (sign +1) or psi_k(h) (sign -1): sum_j (sign h)^j / (j+k)!, summed exactly."""
+    return math.fsum((sign * h) ** j / math.factorial(j + k) for j in range(80))
+
+
+def reference_update(sched, config, x, t_prev, t_next, f_prev, rs, Ds):
+    """One noise- or data-prediction update from offsets rs and differences Ds."""
+    la_p, la_n = sched.log_alpha(t_prev), sched.log_alpha(t_next)
+    h = sched.lam(t_next) - sched.lam(t_prev)
+    noise = config.prediction == "noise"
+    if noise:
+        out = math.exp(la_n - la_p) * x - sched.sigma(t_next) * math.expm1(h) * f_prev
+    else:
+        out = sched.sigma(t_next) / sched.sigma(t_prev) * x - sched.alpha(t_next) * math.expm1(-h) * f_prev
+    if not rs:
+        return out
+    k, sign = len(rs), 1.0 if noise else -1.0
+    if config.varying_coefficients:
+        C = np.array([[r ** (n - 1) / math.factorial(n) for r in rs] for n in range(1, k + 1)])
+        v = np.array([basis_series(n + 1, h, sign) for n in range(1, k + 1)])
+        w, B = np.linalg.inv(C) @ v, h
+    else:
+        B = h if config.bh == "b1" else math.expm1(h)
+        if k == 1 and config.half_a1:
+            w = np.array([0.5])
+        else:
+            V = np.array([[r ** (n - 1) for r in rs] for n in range(1, k + 1)])
+            rhs = np.array([math.factorial(n) * basis_series(n + 1, h, sign) * h / B
+                            for n in range(1, k + 1)])
+            w = np.linalg.solve(V, rhs)
+    acc = sum((wm / r) * D for wm, r, D in zip(w, rs, Ds))
+    if noise:
+        return out - sched.sigma(t_next) * B * acc
+    return out + sched.alpha(t_next) * B * acc
+
+
+def reference_sample(model, sched, grid, config, x_init, warm_start=()):
+    """Trajectory and model-call count of a run, one update at a time."""
+    times = [float(t) for t in grid.times]
+    M = len(times) - 1
+    if config.order_schedule is None:
+        orders = [min(config.order, i) for i in range(1, M + 1)]
+    else:
+        orders = [int(d) for d in config.order_schedule]
+    x = np.asarray(x_init, dtype=float)
+    buffer = [(times[0], model(x, times[0]))]  # (t, output), oldest first
+    traj, nfe = [x], 1
+    for j, xs in enumerate(warm_start, start=1):
+        x = np.asarray(xs, dtype=float)
+        buffer.append((times[j], model(x, times[j])))
+        traj.append(x)
+        nfe += 1
+    for i in range(len(warm_start) + 1, M + 1):
+        p, t_prev, t_next = orders[i - 1], times[i - 1], times[i]
+        f_prev = buffer[-1][1]
+        lam_prev = sched.lam(t_prev)
+        h = sched.lam(t_next) - lam_prev
+        if config.variant == "multistep":
+            past = buffer[-p:-1]
+            rs = [(sched.lam(t) - lam_prev) / h for t, _ in past]
+            Ds = [f - f_prev for _, f in past]
+        else:
+            rs, Ds = [], []
+            for m in range(1, p):
+                s_m = sched.t_of_lambda(lam_prev + (m / p) * h)
+                x_m = reference_update(sched, config, x, t_prev, s_m, f_prev,
+                                       [j / m for j in range(1, m)], Ds)
+                Ds = Ds + [model(x_m, s_m) - f_prev]
+                rs.append(m / p)
+                nfe += 1
+        x_pred = reference_update(sched, config, x, t_prev, t_next, f_prev, rs, Ds)
+        if i == M:
+            x = x_pred
+        else:
+            f_pred = model(x_pred, t_next)
+            nfe += 1
+            push = f_pred
+            if config.corrector != "off":
+                x_pred = reference_update(sched, config, x, t_prev, t_next, f_prev,
+                                          rs + [1.0], Ds + [f_pred - f_prev])
+                if config.corrector == "oracle":
+                    push = model(x_pred, t_next)
+                    nfe += 1
+            buffer.append((t_next, push))
+            x = x_pred
+        traj.append(x)
+    return traj, nfe

@@ -94,6 +94,16 @@ class TestRun:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nonfinite_closed_form_reference_exits_3(self, tmp_path, capsys):
+        # Coefficients near the float limit make the exact reference infinite.
+        cfg = {**CONFIG, "model": {"family": "x-free-poly", "coeffs": [1e306, 1e306], "dim": 4}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert "closed-form reference is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_schedule_exits_3(self, tmp_path, capsys):
         # alpha(t_start) underflows, so e^{-lambda} overflows in the exact reference.
         cfg = {**CONFIG, "schedule": {**CONFIG["schedule"], "beta_max": 2840.0}}
@@ -208,4 +218,5 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         printed = capsys.readouterr().out
-        assert printed.count("PASS") == 4 and "FAIL" not in printed
+        assert printed.count("PASS") == 5 and "FAIL" not in printed
+        assert "selftest plan-residuals: PASS" in printed

@@ -1,0 +1,62 @@
+"""The step plan that sample() compiles, against the per-step reference in oracles."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import reference_sample
+from unipc import (
+    NoiseSchedule,
+    SolverConfig,
+    SyntheticModel,
+    convert_parameterization,
+    make_time_grid,
+    sample,
+)
+
+
+@st.composite
+def runs(draw):
+    order = draw(st.integers(1, 5))
+    M = draw(st.integers(1, 12))
+    schedule = None
+    if draw(st.booleans()):
+        schedule = "".join(str(draw(st.integers(1, min(i, 5)))) for i in range(1, M + 1))
+    config = SolverConfig(
+        order=order,
+        variant=draw(st.sampled_from(["multistep", "singlestep"])),
+        bh=draw(st.sampled_from(["b1", "b2"])),
+        prediction=draw(st.sampled_from(["noise", "data"])),
+        corrector=draw(st.sampled_from(["off", "standard", "oracle"])),
+        varying_coefficients=draw(st.booleans()),
+        order_schedule=schedule,
+        half_a1=draw(st.booleans()),
+    )
+    sched = NoiseSchedule.from_json({"kind": draw(st.sampled_from(["vp-linear", "vp-cosine"]))})
+    grid = make_time_grid(sched, M, draw(st.sampled_from(
+        ["uniform-lambda", "uniform-time", "quadratic-time"])))
+    warm = draw(st.integers(0, min(M - 1, order - 1)))
+    kappa = draw(st.floats(0.05, 0.6))
+    seed = draw(st.integers(0, 2**16))
+    return config, sched, grid, warm, kappa, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs())
+def test_plan_matches_per_step_reference(run):
+    config, sched, grid, warm, kappa, seed = run
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(3)
+    warm_start = [x0 * (1.0 + 0.1 * j) for j in range(1, warm + 1)]
+
+    def evaluator():
+        model = SyntheticModel.linear_in_x(kappa, 3).evaluator(sched)
+        return convert_parameterization(model, sched) if config.prediction == "data" else model
+
+    model = evaluator()
+    res = sample(model, sched, grid, config, x0, warm_start=warm_start)
+    ref, ref_nfe = reference_sample(evaluator(), sched, grid, config, x0, warm_start)
+    assert res.nfe == ref_nfe == model.eval_count
+    assert len(res.trajectory) == len(ref)
+    for got, want in zip(res.trajectory, ref):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))

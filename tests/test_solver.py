@@ -197,6 +197,13 @@ class TestLocalOrders:
         with pytest.raises(InsufficientHistoryError):
             predict(vp_linear, state, 0.5, 2)
 
+    def test_correct_on_empty_buffer(self, vp_linear, poly_model):
+        evaluator = poly_model.evaluator(vp_linear)
+        state = SolverState(x=np.ones(4))
+        with pytest.raises(InsufficientHistoryError, match="buffer is empty"):
+            correct(vp_linear, state, 0.5, np.ones(4), 1, evaluator)
+        assert evaluator.eval_count == 0
+
 
 class TestDataPrediction:
     def test_order1_matches_noise_path(self, vp_linear, rng):
@@ -419,6 +426,22 @@ class TestGuards:
         with pytest.raises(ValidationError, match="does not belong"):
             sample(poly_model.evaluator(vp_linear), vp_linear, grid,
                    SolverConfig(order=2), rng.standard_normal(4))
+
+    @pytest.mark.parametrize("x_init,warm", [
+        (np.ones(3), None),                      # too short for the dim-4 model
+        (np.ones(5), None),                      # too long
+        (np.ones((2, 4)), None),                 # a batch of states is not a state
+        (np.float64(1.0), None),                 # a scalar
+        ([["a", "b", "c", "d"]], None),          # not numeric
+        (np.ones(4), [np.ones(3)]),              # a warm-start state of the wrong length
+        (np.ones(4), [np.ones((1, 4))]),         # a 2-d warm-start state
+    ])
+    def test_state_shape_rejected(self, vp_linear, poly_model, x_init, warm):
+        grid = make_time_grid(vp_linear, 4)
+        evaluator = poly_model.evaluator(vp_linear)
+        with pytest.raises(ValidationError, match="1-d array of length 4|not a numeric array"):
+            sample(evaluator, vp_linear, grid, SolverConfig(order=2), x_init, warm_start=warm)
+        assert evaluator.eval_count == 0
 
     def test_warm_start_too_long(self, vp_linear, poly_model, rng):
         grid = make_time_grid(vp_linear, 3)
