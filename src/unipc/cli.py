@@ -30,7 +30,7 @@ from .errors import (
 )
 from .schedule import NoiseSchedule, make_time_grid
 from .solver import SolverConfig
-from .study import ConvergenceStudy, emit, fit_order, run_study
+from .study import CSV_COLUMNS, ConvergenceStudy, emit, fit_order, run_study
 
 
 def _cmd_run(args) -> int:
@@ -61,7 +61,7 @@ def _cmd_fit(args) -> int:
         raise ValidationError(f"no data rows in {args.infile}")
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = tuple(row[k] for k in ("solver", "order", "variant", "bh", "prediction", "corrector"))
+        key = tuple(row[k] for k in CSV_COLUMNS[:6])
         groups.setdefault(key, []).append(row)
     failures = 0
     for key, members in groups.items():
@@ -84,25 +84,22 @@ def _cmd_fit(args) -> int:
 
 def _simpson(f, a: float, b: float, panels: int) -> float:
     xs = np.linspace(a, b, 2 * panels + 1)
-    ys = np.array([f(x) for x in xs])
+    ys = f(xs)
     h = (b - a) / (2 * panels)
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum() + 2.0 * ys[2:-1:2].sum()))
 
 
 def _selftest_quadrature() -> tuple[bool, str]:
+    """varphi_k and psi_k against Simpson quadrature of their integrals, for
+    every k a plan row reads (k <= MAX_ORDER + 1), relative to the value."""
     worst = 0.0
     for h in (0.1, 0.5, 1.0, 2.0):
-        for k in range(1, 6):
-            ref_v = _simpson(
-                lambda r: math.exp((1.0 - r) * h) * r ** (k - 1) / math.factorial(k - 1),
-                0.0, 1.0, 10_000,
-            )
-            ref_p = _simpson(
-                lambda r: math.exp((r - 1.0) * h) * r ** (k - 1) / math.factorial(k - 1),
-                0.0, 1.0, 10_000,
-            )
-            worst = max(worst, abs(coeffs.varphi(k, h) - ref_v), abs(coeffs.psi(k, h) - ref_p))
-    return worst < 1e-9, f"max |basis - quadrature| = {worst:.3e}"
+        for k in range(1, coeffs.MAX_ORDER + 2):
+            for sign, basis in ((1.0, coeffs.varphi), (-1.0, coeffs.psi)):
+                ref = _simpson(lambda r: np.exp(sign * (1.0 - r) * h) * r ** (k - 1), 0.0, 1.0, 10_000)
+                ref /= math.factorial(k - 1)
+                worst = max(worst, abs(basis(k, h) / ref - 1.0))
+    return worst < 1e-12, f"max |basis / quadrature - 1| = {worst:.3e}"
 
 
 def _selftest_residuals() -> tuple[bool, str]:

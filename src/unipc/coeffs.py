@@ -9,11 +9,18 @@ with varphi_0 = e^h, psi_0 = e^{-h}.  Both satisfy one-term recursions
 (varphi_{n+1} = (varphi_n - 1/n!)/h and psi_{n+1} = (1/n! - psi_n)/h) and
 the everywhere-convergent series
 
-    varphi_k(h) = sum_{j>=0} h^j / (j+k)!,    psi_k(h) = sum_{j>=0} (-h)^j / (j+k)!.
+    varphi_k(h) = sum_{j>=0} h^j / (j+k)!,    psi_k(h) = sum_{j>=0} (-h)^j / (j+k)!,
 
-The recursion amplifies rounding error by 1/h per level, so below
-SERIES_CROSSOVER the series (cancellation-free for varphi, benign for psi
-at small h) is used instead; above it the recursion is cheap and stable.
+and, for psi, the positive-term form
+
+    psi_k(h) = e^{-h} sum_{j>=0} h^j / (j! (k-1)! (j+k))     (k >= 1).
+
+Each step up a recursion divides by h, which multiplies the error carried
+from level k by about (k+1)/h where h is small, so the recursion is stable
+only where h >= k + 1.  basis_table is the one evaluator: it takes the
+recursion from h >= RECURSION_FROM, where that holds at every level up to
+MAX_BASIS_K, and below it the two series, whose terms are all positive,
+summed to as many terms as the largest step size of the call needs.
 
 Stacked vectors:
 
@@ -30,7 +37,8 @@ so the system actually solved is the plain Vandermonde
 whose conditioning depends only on the spacing of r.
 
 basis_table and moment_rows evaluate the basis and solve these systems for
-many step sizes at once; solve_weights is the one-system call into them.
+many step sizes at once; varphi, psi and solve_weights are one-element
+calls into them.
 """
 
 from __future__ import annotations
@@ -46,17 +54,26 @@ MAX_BASIS_K = 12
 MAX_ORDER = 9
 MAX_VARYING_ORDER = 5
 
-#: Below this h the upward recursion has lost too many digits; use the series.
-SERIES_CROSSOVER = 0.5
+#: From this h on the upward recursion is stable at every level k <= MAX_BASIS_K.
+RECURSION_FROM = MAX_BASIS_K + 1.0
 
 BH_KINDS = ("b1", "b2")
 
-
-#: Terms of the series sum_j (+-h)^j/(j+k)! that basis_table sums below the
-#: crossover: the first one left out is below 0.5^16/16! ~ 1e-18 of the sum.
-_SERIES_TERMS = 16
-_INV_FACTORIALS = np.array([1.0 / math.factorial(n) for n in range(_SERIES_TERMS + MAX_BASIS_K)])
 _FACTORIALS = np.array([float(math.factorial(n)) for n in range(MAX_BASIS_K + 1)])
+_INV_FACTORIALS = 1.0 / _FACTORIALS
+
+#: Series coefficients, row j and column k: varphi_k(h) = sum_j h^j c_jk and
+#: psi_k(h) = e^{-h} sum_j h^j d_jk, with psi_0 = e^{-h} (d_j0 = [j = 0]) and
+#: varphi_0 = e^h set apart.  Either sum loses less than h^n/n! of itself
+#: after n terms; _SERIES_REACH[n - 1] is the h up to which that is <= 1e-17,
+#: and 64 terms reach h ~ 13.4 > RECURSION_FROM.
+_SERIES_TERMS = 64
+_VARPHI_SERIES = np.array([[1.0 / math.factorial(j + k) for k in range(MAX_BASIS_K + 1)]
+                           for j in range(_SERIES_TERMS)])
+_PSI_SERIES = np.array([[1.0 / (math.factorial(j) * math.factorial(k - 1) * (j + k)) if k
+                          else float(j == 0) for k in range(MAX_BASIS_K + 1)]
+                         for j in range(_SERIES_TERMS)])
+_SERIES_REACH = np.array([(1e-17 * math.factorial(n)) ** (1.0 / n) for n in range(1, _SERIES_TERMS + 1)])
 
 
 def bh_value(bh: str, h):
@@ -68,77 +85,53 @@ def bh_value(bh: str, h):
     raise DomainError(f"unknown B(h) variant {bh!r}")
 
 
-def _check_kh(k: int, h: float) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_BASIS_K:
-        raise DomainError(f"basis index k={k} outside supported range 0..{MAX_BASIS_K}")
-    if not h > 0.0:
-        raise DomainError(f"need h > 0, got {h}")
-
-
-def _series(k: int, h: float, sign: float) -> float:
-    # sum_{j>=0} (sign*h)^j / (j+k)!; terms decay superfactorially.
-    term = 1.0 / math.factorial(k)
-    total = term
-    x = sign * h
-    for j in range(1, 64):
-        term *= x / (j + k)
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total
-
-
 def varphi(k: int, h: float) -> float:
     """varphi_k(h); varphi_0 = e^h."""
-    _check_kh(k, h)
-    if k == 0:
-        return math.exp(h)
-    if h < SERIES_CROSSOVER:
-        return _series(k, h, 1.0)
-    v = math.exp(h)
-    for n in range(k):
-        v = (v - 1.0 / math.factorial(n)) / h
-    return v
+    return float(basis_table(h, k)[k])
 
 
 def psi(k: int, h: float) -> float:
     """psi_k(h); psi_0 = e^{-h}."""
-    _check_kh(k, h)
-    if k == 0:
-        return math.exp(-h)
-    if h < SERIES_CROSSOVER:
-        return _series(k, h, -1.0)
-    v = math.exp(-h)
-    for n in range(k):
-        v = (1.0 / math.factorial(n) - v) / h
-    return v
+    return float(basis_table(h, k, "data")[k])
 
 
 def basis_table(hs, kmax: int, prediction: str = "noise") -> np.ndarray:
     """varphi_k(h) (noise) or psi_k(h) (data) for k = 0..kmax at every h of hs.
 
-    Returns an (len(hs), kmax + 1) array.  Below SERIES_CROSSOVER the series
-    is one matmul of the powers (+-h)^j by 1/(j+k)!; above it the one-term
-    recursion runs over all those step sizes at once.
+    Returns an (len(hs), kmax + 1) array, or a (kmax + 1,) one for a scalar h.
+    Below RECURSION_FROM each row is the series, one matmul of the powers h^j
+    by the coefficient table; from there on the one-term recursion runs over
+    those step sizes at once.
     """
-    hs = np.asarray(hs, dtype=float)
-    if not 0 <= kmax <= MAX_BASIS_K:
+    if not isinstance(kmax, (int, np.integer)) or not 0 <= kmax <= MAX_BASIS_K:
         raise DomainError(f"basis index k={kmax} outside supported range 0..{MAX_BASIS_K}")
+    hs = np.asarray(hs, dtype=float)
     if not np.all(hs > 0.0):
         raise DomainError(f"need h > 0, got {hs.tolist()}")
-    sign = 1.0 if prediction == "noise" else -1.0
-    small = hs < SERIES_CROSSOVER
-    if not small.any():
-        return _recursion(hs, kmax, sign)
-    out = np.empty((hs.size, kmax + 1))
-    powers = np.vander(sign * hs[small], _SERIES_TERMS, increasing=True)
-    out[small] = powers @ _INV_FACTORIALS[np.add.outer(np.arange(_SERIES_TERMS), np.arange(kmax + 1))]
-    if not small.all():
-        out[~small] = _recursion(hs[~small], kmax, sign)
+    h = hs.reshape(-1)
+    noise = prediction == "noise"
+    small = h < RECURSION_FROM
+    if small.all():
+        out = _by_series(h, kmax, noise)
+    else:
+        out = np.empty((h.size, kmax + 1))
+        out[small] = _by_series(h[small], kmax, noise)
+        out[~small] = _by_recursion(h[~small], kmax, 1.0 if noise else -1.0)
+    return out.reshape(hs.shape + (kmax + 1,))
+
+
+def _by_series(hs: np.ndarray, kmax: int, noise: bool) -> np.ndarray:
+    terms = 1 + int(np.searchsorted(_SERIES_REACH, hs.max(initial=0.0)))
+    table = _VARPHI_SERIES if noise else _PSI_SERIES
+    out = np.vander(hs, terms, increasing=True) @ table[:terms, :kmax + 1]
+    if noise:
+        out[:, 0] = np.exp(hs)
+    else:
+        out *= np.exp(-hs)[:, None]
     return out
 
 
-def _recursion(hs: np.ndarray, kmax: int, sign: float) -> np.ndarray:
+def _by_recursion(hs: np.ndarray, kmax: int, sign: float) -> np.ndarray:
     out = np.empty((kmax + 1, hs.size))
     out[0] = np.exp(sign * hs)
     for n in range(kmax):
@@ -180,13 +173,15 @@ def _check_p(p: int, h: float, limit: int) -> None:
 def phi_vector(p: int, h: float) -> np.ndarray:
     """(phi_1(h), ..., phi_p(h)) with phi_n = h^n n! varphi_{n+1}(h)."""
     _check_p(p, h, MAX_ORDER)
-    return np.array([h**n * math.factorial(n) * varphi(n + 1, h) for n in range(1, p + 1)])
+    n = np.arange(1, p + 1)
+    return h**n * _FACTORIALS[n] * basis_table(h, p + 1)[2:]
 
 
 def g_vector(p: int, h: float) -> np.ndarray:
     """(g_1(h), ..., g_p(h)) with g_n = h^n n! psi_{n+1}(h)."""
     _check_p(p, h, MAX_ORDER)
-    return np.array([h**n * math.factorial(n) * psi(n + 1, h) for n in range(1, p + 1)])
+    n = np.arange(1, p + 1)
+    return h**n * _FACTORIALS[n] * basis_table(h, p + 1, "data")[2:]
 
 
 def _check_r(r: np.ndarray) -> np.ndarray:

@@ -15,6 +15,10 @@ Synthetic families:
                 (exact_solution_xfree), giving a machine-precision oracle.
   linear-in-x:  eps(x, t) = kappa * x, Lipschitz in x, integrated by a fine
                 reference solver instead.
+
+A SyntheticModel keeps its coefficients as one read-only float64 array of
+shape (dim, K), built once; the evaluators and the exact solution use it as
+it is.
 """
 
 from __future__ import annotations
@@ -55,21 +59,39 @@ class ModelEvaluator:
         return self._count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticModel:
-    """Analytic model spec; instantiate a callable via .evaluator()."""
+    """Analytic model spec; instantiate a callable via .evaluator().
+
+    coeffs is one read-only, C-contiguous float64 (dim, K) array: row i holds
+    the polynomial of dimension i (x-free-poly) or its gain (linear-in-x,
+    K = 1).  The model keeps its own copy, so it stays immutable and compares
+    by value.
+    """
 
     family: str
     dim: int
-    coeffs: tuple[tuple[float, ...], ...]  # per-dimension polynomial or gain
+    coeffs: np.ndarray
 
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ValidationError(f"unknown model family {self.family!r}")
         if self.dim < 1:
             raise ValidationError("dim must be >= 1")
-        if len(self.coeffs) != self.dim:
+        coeffs = np.array(self.coeffs, dtype=float, order="C")
+        if coeffs.ndim != 2 or coeffs.shape[0] != self.dim:
             raise ValidationError("need one coefficient row per dimension")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, SyntheticModel):
+            return NotImplemented
+        return ((self.family, self.dim) == (other.family, other.dim)
+                and np.array_equal(self.coeffs, other.coeffs))
+
+    def __hash__(self):
+        return hash((self.family, self.dim))
 
     @property
     def closed_form(self) -> bool:
@@ -78,7 +100,7 @@ class SyntheticModel:
 
     @property
     def degree(self) -> int:
-        return max(len(row) for row in self.coeffs) - 1
+        return self.coeffs.shape[1] - 1
 
     @staticmethod
     def _numbers(values) -> np.ndarray:
@@ -90,31 +112,23 @@ class SyntheticModel:
             ok = False
         if not ok:
             raise ValidationError(f"coefficients must be finite numbers, got {values!r}")
-        return arr.astype(float)
-
-    @classmethod
-    def _rows(cls, values, dim: int) -> tuple[tuple[float, ...], ...]:
-        arr = cls._numbers(values)
-        if arr.ndim == 0:
-            arr = np.full((dim, 1), float(arr))
-        elif arr.ndim == 1:
-            arr = np.tile(arr, (dim, 1))
-        if arr.ndim != 2 or arr.shape[0] != dim:
-            raise ValidationError("coefficients must broadcast to one row per dimension")
-        return tuple(tuple(row) for row in arr)
+        return arr.astype(float, copy=False)
 
     @classmethod
     def x_free_poly(cls, coeffs, dim: int) -> "SyntheticModel":
-        return cls(family="x-free-poly", dim=dim, coeffs=cls._rows(coeffs, dim))
+        arr = cls._numbers(coeffs)
+        if arr.ndim < 2:  # one polynomial for every dimension
+            arr = np.broadcast_to(arr, (dim, arr.size))
+        return cls(family="x-free-poly", dim=dim, coeffs=arr)
 
     @classmethod
     def linear_in_x(cls, kappa, dim: int) -> "SyntheticModel":
         arr = cls._numbers(kappa)
         if arr.ndim == 0:
-            arr = np.full(dim, float(arr))
+            arr = np.broadcast_to(arr, (dim,))
         if arr.ndim != 1 or arr.shape[0] != dim:
             raise ValidationError("linear-in-x takes a single gain per dimension")
-        return cls(family="linear-in-x", dim=dim, coeffs=tuple((float(g),) for g in arr))
+        return cls(family="linear-in-x", dim=dim, coeffs=arr[:, None])
 
     @classmethod
     def from_json(cls, spec: dict) -> "SyntheticModel":
@@ -132,25 +146,22 @@ class SyntheticModel:
 
     def to_json(self) -> dict:
         if self.family == "x-free-poly":
-            return {"family": self.family, "coeffs": [list(r) for r in self.coeffs], "dim": self.dim}
-        return {"family": self.family, "kappa": [r[0] for r in self.coeffs], "dim": self.dim}
+            return {"family": self.family, "coeffs": self.coeffs.tolist(), "dim": self.dim}
+        return {"family": self.family, "kappa": self.coeffs[:, 0].tolist(), "dim": self.dim}
 
     def evaluator(self, sched: NoiseSchedule | None = None) -> ModelEvaluator:
         """Noise-prediction evaluator; x-free-poly needs the schedule for lambda(t)."""
         if self.family == "x-free-poly":
             if sched is None:
                 raise ValidationError("x-free-poly evaluator needs a schedule")
-            C = np.asarray(self.coeffs)
-            K = C.shape[1]
 
-            def fn(x, t, _C=C, _K=K, _sched=sched):
+            def fn(x, t, _C=self.coeffs, _K=self.coeffs.shape[1], _sched=sched):
                 lb = _sched.lam(t)
                 return _C @ (lb ** np.arange(_K))
 
             return ModelEvaluator(fn, "noise", self.dim)
-        gains = np.asarray([row[0] for row in self.coeffs])
 
-        def fn(x, t, _g=gains):
+        def fn(x, t, _g=self.coeffs[:, 0]):
             return _g * x
 
         return ModelEvaluator(fn, "noise", self.dim)
@@ -183,7 +194,7 @@ def exact_solution_xfree(
         acc = sum(math.factorial(k) / math.factorial(j) * lam**j for j in range(k + 1))
         return -math.exp(-lam) * acc
 
-    C = np.asarray(model.coeffs)
+    C = model.coeffs
     deltas = np.array([antideriv(k, lam_t) - antideriv(k, lam_s) for k in range(C.shape[1])])
     integral = C @ deltas
     alpha_t = math.exp(la_t)

@@ -291,10 +291,8 @@ def emit(study: ConvergenceStudy, path, fmt: str = "csv") -> str:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for r in study.results:
-                writer.writerow([
-                    r.solver, r.order, r.variant, r.bh, r.prediction, r.corrector,
-                    r.M, r.nfe, repr(r.error), f"{r.seconds:.6f}",
-                ])
+                writer.writerow([f"{r.seconds:.6f}" if col == "seconds" else getattr(r, col)
+                                 for col in CSV_COLUMNS])
         return path
     if fmt != "json":
         raise ValidationError(f"unknown emit format {fmt!r}")
@@ -317,14 +315,7 @@ def emit(study: ConvergenceStudy, path, fmt: str = "csv") -> str:
         "seed": study.seed,
         "skip": study.skip_kind,
         "oracle_starts": study.oracle_starts,
-        "results": [
-            {
-                "solver": r.solver, "order": r.order, "variant": r.variant,
-                "bh": r.bh, "prediction": r.prediction, "corrector": r.corrector,
-                "M": r.M, "nfe": r.nfe, "error": r.error, "seconds": r.seconds,
-            }
-            for r in study.results
-        ],
+        "results": [{col: getattr(r, col) for col in CSV_COLUMNS} for r in study.results],
         "fits": fits,
     }
     with open(path, "w", newline="") as fh:

@@ -6,6 +6,7 @@ package is a genuine cross-check rather than a tautology.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,6 +39,28 @@ def varphi_integrand(k: int, h: float):
 
 def psi_integrand(k: int, h: float):
     return lambda r: math.exp((r - 1.0) * h) * r ** (k - 1) / math.factorial(k - 1)
+
+
+def basis_exact(h: float, kmax: int, sign: int) -> list[float]:
+    """varphi_k(h) (sign +1) or psi_k(h) (sign -1) for k = 0..kmax, correctly rounded.
+
+    The series sum_j (sign h)^j / (j+kmax)! is summed in exact rationals until
+    what it leaves out is below 1e-40 even after the downward recursion
+    basis_k = 1/k! + sign h basis_{k+1} (exact in rationals) multiplies it by
+    h^kmax; only the final conversion to float rounds.
+    """
+    terms, bound = 0, max(1.0, h) ** kmax
+    while bound > 1e-40:
+        terms += 1
+        bound *= h / terms
+    x = sign * Fraction(h)
+    acc = Fraction(1)
+    for j in range(terms, 0, -1):  # Horner: 1 + x/(kmax+1) (1 + x/(kmax+2) (1 + ...))
+        acc = 1 + acc * x / (kmax + j)
+    values = [acc / math.factorial(kmax)]
+    for k in range(kmax - 1, -1, -1):
+        values.append(Fraction(1, math.factorial(k)) + x * values[-1])
+    return [float(v) for v in reversed(values)]
 
 
 def fitted_slope(hs, errors) -> float:

@@ -1,5 +1,6 @@
 import copy
 import csv
+import itertools
 import json
 
 import pytest
@@ -178,6 +179,9 @@ FUZZ_PATHS = (
     + [("solvers", 0, "thresholding", key) for key in ("ratio", "floor")]
     + [("step_counts", 0)]
 )
+# Two distinct fields, neither inside the other (say a tiny t_end with M = 1).
+FUZZ_PAIRS = [(a, b) for a, b in itertools.combinations(FUZZ_PATHS, 2)
+              if a != b[:len(a)] and b != a[:len(b)]]
 
 
 class TestFuzz:
@@ -187,6 +191,15 @@ class TestFuzz:
     def test_any_field_value_exits_0_2_or_3(self, tmp_path, path, value):
         config = tmp_path / "fuzz.json"
         config.write_text(json.dumps(with_field(FUZZ_BASE, path, value)))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) in (0, 2, 3)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(paths=st.sampled_from(FUZZ_PAIRS), first=JSON_VALUES, second=JSON_VALUES)
+    def test_any_two_field_values_exit_0_2_or_3(self, tmp_path, paths, first, second):
+        config = tmp_path / "fuzz2.json"
+        cfg = with_field(with_field(FUZZ_BASE, paths[0], first), paths[1], second)
+        config.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) in (0, 2, 3)
 
 

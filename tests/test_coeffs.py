@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fitted_slope, psi_integrand, simpson, varphi_integrand
+from oracles import basis_exact, fitted_slope, psi_integrand, simpson, varphi_integrand
 from unipc import (
     DomainError,
     SingularSystemError,
@@ -16,7 +16,7 @@ from unipc import (
     varphi,
     varying_coefficient_matrix,
 )
-from unipc.coeffs import SERIES_CROSSOVER, _series, bh_value
+from unipc.coeffs import MAX_BASIS_K, basis_table, bh_value
 
 E = math.e
 # Frozen with a 40-digit mpmath evaluation of the closed forms.
@@ -24,6 +24,14 @@ VARPHI3_AT_HALF = 0.18977016560102516  # (e^h - h^2/2 - h - 1)/h^3 at h = 1/2
 PSI3_AT_HALF = 0.1477547222989326      # (h^2/2 - h + 1 - e^{-h})/h^3 at h = 1/2
 W1_B2_AT_03 = 0.4750374198232507       # (e^h - h - 1)/(h (e^h - 1)) at h = 0.3
 W1_B1_AT_03 = 0.5539867508444789       # (e^h - h - 1)/h^2 at h = 0.3
+
+# Step sizes for the accuracy test: a log grid over [1e-9, 20] plus h = 0.5 and
+# each h = k + 1, where the upward recursion turns stable at level k (basis_table
+# switches to it at h = 13), each on the point and one ulp either side.
+SWITCHES = [0.5] + [k + 1.0 for k in range(MAX_BASIS_K + 1)]
+ACCURACY_HS = sorted(set(np.geomspace(1e-9, 20.0, 41).tolist() + [
+    float(x) for c in SWITCHES for x in (np.nextafter(c, 0.0), c, np.nextafter(c, np.inf))
+]))
 
 
 class TestBasisFunctions:
@@ -63,16 +71,16 @@ class TestBasisFunctions:
         assert abs(varphi(k, h) - simpson(varphi_integrand(k, h), 0, 1, 10_000)) < 1e-9
         assert abs(psi(k, h) - simpson(psi_integrand(k, h), 0, 1, 10_000)) < 1e-9
 
-    @pytest.mark.parametrize("k", range(1, 13))
-    def test_series_recursion_crossover_continuity(self, k):
-        h = SERIES_CROSSOVER
-        v_rec = math.exp(h)
-        p_rec = math.exp(-h)
-        for n in range(k):
-            v_rec = (v_rec - 1.0 / math.factorial(n)) / h
-            p_rec = (1.0 / math.factorial(n) - p_rec) / h
-        assert abs(_series(k, h, 1.0) - v_rec) < 1e-11
-        assert abs(_series(k, h, -1.0) - p_rec) < 1e-11
+    @pytest.mark.parametrize("sign, prediction, scalar", [(1, "noise", varphi), (-1, "data", psi)],
+                             ids=["varphi", "psi"])
+    def test_round_off_accuracy_against_exact_series(self, sign, prediction, scalar):
+        exact = np.array([basis_exact(h, MAX_BASIS_K, sign) for h in ACCURACY_HS])
+        table = basis_table(np.array(ACCURACY_HS), MAX_BASIS_K, prediction)
+        one = np.array([[scalar(k, h) for k in range(MAX_BASIS_K + 1)] for h in ACCURACY_HS])
+        for got in (table, one):
+            rel = np.abs(got / exact - 1.0)
+            i, k = np.unravel_index(np.argmax(rel), rel.shape)
+            assert rel[i, k] < 1e-13, f"k={k}, h={ACCURACY_HS[i]!r}: relative error {rel[i, k]:.2e}"
 
     def test_argument_errors(self):
         with pytest.raises(DomainError):

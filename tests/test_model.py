@@ -1,5 +1,7 @@
+import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,7 +181,38 @@ class TestSyntheticModelConstruction:
         m = SyntheticModel.from_json(
             {"family": "x-free-poly", "coeffs": [[0.1, 0.2], [0.3, 0.4]], "dim": 2}
         )
-        assert m.coeffs == ((0.1, 0.2), (0.3, 0.4))
+        assert m.coeffs.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+    def test_coefficients_are_one_read_only_array(self):
+        source = np.array([[0.1, 0.2], [0.3, 0.4]])
+        m = SyntheticModel.x_free_poly(source, 2)
+        C = m.coeffs
+        assert C.dtype == np.float64 and C.shape == (2, 2) and C.flags.c_contiguous
+        assert not C.flags.writeable and source.flags.writeable  # the model owns a copy
+        with pytest.raises(ValueError):
+            C[0, 0] = 1.0
+        assert SyntheticModel.linear_in_x([0.5, 0.7], 2).coeffs.shape == (2, 1)
+
+    def test_large_model_holds_only_its_numbers(self):
+        dim, K = 2**20, 3
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = SyntheticModel.x_free_poly([0.3, -1.2, 0.5], dim)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert m.coeffs.shape == (dim, K)
+        assert held <= 1.5 * dim * K * 8
+
+    def test_to_json_output(self):
+        xfree = SyntheticModel.from_json({"family": "x-free-poly", "coeffs": [0.3, -1.2], "dim": 2})
+        linear = SyntheticModel.linear_in_x(np.array([0.5, 0.7]), 2)
+        assert json.dumps(xfree.to_json()) == (
+            '{"family": "x-free-poly", "coeffs": [[0.3, -1.2], [0.3, -1.2]], "dim": 2}')
+        assert json.dumps(linear.to_json()) == '{"family": "linear-in-x", "kappa": [0.5, 0.7], "dim": 2}'
+        assert SyntheticModel.from_json(xfree.to_json()) == xfree
+        assert xfree != SyntheticModel.x_free_poly([0.3, -1.25], 2)
 
     def test_linear_round_trip(self):
         m = SyntheticModel.from_json({"family": "linear-in-x", "kappa": 0.3, "dim": 2})
