@@ -166,14 +166,15 @@ def _selftest_plan() -> tuple[bool, str]:
             for prediction in ("noise", "data"):
                 config = SolverConfig(order=order, bh=bh, prediction=prediction, half_a1=False)
                 a, c, _, orders = solver._plan(sched, grid, config, 1)
-                row = q = 0
+                row, K = 0, c.shape[1]
                 for i, p in enumerate(orders, start=1):
-                    # predictor on nodes i-p..i-1, then the corrector on i-p..i
+                    # predictor on nodes i-p..i-1, then the corrector on i-p..i (slots j % K)
                     for w in (p, p + 1) if i < M else (p,):
                         nodes = range(i - p, i - p + w)
                         worst = max(worst, _plan_row_residual(
-                            sched, times, nodes, i - 1, i, a[row], c[q:q + w], prediction))
-                        row, q = row + 1, q + w
+                            sched, times, nodes, i - 1, i, a[row],
+                            c[row, [j % K for j in nodes]], prediction))
+                        row += 1
                 rows += row
     return worst < 1e-12, f"max relative order-condition residual = {worst:.3e} over {rows} rows"
 

@@ -32,9 +32,12 @@ weight to 1/2 (accurate for both B variants), depends on B.
 sample() builds the plan once per call from (schedule, grid, config): a
 and c of every predictor, corrector and singlestep interior node, for all
 steps at once (coeffs.basis_table and coeffs.moment_rows on batches of
-rows).  The run keeps the latest model outputs in a ring array, so each
-update costs one a x + c @ F.  predict, correct, unified_update and
-ddim_step build a single row the same way and apply it the same way.
+rows).  The run keeps the K latest model outputs in a K-row ring, node n's
+in row n % K, and each plan row holds its c in that slot order (0 in slots
+it does not use), so an update is one c @ ring + a x into one of two reused
+state buffers: K + 2 state-sized arrays whatever the number of steps.
+predict, correct, unified_update and ddim_step build a single row the same
+way and apply it as c @ F + a x.
 
 The multistep driver follows the warm-up discipline p_i = min(p, i),
 pushes the model output evaluated at the *uncorrected* predictor result
@@ -46,6 +49,7 @@ which re-evaluates at each corrected state).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -67,8 +71,16 @@ CORRECTORS = ("off", "standard", "oracle")
 
 @dataclass(frozen=True)
 class Thresholding:
+    """Dynamic thresholding of data predictions: ratio in (0.5, 1], finite floor >= 1."""
+
     ratio: float = 0.995
     floor: float = 1.0
+
+    def __post_init__(self):
+        if not 0.5 < typed(self.ratio, "number", "thresholding ratio") <= 1.0:
+            raise ValidationError(f"thresholding ratio must lie in (0.5, 1], got {self.ratio}")
+        if typed(self.floor, "number", "thresholding floor") < 1.0:
+            raise ValidationError(f"thresholding floor must be >= 1, got {self.floor}")
 
 
 @dataclass(frozen=True)
@@ -192,13 +204,10 @@ class StepRecord:
 
 @dataclass
 class SampleResult:
-    trajectory: list[np.ndarray]
+    final: np.ndarray
     nfe: int
     trace: list[StepRecord]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.trajectory[-1]
+    trajectory: list[np.ndarray] | None = None
 
 
 # -- coefficient rows ----------------------------------------------------------
@@ -211,15 +220,9 @@ def _nodes(sched: NoiseSchedule, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return la, la - 0.5 * np.log(sig2), np.sqrt(sig2)
 
 
-def _apply(a, c: np.ndarray, x: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """a x + c @ F: every predictor and corrector, as one combination."""
-    y = c @ F
-    y += a * x
-    return y
-
-
 def _guard(arr: np.ndarray, step: int) -> None:
-    if not np.isfinite(arr).all():
+    # A finite sum means finite entries; only a sum that overflows or is poisoned needs the scan.
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite value at step {step}", step=step)
 
 
@@ -234,7 +237,7 @@ def _update(sched: NoiseSchedule, x, ts, P: int, R, outputs, opts: dict) -> np.n
         lam = nodes[1]
         R = (lam[:len(outputs)] - lam[P]) / (lam[-1] - lam[P])
     a, c = coeffs.update_rows(nodes, [P], [len(ts) - 1], R[None, :], **opts)
-    return _apply(a[0], c[0], np.asarray(x, dtype=float), np.stack(outputs))
+    return c[0] @ np.stack(outputs) + a[0] * np.asarray(x, dtype=float)
 
 
 def unified_update(sched: NoiseSchedule, x: np.ndarray, t_prev: float, t_next: float,
@@ -365,9 +368,10 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     them, per step the singlestep interior nodes m = 1..p-1, the predictor,
     then the corrector if the step is corrected.  These combine the
     outputs of the w = m, p and p + 1 latest nodes: update j is
-    a[j] x + c[q:q+w] @ F, with x the state the step starts from, F those
-    outputs (oldest first) and q the sum of the widths before it.  ts holds
-    the node times in evaluation order, orders the order of each step.
+    c[j] @ ring + a[j] x, with x the state the step starts from and ring
+    the K = c.shape[1] latest outputs, node n's in row n % K (c[j] is 0 in
+    the others).  ts holds the node times in evaluation order, orders the
+    order of each step.
 
     Row r steps from node P to node N and combines the outputs of nodes
     low..E, at offsets from the node lambdas (multistep: the grid nodes) or
@@ -379,25 +383,23 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     p = np.array(orders)
     corr = (np.arange(first, M + 1) < M) & (config.corrector != "off")
     single = config.variant == "singlestep"
-    ts = grid.times.tolist()
+    ts = grid.times
     nodes = _nodes(sched, ts)
-    base = np.arange(first - 1, M)  # node each step starts from
+    base = first - 1 + (np.cumsum(p) - p if single else np.arange(len(p)))  # each step's start
     if single:
-        lam, ts, base = nodes[1], ts[:first], []
-        for i, p_i in zip(range(first, M + 1), orders):
-            base.append(len(ts) - 1)
+        lam, ts = nodes[1], np.empty(first + p.sum())
+        ts[np.r_[:first, base + p]] = grid.times  # grid nodes; each step's interior ones:
+        for i, b, p_i in zip(range(first, M + 1), base.tolist(), orders):
             h = lam[i] - lam[i - 1]
-            ts += [sched.t_of_lambda(lam[i - 1] + (m / p_i) * h) for m in range(1, p_i)]
-            ts.append(float(grid.times[i]))
-        nodes, base = _nodes(sched, ts), np.array(base)
+            ts[b + 1:b + p_i] = [sched.t_of_lambda(lam[i - 1] + (m / p_i) * h) for m in range(1, p_i)]
+        nodes = _nodes(sched, ts)
     lam = nodes[1]
     count = 1 + corr + (p - 1 if single else 0)  # rows per step
     ends = np.cumsum(count)
-    a = np.empty(ends[-1])
-    c = np.empty(int(((p * (p + 1) // 2 if single else p) + corr * (p + 1)).sum()))
+    K = max(orders) + (config.corrector != "off")
+    a, c = np.empty(ends[-1]), np.zeros((ends[-1], K))
     opts = dict(bh=config.bh, prediction=config.prediction,
                 half_a1=config.half_a1 and not config.varying_coefficients)
-    q = 0
     for j in range(0, ends[-1], _BATCH):
         rows = np.arange(j, min(j + _BATCH, ends[-1]))
         s = np.searchsorted(ends, rows, side="right")  # step of each row
@@ -414,12 +416,10 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
             R = (J - P[:, None]) / (N - P)[:, None]
         else:
             R = (lam[np.maximum(J, 0)] - lam[P][:, None]) / (lam[N] - lam[P])[:, None]
-        R[J < low[:, None]] = np.nan  # nodes the row does not use
+        R[J < low[:, None]] = np.nan  # nodes the row does not use; their c is 0
         a[rows], cb = coeffs.update_rows(nodes, P, N, R, **opts)
-        used = cb[~np.isnan(R)]
-        c[q:q + len(used)] = used
-        q += len(used)
-    return a, c, ts, orders
+        c[rows[:, None], J % K] = cb  # a row's <= K consecutive nodes take distinct slots
+    return a, c, ts.tolist(), orders
 
 
 # -- driver ----------------------------------------------------------------
@@ -436,14 +436,17 @@ def _state(value, dim: int, what: str) -> np.ndarray:
 
 
 def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig,
-           x_init: np.ndarray, *, warm_start: list[np.ndarray] | None = None) -> SampleResult:
+           x_init: np.ndarray, *, warm_start: list[np.ndarray] | None = None,
+           trajectory: bool = False) -> SampleResult:
     """Run the full sampling loop from x at t_0 = grid.times[0] down to t_M.
 
     warm_start optionally supplies already-accurate states for the first k
     grid nodes after t_0 (classic multistep starter injection); the loop then
     begins at step k+1 with a filled history buffer.  Total model calls stay
     at M for corrector in {off, standard} and 2M-1 for oracle (multistep).
-    States are 1-d arrays of length model.dim.
+    States are 1-d arrays of length model.dim; x_init and warm_start are
+    never written, and the model must not keep the arrays it is given (the
+    run reuses them).  trajectory=True also keeps a copy of every grid state.
     """
     if model.prediction != config.prediction:
         raise ValidationError(
@@ -459,54 +462,50 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
         raise ValidationError("warm_start longer than the grid allows")
     first = len(warm) + 1
     a, c, ts, orders = _plan(sched, grid, config, first)
-    th = config.thresholding
-    # Node n's output sits in rows n % K and n % K + K of the ring, so the
-    # w <= K latest outputs are always the slice ring[(n + 1 - w) % K:][:w].
-    K = max(orders) + (config.corrector != "off")
-    ring = np.zeros((2 * K, model.dim))
-    nfe = n = row = q = 0  # model calls, latest node, next update and its coefficients
+    K = c.shape[1]
+    ring = np.zeros((K, model.dim))  # node n's output in row n % K
+    # Steps alternate between two buffers: a corrector reads x, never x_pred.
+    buffers = (np.empty(model.dim), np.empty(model.dim))
+    nfe = n = row = 0  # model calls, latest node, next update
 
     def evaluate(x_at: np.ndarray, node: int, step: int) -> None:
+        # Straight into the slot (its old output is dead), so the model's array
+        # is freed before thresholding allocates its temporaries.
         nonlocal nfe
-        out = model(x_at, ts[node])
-        if th is not None:
-            out = dynamic_threshold(out, th.ratio, th.floor)
+        out = ring[node % K]
+        out[...] = model(x_at, ts[node])
         nfe += 1
+        if (th := config.thresholding) is not None:
+            out[...] = dynamic_threshold(out, th.ratio, th.floor)
         _guard(out, step)
-        ring[node % K] = ring[node % K + K] = out
 
-    def update(w: int) -> np.ndarray:  # the next update, over the w latest outputs
-        nonlocal row, q
-        row, q = row + 1, q + w
-        return _apply(a[row - 1], c[q - w:q], x, ring[(n + 1 - w) % K:][:w])
+    def update(y: np.ndarray) -> np.ndarray:  # the next update, written into y
+        nonlocal row
+        row += 1
+        return np.add(np.dot(c[row - 1], ring, out=y), a[row - 1] * x, out=y)
 
-    trajectory, trace = [], []
+    kept, trace = ([s.copy() for s in [x] + warm] if trajectory else None), []
     for n, x in enumerate([x] + warm):
         _guard(x, n)
         evaluate(x, n, n)
-        trajectory.append(x.copy())
     single = config.variant == "singlestep"
     for i, p in zip(range(first, M + 1), orders):
-        b = n
+        b, y = n, buffers[(i - first) % 2]  # y: the buffer x is not in
         used = ts[b + 1:b + p] + ts[b:b + 1] if single else ts[b - p + 1:b + 1]
-        for w in range(1, p if single else 1):  # interior node n + 1 combines w outputs
-            x_m = update(w)
-            _guard(x_m, i)
-            n += 1
-            evaluate(x_m, n, i)
-        x_next = update(p)
-        _guard(x_next, i)
-        if i < M:
-            n += 1
-            evaluate(x_next, n, i)
-            if config.corrector != "off":
-                x_next = update(p + 1)
-                if config.corrector == "oracle":
-                    evaluate(x_next, n, i)
-                _guard(x_next, i)
-                used.append(ts[n])
+        for m in range(1, p + 1 if single else 2):  # interior nodes, then the predictor
+            _guard(update(y), i)
+            if i < M or (single and m < p):
+                n += 1
+                evaluate(y, n, i)
+        if i < M and config.corrector != "off":
+            update(y)
+            if config.corrector == "oracle":
+                evaluate(y, n, i)
+            _guard(y, i)
+            used.append(ts[n])
         trace.append(StepRecord(i, p, ts[b], ts[b + (p if single else 1)], tuple(used),
                                 i < M and config.corrector != "off"))
-        x = x_next
-        trajectory.append(x)
-    return SampleResult(trajectory=trajectory, nfe=nfe, trace=trace)
+        x = y
+        if trajectory:
+            kept.append(x.copy())
+    return SampleResult(final=x, nfe=nfe, trace=trace, trajectory=kept)

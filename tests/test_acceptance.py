@@ -204,7 +204,7 @@ def test_criterion_5_parameterization_coherence():
         if prediction == "data":
             model = convert_parameterization(model, sched)
         config = SolverConfig(order=order, corrector="off", prediction=prediction)
-        return sample(model, sched, grid, config, x0)
+        return sample(model, sched, grid, config, x0, trajectory=True)
 
     res_n1, res_d1 = run(1, "noise"), run(1, "data")
     worst = max(np.max(np.abs(a - b)) for a, b in zip(res_n1.trajectory, res_d1.trajectory))

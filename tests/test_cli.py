@@ -145,6 +145,19 @@ class TestRun:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_bad_thresholding_exits_2_before_any_cell(self, tmp_path, monkeypatch):
+        import unipc.study
+
+        calls = []
+        monkeypatch.setattr(unipc.study, "sample", lambda *a, **k: calls.append(a))
+        cfg = copy.deepcopy(CONFIG)
+        cfg["solvers"].append({"order": 2, "prediction": "data",
+                               "thresholding": {"ratio": 2.0, "floor": 1.0}})
+        path = tmp_path / "th.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert calls == []
+
     def test_invalid_order_schedule_exits_2(self, config_path, tmp_path):
         cfg = json.loads(open(config_path).read())
         cfg["solvers"] = [{"order": 3, "order_schedule": "331"}]

@@ -54,7 +54,7 @@ def test_plan_matches_per_step_reference(run):
         return convert_parameterization(model, sched) if config.prediction == "data" else model
 
     model = evaluator()
-    res = sample(model, sched, grid, config, x0, warm_start=warm_start)
+    res = sample(model, sched, grid, config, x0, warm_start=warm_start, trajectory=True)
     ref, ref_nfe = reference_sample(evaluator(), sched, grid, config, x0, warm_start)
     assert res.nfe == ref_nfe == model.eval_count
     assert len(res.trajectory) == len(ref)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from unipc import (
     unified_update,
 )
 from unipc.coeffs import bh_value, varphi
-from unipc.solver import BufferEntry, SolverState
+from unipc.solver import BufferEntry, SolverState, _guard
 
 
 def zero_model(dim=4):
@@ -55,7 +57,7 @@ class TestDDIMReduction:
         x0 = rng.standard_normal(4)
         res = sample(
             poly_model.evaluator(vp_linear), vp_linear, grid,
-            SolverConfig(order=1, corrector="off"), x0,
+            SolverConfig(order=1, corrector="off"), x0, trajectory=True,
         )
         manual = self.manual_ddim(vp_linear, poly_model.evaluator(vp_linear), grid, x0)
         for a, b in zip(res.trajectory, manual):
@@ -67,6 +69,7 @@ class TestDDIMReduction:
         res = sample(
             poly_model.evaluator(vp_linear), vp_linear, grid,
             SolverConfig(order=1, corrector="off", varying_coefficients=True), x0,
+            trajectory=True,
         )
         manual = self.manual_ddim(vp_linear, poly_model.evaluator(vp_linear), grid, x0)
         for a, b in zip(res.trajectory, manual):
@@ -113,7 +116,7 @@ class TestUpdateFormulas:
         grid = make_time_grid(vp_linear, 6)
         runs = [
             sample(const_model(0.7), vp_linear, grid,
-                   SolverConfig(order=order, corrector="standard"), x0)
+                   SolverConfig(order=order, corrector="standard"), x0, trajectory=True)
             for order in (1, 2, 3)
         ]
         for res in runs[1:]:
@@ -125,7 +128,8 @@ class TestUpdateFormulas:
         grid = make_time_grid(vp_linear, 2)
         x0 = rng.standard_normal(4)
         model = poly_model.evaluator(vp_linear)
-        res = sample(model, vp_linear, grid, SolverConfig(order=1, corrector="standard"), x0)
+        res = sample(model, vp_linear, grid, SolverConfig(order=1, corrector="standard"), x0,
+                     trajectory=True)
 
         check = poly_model.evaluator(vp_linear)
         t0, t1 = float(grid.times[0]), float(grid.times[1])
@@ -211,9 +215,11 @@ class TestDataPrediction:
         data = convert_parameterization(SyntheticModel.linear_in_x(0.3, 2).evaluator(vp_linear), vp_linear)
         grid = make_time_grid(vp_linear, 6)
         x0 = rng.standard_normal(2)
-        res_n = sample(noise, vp_linear, grid, SolverConfig(order=1, corrector="off"), x0)
+        res_n = sample(noise, vp_linear, grid, SolverConfig(order=1, corrector="off"), x0,
+                       trajectory=True)
         res_d = sample(data, vp_linear, grid,
-                       SolverConfig(order=1, corrector="off", prediction="data"), x0)
+                       SolverConfig(order=1, corrector="off", prediction="data"), x0,
+                       trajectory=True)
         worst = max(
             np.max(np.abs(a - b)) for a, b in zip(res_n.trajectory, res_d.trajectory)
         )
@@ -451,6 +457,86 @@ class TestGuards:
                    warm_start=[rng.standard_normal(4)] * 3)
 
 
+    def test_guard_passes_finite_entries_whose_sum_overflows(self):
+        big = np.full(6, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the sum overflows by design
+            _guard(big, 2)
+            _guard(-big, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", range(3))
+    def test_nonfinite_entry_aborts_at_same_step(self, vp_linear, rng, bad, position):
+        count = {"n": 0}
+
+        def flaky(x, t):
+            count["n"] += 1
+            out = 0.1 * x
+            if count["n"] > 3:
+                out[position] = bad
+            return out
+
+        grid = make_time_grid(vp_linear, 6)
+        with pytest.raises(NumericError) as excinfo:
+            sample(ModelEvaluator(flaky, "noise", 3), vp_linear, grid,
+                   SolverConfig(order=2, corrector="standard"), rng.standard_normal(3))
+        assert excinfo.value.step == 3
+
+
+class TestWorkingSet:
+    def run(self, sched, x0, M=7, **kwargs):
+        model = SyntheticModel.linear_in_x(0.3, len(x0)).evaluator(sched)
+        return sample(model, sched, make_time_grid(sched, M), SolverConfig(order=3), x0, **kwargs)
+
+    def test_trajectory_is_opt_in(self, vp_linear, rng):
+        x0 = rng.standard_normal(4)
+        plain = self.run(vp_linear, x0)
+        kept = self.run(vp_linear, x0, trajectory=True)
+        assert plain.trajectory is None
+        assert len(kept.trajectory) == 8
+        assert np.array_equal(kept.trajectory[0], x0)
+        assert np.array_equal(plain.final, kept.trajectory[-1])
+        assert np.array_equal(kept.final, kept.trajectory[-1])
+
+    def test_inputs_untouched_and_not_aliased(self, vp_linear, rng):
+        x0 = rng.standard_normal(4)
+        warm = [rng.standard_normal(4), rng.standard_normal(4)]
+        copies = [x0.copy()] + [w.copy() for w in warm]
+        res = self.run(vp_linear, x0, warm_start=warm, trajectory=True)
+        for given, copy in zip([x0] + warm, copies):
+            assert np.array_equal(given, copy)
+            assert not np.shares_memory(res.final, given)
+        assert not any(np.shares_memory(res.final, s) for s in res.trajectory)
+
+    def test_second_run_leaves_first_final(self, vp_linear, rng):
+        first = self.run(vp_linear, rng.standard_normal(4))
+        kept = first.final.copy()
+        second = self.run(vp_linear, rng.standard_normal(4))
+        assert np.array_equal(first.final, kept)
+        assert not np.shares_memory(first.final, second.final)
+
+    @pytest.mark.parametrize("M", [10, 40])
+    def test_peak_memory_flat_in_steps(self, vp_linear, M):
+        # unipc-3 with a corrector keeps K = 4 outputs; thresholding is the
+        # hungriest model call.  The bound does not grow with M.
+        dim, K = 2**16, 4
+        model = SyntheticModel.x_free_poly([0.3, -1.2, 0.5], dim).evaluator(vp_linear)
+        model = convert_parameterization(model, vp_linear)
+        config = SolverConfig(order=3, prediction="data", thresholding=Thresholding())
+        grid = make_time_grid(vp_linear, M)
+        x0 = np.random.default_rng(0).standard_normal(dim)
+        sample(model, vp_linear, make_time_grid(vp_linear, 4), config, x0)  # warm caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = sample(model, vp_linear, grid, config, x0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert res.nfe == M
+        assert peak <= (K + 5) * x0.nbytes
+
+
 class TestThresholding:
     def test_binds_on_large_data_predictions(self, vp_linear):
         model = SyntheticModel.linear_in_x(0.3, 3)
@@ -472,6 +558,25 @@ class TestThresholding:
         with pytest.raises(ValidationError):
             SolverConfig(order=2, prediction="noise", thresholding=Thresholding())
 
+    @pytest.mark.parametrize("ratio", [0.5, 0.2, 1.0 + 1e-12, 2.0, -1.0])
+    def test_ratio_outside_half_to_one_rejected(self, ratio):
+        with pytest.raises(ValidationError, match="ratio"):
+            Thresholding(ratio=ratio)
+
+    @pytest.mark.parametrize("floor", [0.5, 0.0, -1.0])
+    def test_floor_below_one_rejected(self, floor):
+        with pytest.raises(ValidationError, match="floor"):
+            Thresholding(floor=floor)
+
+    @pytest.mark.parametrize("field", ["ratio", "floor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "0.9", None, True])
+    def test_nonfinite_or_non_number_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            Thresholding(**{field: value})
+
+    def test_edges_accepted(self):
+        assert Thresholding(ratio=1.0, floor=1.0) == Thresholding(ratio=1, floor=1)
+
 
 class TestPlugAndPlayCorrector:
     def test_unic_on_manual_ddim_equals_driver(self, vp_linear, poly_model, rng):
@@ -479,7 +584,7 @@ class TestPlugAndPlayCorrector:
         grid = make_time_grid(vp_linear, M)
         x0 = rng.standard_normal(4)
         driver = sample(poly_model.evaluator(vp_linear), vp_linear, grid,
-                        SolverConfig(order=1, corrector="standard"), x0)
+                        SolverConfig(order=1, corrector="standard"), x0, trajectory=True)
 
         evaluator = poly_model.evaluator(vp_linear)
         state = SolverState(x=x0.copy(), capacity=1)
