@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import coeffs, solver
+from . import coeffs, model, solver
 from .errors import (
     DomainError,
     FitError,
@@ -192,6 +192,19 @@ def _selftest_roundtrip() -> tuple[bool, str]:
     return worst < 1e-10, f"max |t_of_lambda(lambda(t)) - t| = {worst:.3e}"
 
 
+def _selftest_quantile() -> tuple[bool, str]:
+    """The tail selection behind dynamic thresholding against this numpy's np.quantile, bit for bit."""
+    rng = np.random.default_rng(0)
+    cases = differ = 0
+    for n in (4, 1000, 2**18):
+        a = np.abs(rng.standard_normal(n))
+        for ratio in (0.6, 0.995, 1.0):
+            got = model._tail_quantile(a.copy(), ratio, float(a.max()))
+            differ += got.hex() != float(np.quantile(a, ratio)).hex()
+            cases += 1
+    return differ == 0, f"{cases - differ}/{cases} bitwise equal to numpy {np.__version__} np.quantile"
+
+
 def _cmd_selftest(args) -> int:
     checks = [
         ("basis-vs-quadrature", _selftest_quadrature),
@@ -199,6 +212,7 @@ def _cmd_selftest(args) -> int:
         ("varying-coefficient-inverse", _selftest_varying),
         ("schedule-roundtrip", _selftest_roundtrip),
         ("plan-residuals", _selftest_plan),
+        ("threshold-quantile", _selftest_quantile),
     ]
     failed = 0
     for name, fn in checks:

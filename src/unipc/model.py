@@ -19,11 +19,24 @@ Synthetic families:
 A SyntheticModel keeps its coefficients as one read-only float64 array of
 shape (dim, K), built once; the evaluators and the exact solution use it as
 it is.
+
+Dynamic thresholding (Imagen, by way of DPM-Solver++) needs the ratio
+quantile of |x0| with ratio > 1/2, so only two order statistics of the
+upper tail matter: ranks lo and lo + 1 (ascending) with lo = floor(vi),
+vi = (n - 1) ratio.  A threshold tau taken from a strided subsample keeps
+the candidates |x0| >= tau; these are the largest entries, so when there
+are at least n - lo of them both ranks lie among them and only the
+candidates are partitioned, at their shifted ranks.  Otherwise the whole
+|x0| buffer is partitioned.  The two values are then interpolated as
+numpy's "linear" quantile does, so the result is bit for bit
+np.quantile(|x0|, ratio); an input with a NaN or an infinity takes
+np.quantile itself.  Clipping and scaling then run in place.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -206,30 +219,94 @@ def convert_parameterization(m: ModelEvaluator, sched: NoiseSchedule) -> ModelEv
 
     Outputs satisfy x = alpha_t * x0 + sigma_t * eps identically.
     """
+    # (x - s f) / d as (f * -s + x) / d, bitwise the same (a - b == a + (-b)) with
+    # one state-sized temporary; the wrapped model's array is never written.
     if m.prediction == "noise":
 
         def fn(x, t):
             alpha, sig, _ = sched.alpha_sigma_lambda(t)
-            return (x - sig * m(x, t)) / alpha
+            y = m(x, t) * -sig
+            y += x
+            y /= alpha
+            return y
 
         return ModelEvaluator(fn, "data", m.dim)
 
     def fn(x, t):
         alpha, sig, _ = sched.alpha_sigma_lambda(t)
-        return (x - alpha * m(x, t)) / sig
+        y = m(x, t) * -alpha
+        y += x
+        y /= sig
+        return y
 
     return ModelEvaluator(fn, "noise", m.dim)
 
 
 def dynamic_threshold(x0: np.ndarray, ratio: float = 0.995, floor: float = 1.0) -> np.ndarray:
     """Quantile-clip a data prediction: s = max(floor, ratio-quantile of |x0|),
-    then clip to [-s, s] and divide by s."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size == 0:
+    then clip to [-s, s] and divide by s.
+
+    Returns a new array; x0 is not written.  The quantile is numpy's
+    "linear" one, bit for bit, found by an exact selection of the two upper
+    order statistics it interpolates (see the module docstring).  ratio must
+    be a number in (0.5, 1] and floor a finite number >= 1 (DomainError).
+    """
+    x = np.array(x0, dtype=float)
+    if x.size == 0:
         raise DomainError("cannot threshold an empty vector")
-    if not 0.5 < ratio <= 1.0:
+    if not 0.5 < _real(ratio, "ratio") <= 1.0:
         raise DomainError(f"ratio must lie in (0.5, 1], got {ratio}")
-    if floor < 1.0:
-        raise DomainError(f"floor must be >= 1, got {floor}")
-    s = max(floor, float(np.quantile(np.abs(x0), ratio)))
-    return np.clip(x0, -s, s) / s
+    if not 1.0 <= _real(floor, "floor") < math.inf:
+        raise DomainError(f"floor must be a finite number >= 1, got {floor}")
+    _threshold(x, float(ratio), float(floor))
+    return x
+
+
+def _real(value, what: str):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{what} must be a number, got {value!r}")
+
+
+def _threshold(x: np.ndarray, ratio: float, floor: float) -> None:
+    """dynamic_threshold written into the float array x; arguments already checked."""
+    a = np.abs(x).ravel()
+    top = float(a.max())
+    q = _tail_quantile(a, ratio, top) if math.isfinite(top) else float(np.quantile(a, ratio))
+    s = max(floor, q)
+    np.clip(x, -s, s, out=x)
+    x /= s
+
+
+#: Stride of the tail selection's subsample, and the subsample entries it keeps beyond twice the need.
+_STRIDE, _SLACK = 64, 8
+
+
+def _tail_candidates(a: np.ndarray, need: int) -> np.ndarray:
+    """Entries of a that include its `need` largest: those >= tau, tau taken from the
+    strided subsample a[::_STRIDE], if at least `need` pass (entries below tau are
+    below every one kept); otherwise a itself."""
+    sub = a[::_STRIDE]
+    j = 2 * (need // _STRIDE) + _SLACK  # subsample entries kept: about 2 need + 512 of a
+    if j < sub.size:
+        tau = np.partition(sub, sub.size - j)[sub.size - j]
+        kept = a[a >= tau]
+        if kept.size >= need:
+            return kept
+    return a
+
+
+def _tail_quantile(a: np.ndarray, q: float, top: float) -> float:
+    """float(np.quantile(a, q)) for finite a, q in (0.5, 1] and top = a.max(); a is reordered."""
+    n = a.size
+    vi = (n - 1) * q
+    if vi >= n - 1:  # numpy takes the last entry
+        return top
+    lo = math.floor(vi)
+    c = _tail_candidates(a, n - lo)
+    k = lo - (n - c.size)  # ranks lo, lo + 1 of a are k, k + 1 of c
+    c.partition((k, k + 1))
+    below, above = float(c[k]), float(c[k + 1])
+    gamma, diff = vi - lo, above - below
+    # numpy's _lerp: from the upper end when gamma >= 1/2
+    return above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma

@@ -62,7 +62,7 @@ from .errors import (
     ValidationError,
     typed,
 )
-from .model import ModelEvaluator, dynamic_threshold
+from .model import ModelEvaluator, _threshold
 from .schedule import NoiseSchedule, TimeGrid
 
 VARIANTS = ("multistep", "singlestep")
@@ -220,6 +220,14 @@ def _nodes(sched: NoiseSchedule, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return la, la - 0.5 * np.log(sig2), np.sqrt(sig2)
 
 
+def _evaluate(model: ModelEvaluator, x: np.ndarray, t: float) -> np.ndarray:
+    """model(x, t), which must be a state: ValidationError unless its shape is (model.dim,)."""
+    f = model(x, t)
+    if f.shape != (model.dim,):
+        raise ValidationError(f"model output must have shape ({model.dim},), got {f.shape}")
+    return f
+
+
 def _guard(arr: np.ndarray, step: int) -> None:
     # A finite sum means finite entries; only a sum that overflows or is poisoned needs the scan.
     if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
@@ -309,7 +317,7 @@ def predict(sched: NoiseSchedule, state: SolverState, t_next: float, p: int, *,
         x_m = _update(sched, state.x, ts[:1] + interior[:m - 1] + [s_m], 0, R, outputs, opts)
         if m < p:
             _guard(x_m, state.step_index + 1)
-            outputs.append(model(x_m, s_m))
+            outputs.append(_evaluate(model, x_m, s_m))
             _guard(outputs[-1], state.step_index + 1)
     Ds = [f - f_prev for f in outputs[1:]]
     return PredictResult(x_m, [m / p for m in range(1, p)], Ds, interior + ts, p - 1)
@@ -340,7 +348,7 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     opts = dict(bh=bh, prediction=prediction, half_a1=half_a1 and not varying)
     explicit = rs is not None and Ds is not None
     entries = _history(state, 1 if explicit else p)
-    f_pred = model(np.asarray(x_pred, float), t_next)
+    f_pred = _evaluate(model, np.asarray(x_pred, float), t_next)
     _guard(f_pred, state.step_index + 1)
     if explicit:
         prev = entries[-1]
@@ -349,7 +357,7 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     else:
         corrected = _update(sched, state.x, [e.t for e in entries] + [t_next], p - 1, None,
                             [e.output for e in entries] + [f_pred], opts)
-    push = model(corrected, t_next) if oracle else f_pred
+    push = _evaluate(model, corrected, t_next) if oracle else f_pred
     _guard(push, state.step_index + 1)
     return CorrectResult(corrected, push, 1 + oracle)
 
@@ -470,13 +478,13 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
 
     def evaluate(x_at: np.ndarray, node: int, step: int) -> None:
         # Straight into the slot (its old output is dead), so the model's array
-        # is freed before thresholding allocates its temporaries.
+        # is freed before thresholding, which then works in the slot.
         nonlocal nfe
         out = ring[node % K]
-        out[...] = model(x_at, ts[node])
+        out[...] = _evaluate(model, x_at, ts[node])
         nfe += 1
         if (th := config.thresholding) is not None:
-            out[...] = dynamic_threshold(out, th.ratio, th.floor)
+            _threshold(out, th.ratio, th.floor)
         _guard(out, step)
 
     def update(y: np.ndarray) -> np.ndarray:  # the next update, written into y

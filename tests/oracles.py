@@ -63,6 +63,13 @@ def basis_exact(h: float, kmax: int, sign: int) -> list[float]:
     return [float(v) for v in reversed(values)]
 
 
+def dynamic_threshold_reference(x0, ratio: float = 0.995, floor: float = 1.0) -> np.ndarray:
+    """Dynamic thresholding through np.quantile on a copy of |x0|, then clip and divide."""
+    x0 = np.asarray(x0, dtype=float)
+    s = max(floor, float(np.quantile(np.abs(x0), ratio)))
+    return np.clip(x0, -s, s) / s
+
+
 def fitted_slope(hs, errors) -> float:
     """Least-squares slope of log2(error) vs log2(h)."""
     x = np.log2(np.asarray(hs, dtype=float))

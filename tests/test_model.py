@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import trapezoid
+from oracles import dynamic_threshold_reference, trapezoid
 from unipc import (
     DomainError,
     ModelEvaluator,
@@ -16,6 +18,7 @@ from unipc import (
     dynamic_threshold,
     exact_solution_xfree,
 )
+from unipc.model import _tail_candidates
 
 
 class TestConversion:
@@ -142,6 +145,101 @@ class TestDynamicThreshold:
             dynamic_threshold(np.ones(3), ratio=0.4)
         with pytest.raises(DomainError):
             dynamic_threshold(np.ones(3), floor=0.5)
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_floor_rejected(self, floor):
+        # floor=nan returned all NaN and floor=inf all zeros
+        with pytest.raises(DomainError, match="floor"):
+            dynamic_threshold(np.array([0.5, 2.0, -3.0]), floor=floor)
+
+    @pytest.mark.parametrize("ratio", ["0.9", None, [0.9], True, math.nan, math.inf])
+    def test_non_number_ratio_rejected(self, ratio):
+        with pytest.raises(DomainError, match="ratio"):
+            dynamic_threshold(np.array([0.5, 2.0, -3.0]), ratio=ratio)
+
+    @pytest.mark.parametrize("floor", ["1.0", None, True])
+    def test_non_number_floor_rejected(self, floor):
+        with pytest.raises(DomainError, match="floor"):
+            dynamic_threshold(np.array([0.5, 2.0, -3.0]), floor=floor)
+
+    def test_input_not_written(self, rng):
+        x = rng.standard_normal(300) * 4
+        kept = x.copy()
+        out = dynamic_threshold(x)
+        assert np.array_equal(x, kept) and not np.shares_memory(out, x)
+
+
+def _values(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(n) * 3.0
+    if kind == "rounded":  # heavy ties
+        return np.round(rng.standard_normal(n) * 2.0)
+    if kind == "constant":
+        return np.full(n, rng.choice([0.0, 0.5, -2.0, 7.0]))
+    return rng.standard_cauchy(n)
+
+
+@st.composite
+def threshold_inputs(draw):
+    n = draw(st.integers(1, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _values(draw(st.sampled_from(["normal", "rounded", "constant", "cauchy"])), n, rng)
+    poison = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3))
+    x[rng.integers(n, size=len(poison))] = poison
+    ratio = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True)))
+    floor = draw(st.sampled_from([1.0, 1.5, 40.0]))
+    return x, ratio, floor
+
+
+class TestThresholdBitwise:
+    """dynamic_threshold against np.quantile-based thresholding, bit for bit."""
+
+    @staticmethod
+    def same(x, ratio, floor=1.0) -> bool:
+        with np.errstate(invalid="ignore"):  # inf / inf where an infinity sets s
+            got = dynamic_threshold(x, ratio, floor)
+            want = dynamic_threshold_reference(x, ratio, floor)
+        return np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=400, deadline=None)
+    @given(threshold_inputs())
+    def test_matches_reference(self, case):
+        assert self.same(*case)
+
+    @pytest.mark.parametrize("n", [2**16, 2**18])
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "cauchy"])
+    @pytest.mark.parametrize("ratio", [0.6, 0.995, 0.9999, 1.0])
+    def test_state_sized(self, n, kind, ratio):
+        assert self.same(_values(kind, n, np.random.default_rng(n)), ratio)
+
+    def test_large_states_take_the_candidate_branch(self):
+        a = np.abs(_values("normal", 2**18, np.random.default_rng(0)))
+        need = a.size - math.floor((a.size - 1) * 0.995)
+        assert need <= _tail_candidates(a, need).size < a.size // 50
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kind", ["normal", "rounded"])
+    def test_small_sizes(self, n, kind):
+        x = _values(kind, n, np.random.default_rng(n))
+        for ratio in (0.51, 0.6, 0.75, 0.9, 0.995, 1.0):
+            assert self.same(x, ratio)
+
+    @pytest.mark.parametrize("extra,fallback", [(13, True), (14, False)])
+    def test_full_partition_fallback(self, extra, fallback):
+        # The 0.995 quantile of 4096 entries needs the largest 22.  The strided
+        # subsample holds 100..163 and keeps its 8 largest, 156..163, so the
+        # candidates are those 8 and `extra` entries of 200 placed off it: one
+        # short of 22 takes the full partition, exactly 22 the candidates.
+        n, ratio = 4096, 0.995
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, n)
+        x[::64] = 100.0 + np.arange(64)
+        x[1:1 + extra] = -200.0
+        a = np.abs(x)
+        need = n - math.floor((n - 1) * ratio)
+        assert need == 22
+        kept = _tail_candidates(a, need)
+        assert (kept is a) == fallback and kept.size == (n if fallback else 22)
+        assert self.same(x, ratio)
 
 
 class TestModelEvaluator:

@@ -449,6 +449,38 @@ class TestGuards:
             sample(evaluator, vp_linear, grid, SolverConfig(order=2), x_init, warm_start=warm)
         assert evaluator.eval_count == 0
 
+    @pytest.mark.parametrize("output", [
+        lambda dim: 0.1,                     # a scalar was broadcast over the state
+        lambda dim: np.array([0.1]),         # so was a length-1 output
+        lambda dim: np.full(dim - 1, 0.1),   # these raised a bare numpy ValueError
+        lambda dim: np.full(dim + 1, 0.1),
+        lambda dim: np.full((1, dim), 0.1),  # a 2-d output, broadcastable or not
+        lambda dim: np.full((dim, 1), 0.1),
+    ], ids=["scalar", "length-1", "dim-1", "dim+1", "1xdim", "dimx1"])
+    @pytest.mark.parametrize("prediction", ["noise", "data"])
+    def test_model_output_shape_rejected(self, vp_linear, rng, output, prediction):
+        dim = 4
+        model = ModelEvaluator(lambda x, t: output(dim), prediction, dim)
+        th = Thresholding() if prediction == "data" else None
+        config = SolverConfig(order=2, prediction=prediction, thresholding=th)
+        with pytest.raises(ValidationError, match=r"model output must have shape \(4,\)"):
+            sample(model, vp_linear, make_time_grid(vp_linear, 4), config, rng.standard_normal(dim))
+        assert model.eval_count == 1
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_correct_rejects_misshapen_output(self, vp_linear, rng, oracle):
+        calls = {"n": 0}
+
+        def model_fn(x, t):  # a state for the corrector's first call, then a scalar
+            calls["n"] += 1
+            return 0.1 * x if calls["n"] == 1 and oracle else np.array([0.1])
+
+        dim, t0, t1 = 4, 0.9, 0.8
+        state = fresh_state(vp_linear, zero_model(dim), rng.standard_normal(dim), t0)
+        with pytest.raises(ValidationError, match="model output must have shape"):
+            correct(vp_linear, state, t1, state.x.copy(), 1,
+                    ModelEvaluator(model_fn, "noise", dim), oracle=oracle)
+
     def test_warm_start_too_long(self, vp_linear, poly_model, rng):
         grid = make_time_grid(vp_linear, 3)
         with pytest.raises(ValidationError, match="warm_start"):
@@ -534,7 +566,7 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert res.nfe == M
-        assert peak <= (K + 5) * x0.nbytes
+        assert peak <= (K + 4) * x0.nbytes
 
 
 class TestThresholding:
