@@ -6,17 +6,7 @@ half-log-SNR time, for both noise- and data-prediction models, plus a
 convergence-study harness (see the `unipc` CLI).
 """
 
-from .coeffs import (
-    CoefficientSystem,
-    VaryingCoefficientMatrix,
-    bh_value,
-    g_vector,
-    phi_vector,
-    psi,
-    solve_weights,
-    varphi,
-    varying_coefficient_matrix,
-)
+from .coeffs import bh_value, psi, varphi
 from .errors import (
     DomainError,
     FitError,
@@ -42,16 +32,13 @@ from .solver import (
     Thresholding,
     correct,
     ddim_step,
-    predict,
     sample,
-    unified_update,
 )
 from .study import ConvergenceStudy, OrderFit, emit, fit_order, reference_solution, run_study
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientSystem",
     "ConvergenceStudy",
     "DomainError",
     "FitError",
@@ -70,7 +57,6 @@ __all__ = [
     "TimeGrid",
     "UniPCError",
     "ValidationError",
-    "VaryingCoefficientMatrix",
     "bh_value",
     "convert_parameterization",
     "correct",
@@ -79,16 +65,10 @@ __all__ = [
     "emit",
     "exact_solution_xfree",
     "fit_order",
-    "g_vector",
     "make_time_grid",
-    "phi_vector",
-    "predict",
     "psi",
     "reference_solution",
     "run_study",
     "sample",
-    "solve_weights",
-    "unified_update",
     "varphi",
-    "varying_coefficient_matrix",
 ]

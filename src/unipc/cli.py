@@ -102,41 +102,19 @@ def _selftest_quadrature() -> tuple[bool, str]:
     return worst < 1e-12, f"max |basis / quadrature - 1| = {worst:.3e}"
 
 
-def _selftest_residuals() -> tuple[bool, str]:
-    worst = 0.0
-    drift = 0.0
-    for h in (0.2, 0.5, 1.0):
-        for p in (1, 2, 3):
-            r = [-float(p - m) for m in range(1, p)] + [1.0]  # e.g. p=3: [-2, -1, 1]
-            for bh in ("b1", "b2"):
-                for prediction in ("noise", "data"):
-                    system = coeffs.solve_weights(p, h, r, bh=bh, prediction=prediction)
-                    worst = max(worst, system.residual())
-        for bh in ("b1", "b2"):
-            w1 = coeffs.solve_weights(1, h, [1.0], bh=bh).weights[0]
-            drift = max(drift, abs(w1 - 0.5) / h)
-    ok = worst < 1e-12 and drift <= 1.0
-    return ok, f"max residual = {worst:.3e}, |w1 - 1/2|/h <= {drift:.3f}"
-
-
-def _selftest_varying() -> tuple[bool, str]:
-    worst = 0.0
-    for p in range(1, 6):
-        r = np.array(sorted(-float(m) for m in range(1, p)) + [1.0])
-        vcm = coeffs.varying_coefficient_matrix(p, r)
-        worst = max(worst, float(np.max(np.abs(vcm.c_matrix() @ vcm.A - np.eye(p)))))
-    return worst < 1e-12, f"max |C A - I| = {worst:.3e}"
-
-
-def _plan_row_residual(sched, times, nodes, P: int, N: int, a, c, prediction: str) -> float:
-    """Order-condition residual of one plan row, from scalar schedule maps and basis.
+def _plan_row_residual(sched, times, nodes, P: int, N: int, a, c, prediction: str,
+                       bh: str) -> tuple[float, float]:
+    """Order-condition residual of one plan row, from scalar schedule maps and basis,
+    and the drift |w1 - 1/2|/h of its weight if it has one (0 otherwise).
 
     The update from node P to node N that combines the outputs at `nodes`
     with weights solved exactly must reproduce x_N/x_P for a zero model and
     satisfy sum_j c_j r_j^n = scale * h n! basis_{n+1}(h) for n below the
     number of nodes (r_j the offsets in units of h; scale -sigma_N for noise
     and alpha_N for data prediction).  Each condition's error is taken
-    relative to the size of its terms, which reach |r|^n.
+    relative to the size of its terms, which reach |r|^n.  With one offset
+    r_1 besides 0 the row has the one weight w1 = u_1 r_1 / B(h), which
+    stays near the 1/2 that half_a1 pins it to.
     """
     alpha_p, sigma_p, lam_p = sched.alpha_sigma_lambda(times[P])
     alpha_n, sigma_n, lam_n = sched.alpha_sigma_lambda(times[N])
@@ -152,7 +130,9 @@ def _plan_row_residual(sched, times, nodes, P: int, N: int, a, c, prediction: st
         terms = u * r**n
         error = abs(float(np.sum(terms)) - h * math.factorial(n) * basis(n + 1, h))
         residual = max(residual, error / float(np.sum(np.abs(terms))))
-    return residual
+    if len(nodes) != 2:
+        return residual, 0.0
+    return residual, abs(float(np.sum(u * r)) / coeffs.bh_value(bh, h) - 0.5) / h
 
 
 def _selftest_plan() -> tuple[bool, str]:
@@ -160,7 +140,7 @@ def _selftest_plan() -> tuple[bool, str]:
     M = 12
     grid = make_time_grid(sched, M, "quadratic-time")  # step sizes and offsets vary
     times = [float(t) for t in grid.times]
-    worst, rows = 0.0, 0
+    worst, drift, rows = 0.0, 0.0, 0
     for order in range(1, 6):
         for bh in coeffs.BH_KINDS:
             for prediction in ("noise", "data"):
@@ -171,12 +151,15 @@ def _selftest_plan() -> tuple[bool, str]:
                     # predictor on nodes i-p..i-1, then the corrector on i-p..i (slots j % K)
                     for w in (p, p + 1) if i < M else (p,):
                         nodes = range(i - p, i - p + w)
-                        worst = max(worst, _plan_row_residual(
+                        residual, w1_drift = _plan_row_residual(
                             sched, times, nodes, i - 1, i, a[row],
-                            c[row, [j % K for j in nodes]], prediction))
+                            c[row, [j % K for j in nodes]], prediction, bh)
+                        worst, drift = max(worst, residual), max(drift, w1_drift)
                         row += 1
                 rows += row
-    return worst < 1e-12, f"max relative order-condition residual = {worst:.3e} over {rows} rows"
+    return worst < 1e-12 and drift <= 1.0, (
+        f"max relative order-condition residual = {worst:.3e} over {rows} rows, "
+        f"|w1 - 1/2|/h <= {drift:.3f}")
 
 
 def _selftest_roundtrip() -> tuple[bool, str]:
@@ -208,8 +191,6 @@ def _selftest_quantile() -> tuple[bool, str]:
 def _cmd_selftest(args) -> int:
     checks = [
         ("basis-vs-quadrature", _selftest_quadrature),
-        ("weight-residuals", _selftest_residuals),
-        ("varying-coefficient-inverse", _selftest_varying),
         ("schedule-roundtrip", _selftest_roundtrip),
         ("plan-residuals", _selftest_plan),
         ("threshold-quantile", _selftest_quantile),

@@ -1,4 +1,4 @@
-"""Exponential-integrator basis functions and predictor-corrector weights.
+"""Exponential-integrator basis functions and predictor-corrector update coefficients.
 
 Basis functions (scalar, h > 0):
 
@@ -22,29 +22,28 @@ recursion from h >= RECURSION_FROM, where that holds at every level up to
 MAX_BASIS_K, and below it the two series, whose terms are all positive,
 summed to as many terms as the largest step size of the call needs.
 
-Stacked vectors:
+Update coefficients: an update with step size h from node P combines the
+model outputs F_m at offsets r_0 < ... < r_k (in units of h, r = 0 for
+node P) with coefficients u that solve the moment conditions
 
-    phi_n(h) = h^n n! varphi_{n+1}(h),     g_n(h) = h^n n! psi_{n+1}(h).
+    sum_m u_m r_m^n = h n! varphi_{n+1}(h),     n = 0..k
 
-Weights: for auxiliary offsets r_1 < ... < r_p (in units of the step h)
-the update weights w solve R_p(h) w B(h) = phi_p(h) (noise prediction)
-or = g_p(h) (data prediction), where R_p(h)[n, m] = (r_m h)^{n-1} and
-B is a free normalizer with B(h) = O(h).  Powers of h factor out of R_p,
-so the system actually solved is the plain Vandermonde
-
-    V(r) w = ( n! varphi_{n+1}(h) * h / B(h) )_n,
-
-whose conditioning depends only on the spacing of r.
+(psi for data prediction), a plain Vandermonde system whose conditioning
+depends only on the spacing of r.  On the differences D_m = F_m - F_P the
+same update reads sum_m (w_m B(h) / r_m) D_m over the k nonzero offsets,
+with the paper's weights w solving sum_m (r_m h)^{n-1} w_m B(h) =
+h^n n! varphi_{n+1}(h), n = 1..k.  So B(h) cancels from u, and the
+varying-coefficients weights w = C^{-1} v give the same u.  Only half_a1, which pins the one weight of
+a single-offset update to 1/2, depends on B.
 
 basis_table and moment_rows evaluate the basis and solve these systems for
-many step sizes at once; varphi, psi and solve_weights are one-element
-calls into them.
+many step sizes at once, update_rows turns them into the rows of a step
+plan, and varphi and psi are one-element calls into basis_table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,8 +144,9 @@ def moment_rows(table: np.ndarray, hs, R) -> np.ndarray:
     R[j] holds k + 1 distinct offsets, one of them 0 for the node the step
     starts from; table is basis_table(hs, kmax) with kmax > k.  u_m are the
     coefficients on the model outputs at those offsets of an update whose
-    weights solve their system exactly (see solve_weights): on D_m they are
-    w_m B(h) / r_m, so B(h) cancels and u is the same for both variants.
+    weights solve their system exactly (see the module docstring): on D_m
+    they are w_m B(h) / r_m, so B(h) cancels and u is the same for both
+    variants.
 
     All rows are solved together by the Bjorck-Pereyra algorithm for
     Vandermonde systems (Golub & Van Loan, Algorithm 4.6.2): O(k^2) array
@@ -161,118 +161,6 @@ def moment_rows(table: np.ndarray, hs, R) -> np.ndarray:
         u[j + 1:] /= r[j + 1:] - r[:k - j]
         u[j:-1] -= u[j + 1:]
     return u.T
-
-
-def _check_p(p: int, h: float, limit: int) -> None:
-    if not isinstance(p, (int, np.integer)) or not 1 <= p <= limit:
-        raise DomainError(f"order p={p} outside supported range 1..{limit}")
-    if not h > 0.0:
-        raise DomainError(f"need h > 0, got {h}")
-
-
-def phi_vector(p: int, h: float) -> np.ndarray:
-    """(phi_1(h), ..., phi_p(h)) with phi_n = h^n n! varphi_{n+1}(h)."""
-    _check_p(p, h, MAX_ORDER)
-    n = np.arange(1, p + 1)
-    return h**n * _FACTORIALS[n] * basis_table(h, p + 1)[2:]
-
-
-def g_vector(p: int, h: float) -> np.ndarray:
-    """(g_1(h), ..., g_p(h)) with g_n = h^n n! psi_{n+1}(h)."""
-    _check_p(p, h, MAX_ORDER)
-    n = np.arange(1, p + 1)
-    return h**n * _FACTORIALS[n] * basis_table(h, p + 1, "data")[2:]
-
-
-def _check_r(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 1:
-        raise DomainError("r must be a 1-d sequence")
-    if np.any(r == 0.0) or len(np.unique(r)) != len(r):
-        raise SingularSystemError(f"r entries must be distinct and nonzero, got {r.tolist()}")
-    if not np.all(np.diff(r) > 0):
-        raise DomainError(f"r must be strictly increasing, got {r.tolist()}")
-    return r
-
-
-@dataclass(frozen=True)
-class CoefficientSystem:
-    """A solved per-step weight system."""
-
-    p: int
-    h: float
-    r: tuple[float, ...]
-    bh: str
-    prediction: str
-    weights: np.ndarray
-
-    def residual(self) -> float:
-        """l1 norm of R_p(h) w B(h) - phi_p(h) (or g_p for data prediction)."""
-        R = np.vander(np.asarray(self.r) * self.h, N=self.p, increasing=True).T
-        target = phi_vector(self.p, self.h) if self.prediction == "noise" else g_vector(self.p, self.h)
-        return float(np.sum(np.abs(R @ self.weights * bh_value(self.bh, self.h) - target)))
-
-
-def solve_weights(
-    p: int,
-    h: float,
-    r,
-    bh: str = "b2",
-    prediction: str = "noise",
-    half_a1: bool = False,
-) -> CoefficientSystem:
-    """Solve for the update weights of a p-term system at step size h.
-
-    With half_a1=True the degenerate single-unknown system (second-order
-    predictor or first-order corrector) short-circuits to the h-independent
-    weight 1/2, which satisfies the accuracy condition for both B variants.
-    """
-    _check_p(p, h, MAX_ORDER)
-    if prediction not in ("noise", "data"):
-        raise DomainError(f"unknown prediction kind {prediction!r}")
-    r = _check_r(r)
-    if len(r) != p:
-        raise DomainError(f"len(r)={len(r)} must equal p={p}")
-    if p == 1 and half_a1:
-        weights = np.array([0.5])
-    else:
-        hs = np.array([float(h)])
-        below = int(np.sum(r < 0.0))
-        u = moment_rows(basis_table(hs, p + 1, prediction), hs, np.insert(r, below, 0.0)[None, :])[0]
-        weights = np.delete(u, below) * r / bh_value(bh, h)
-    return CoefficientSystem(
-        p=p, h=float(h), r=tuple(r.tolist()), bh=bh, prediction=prediction, weights=weights
-    )
-
-
-@dataclass(frozen=True)
-class VaryingCoefficientMatrix:
-    """h-independent coefficient matrix A = C^{-1}, C[n, m] = r_m^{n-1}/n!."""
-
-    p: int
-    r: tuple[float, ...]
-    A: np.ndarray
-
-    def c_matrix(self) -> np.ndarray:
-        r = np.asarray(self.r)
-        scale = np.array([1.0 / math.factorial(n) for n in range(1, self.p + 1)])
-        return np.vander(r, N=self.p, increasing=True).T * scale[:, None]
-
-
-def varying_coefficient_matrix(p: int, r) -> VaryingCoefficientMatrix:
-    """Invert the moment-matching matrix for step-size-independent weights."""
-    if not isinstance(p, (int, np.integer)) or not 1 <= p <= MAX_VARYING_ORDER:
-        raise DomainError(f"order p={p} outside supported range 1..{MAX_VARYING_ORDER}")
-    r = _check_r(r)
-    if len(r) != p:
-        raise DomainError(f"len(r)={len(r)} must equal p={p}")
-    scale = np.array([1.0 / math.factorial(n) for n in range(1, p + 1)])
-    C = np.vander(r, N=p, increasing=True).T * scale[:, None]
-    try:
-        A = np.linalg.inv(C)
-    except np.linalg.LinAlgError as exc:  # distinct r makes C invertible; guard anyway
-        raise SingularSystemError(str(exc)) from exc
-    return VaryingCoefficientMatrix(p=int(p), r=tuple(r.tolist()), A=A)
 
 
 def update_rows(nodes, P, N, R: np.ndarray, bh: str = "b2", prediction: str = "noise",

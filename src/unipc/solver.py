@@ -36,8 +36,8 @@ rows).  The run keeps the K latest model outputs in a K-row ring, node n's
 in row n % K, and each plan row holds its c in that slot order (0 in slots
 it does not use), so an update is one c @ ring + a x into one of two reused
 state buffers: K + 2 state-sized arrays whatever the number of steps.
-predict, correct, unified_update and ddim_step build a single row the same
-way and apply it as c @ F + a x.
+correct and ddim_step, the one-step API for plugging UniC into another
+sampler, build a single row the same way and apply it as c @ F + a x.
 
 The multistep driver follows the warm-up discipline p_i = min(p, i),
 pushes the model output evaluated at the *uncorrected* predictor result
@@ -56,7 +56,6 @@ import numpy as np
 
 from . import coeffs
 from .errors import (
-    DomainError,
     InsufficientHistoryError,
     NumericError,
     ValidationError,
@@ -85,7 +84,13 @@ class Thresholding:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Sampling configuration; round-trips through JSON with lowercase enums."""
+    """Sampling configuration; round-trips through JSON with lowercase enums.
+
+    varying_coefficients selects the paper's step-size-independent weights
+    w = C^{-1} v (UniPC_v): the plan solves the same moment system for them,
+    so a run is bitwise equal to one with half_a1=False.  It keeps its order
+    cap of MAX_VARYING_ORDER = 5 and the name unipc_v-p.
+    """
 
     order: int = 3
     variant: str = "multistep"
@@ -167,10 +172,9 @@ class SolverConfig:
 
 @dataclass
 class BufferEntry:
-    """A model output buffered at time t; updates take lambda from t, not from lam."""
+    """A model output buffered at time t."""
 
     t: float
-    lam: float
     output: np.ndarray
 
 
@@ -181,7 +185,6 @@ class SolverState:
     x: np.ndarray
     buffer: list[BufferEntry] = field(default_factory=list)
     step_index: int = 0
-    nfe: int = 0
     capacity: int = coeffs.MAX_ORDER
 
     def push(self, entry: BufferEntry) -> None:
@@ -228,6 +231,18 @@ def _evaluate(model: ModelEvaluator, x: np.ndarray, t: float) -> np.ndarray:
     return f
 
 
+def _state(value, dim: int | None, what: str) -> np.ndarray:
+    """value as a float array: ValidationError unless it is 1-d, of length dim if one is given."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
+    if x.ndim != 1 or dim is not None and x.size != dim:
+        length = "" if dim is None else f" of length {dim}"
+        raise ValidationError(f"{what} must be a 1-d array{length}, got shape {x.shape}")
+    return x
+
+
 def _guard(arr: np.ndarray, step: int) -> None:
     # A finite sum means finite entries; only a sum that overflows or is poisoned needs the scan.
     if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
@@ -237,42 +252,25 @@ def _guard(arr: np.ndarray, step: int) -> None:
 # -- one-step wrappers ------------------------------------------------------------
 
 
-def _update(sched: NoiseSchedule, x, ts, P: int, R, outputs, opts: dict) -> np.ndarray:
-    """The single update from node P of ts to its last node, over the outputs at offsets R
-    (R as in coeffs.update_rows; None for those of the first len(outputs) nodes of ts)."""
+def _update(sched: NoiseSchedule, x: np.ndarray, ts, outputs, opts: dict) -> np.ndarray:
+    """The single update from the second-to-last node of ts to its last node, over the
+    outputs at its first len(outputs) nodes."""
     nodes = _nodes(sched, ts)
-    if R is None:
-        lam = nodes[1]
-        R = (lam[:len(outputs)] - lam[P]) / (lam[-1] - lam[P])
-    a, c = coeffs.update_rows(nodes, [P], [len(ts) - 1], R[None, :], **opts)
-    return c[0] @ np.stack(outputs) + a[0] * np.asarray(x, dtype=float)
-
-
-def unified_update(sched: NoiseSchedule, x: np.ndarray, t_prev: float, t_next: float,
-                   f_prev: np.ndarray, rs, Ds, *, bh: str = "b2", prediction: str = "noise",
-                   varying: bool = False, half_a1: bool = False) -> np.ndarray:
-    """One predictor/corrector update from explicit offsets and differences.
-
-    rs must be strictly increasing nonzero offsets in units of h; Ds the
-    matching model-output differences.  A corrector passes r_p = 1 with the
-    difference taken at the target node; a predictor passes offsets < 1
-    only.  Empty rs gives the first-order update.
-    """
-    limit = coeffs.MAX_VARYING_ORDER if varying else coeffs.MAX_ORDER
-    if len(rs) != len(Ds) or len(rs) > limit:
-        raise DomainError(f"need equally many rs and Ds, at most {limit}")
-    r = coeffs._check_r(rs) if len(rs) else np.zeros(0)
-    below = int(np.sum(r < 0.0))
-    f_prev = np.asarray(f_prev, dtype=float)
-    outputs = [f_prev + D for D in Ds[:below]] + [f_prev] + [f_prev + D for D in Ds[below:]]
-    opts = dict(bh=bh, prediction=prediction, half_a1=half_a1 and not varying)
-    return _update(sched, x, [t_prev, t_next], 0, np.insert(r, below, 0.0), outputs, opts)
+    P, lam = len(ts) - 2, nodes[1]
+    R = (lam[:len(outputs)] - lam[P]) / (lam[-1] - lam[P])
+    a, c = coeffs.update_rows(nodes, [P], [P + 1], R[None, :], **opts)
+    return c[0] @ np.stack(outputs) + a[0] * x
 
 
 def ddim_step(sched: NoiseSchedule, x: np.ndarray, eps_prev: np.ndarray, t_prev: float,
               t_next: float) -> np.ndarray:
-    """First-order noise-prediction update (standalone DDIM)."""
-    return unified_update(sched, x, t_prev, t_next, eps_prev, [], [])
+    """First-order noise-prediction update (standalone DDIM).
+
+    x and eps_prev must be 1-d arrays of one length (ValidationError otherwise).
+    """
+    x = _state(x, None, "x")
+    eps_prev = _state(eps_prev, x.size, "eps_prev")
+    return _update(sched, x, [t_prev, t_next], [eps_prev], {})
 
 
 def _history(state: SolverState, p: int) -> list[BufferEntry]:
@@ -285,45 +283,6 @@ def _history(state: SolverState, p: int) -> list[BufferEntry]:
 
 
 @dataclass
-class PredictResult:
-    x_pred: np.ndarray
-    rs: list[float]
-    Ds: list[np.ndarray]
-    used_ts: list[float]
-    evals: int
-
-
-def predict(sched: NoiseSchedule, state: SolverState, t_next: float, p: int, *,
-            variant: str = "multistep", model: ModelEvaluator | None = None, bh: str = "b2",
-            prediction: str = "noise", varying: bool = False,
-            half_a1: bool = True) -> PredictResult:
-    """p-th order predictor from the buffered history (multistep) or from
-    freshly evaluated interior nodes (singlestep; costs p-1 extra calls)."""
-    opts = dict(bh=bh, prediction=prediction, half_a1=half_a1 and not varying)
-    entries = _history(state, p if variant == "multistep" else 1)
-    f_prev, ts = entries[-1].output, [e.t for e in entries]
-    outputs = [e.output for e in entries]
-    if variant == "multistep":
-        lam = _nodes(sched, ts + [t_next])[1]
-        rs = ((lam[:-2] - lam[-2]) / (lam[-1] - lam[-2])).tolist()
-        x_pred = _update(sched, state.x, ts + [t_next], p - 1, None, outputs, opts)
-        return PredictResult(x_pred, rs, [f - f_prev for f in outputs[:-1]], ts, 0)
-    if model is None and p > 1:
-        raise ValidationError("singlestep prediction needs the model for interior nodes")
-    lam = _nodes(sched, [ts[0], t_next])[1]
-    interior = [sched.t_of_lambda(lam[0] + (m / p) * (lam[1] - lam[0])) for m in range(1, p)]
-    for m, s_m in enumerate(interior + [t_next], start=1):
-        R = np.arange(m) / m  # interior node j of m sits at j/m of the way to node m
-        x_m = _update(sched, state.x, ts[:1] + interior[:m - 1] + [s_m], 0, R, outputs, opts)
-        if m < p:
-            _guard(x_m, state.step_index + 1)
-            outputs.append(_evaluate(model, x_m, s_m))
-            _guard(outputs[-1], state.step_index + 1)
-    Ds = [f - f_prev for f in outputs[1:]]
-    return PredictResult(x_m, [m / p for m in range(1, p)], Ds, interior + ts, p - 1)
-
-
-@dataclass
 class CorrectResult:
     corrected: np.ndarray
     push_output: np.ndarray
@@ -331,8 +290,7 @@ class CorrectResult:
 
 
 def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.ndarray,
-            p: int, model: ModelEvaluator, *, rs: list[float] | None = None,
-            Ds: list[np.ndarray] | None = None, bh: str = "b2", prediction: str = "noise",
+            p: int, model: ModelEvaluator, *, bh: str = "b2", prediction: str = "noise",
             varying: bool = False, half_a1: bool = True, oracle: bool = False) -> CorrectResult:
     """Refine any p-th order estimate x_pred at t_next (plug-and-play UniC).
 
@@ -340,23 +298,17 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     correction difference and is what the caller should buffer for the next
     step, so the corrector adds no model evaluations to a run.  In oracle
     mode the model is re-evaluated at the corrected state (one extra call)
-    and that output is returned for buffering instead.
-
-    rs/Ds may carry precomputed past offsets and differences (e.g. from a
-    singlestep predictor); by default they are read from the buffer.
+    and that output is returned for buffering instead.  The history is the
+    p latest buffered outputs; state.x, x_pred and each of those must be 1-d
+    arrays of length model.dim (ValidationError otherwise).
     """
     opts = dict(bh=bh, prediction=prediction, half_a1=half_a1 and not varying)
-    explicit = rs is not None and Ds is not None
-    entries = _history(state, 1 if explicit else p)
-    f_pred = _evaluate(model, np.asarray(x_pred, float), t_next)
+    entries = _history(state, p)
+    x = _state(state.x, model.dim, "state.x")
+    outputs = [_state(e.output, model.dim, f"buffered output at t={e.t}") for e in entries]
+    f_pred = _evaluate(model, _state(x_pred, model.dim, "x_pred"), t_next)
     _guard(f_pred, state.step_index + 1)
-    if explicit:
-        prev = entries[-1]
-        corrected = unified_update(sched, state.x, prev.t, t_next, prev.output,
-                                   list(rs) + [1.0], list(Ds) + [f_pred - prev.output], **opts)
-    else:
-        corrected = _update(sched, state.x, [e.t for e in entries] + [t_next], p - 1, None,
-                            [e.output for e in entries] + [f_pred], opts)
+    corrected = _update(sched, x, [e.t for e in entries] + [t_next], outputs + [f_pred], opts)
     push = _evaluate(model, corrected, t_next) if oracle else f_pred
     _guard(push, state.step_index + 1)
     return CorrectResult(corrected, push, 1 + oracle)
@@ -433,14 +385,6 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
 # -- driver ----------------------------------------------------------------
 
 
-def _state(value, dim: int, what: str) -> np.ndarray:
-    try:
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
-    if x.shape != (dim,):
-        raise ValidationError(f"{what} must be a 1-d array of length {dim}, got shape {x.shape}")
-    return x
 
 
 def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig,

@@ -244,6 +244,6 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         printed = capsys.readouterr().out
-        assert printed.count("PASS") == 6 and "FAIL" not in printed
-        assert "selftest plan-residuals: PASS" in printed
+        assert printed.count("PASS") == 4 and "FAIL" not in printed
+        assert "selftest plan-residuals: PASS" in printed and "|w1 - 1/2|/h <=" in printed
         assert "selftest threshold-quantile: PASS" in printed

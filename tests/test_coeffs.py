@@ -6,17 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import basis_exact, fitted_slope, psi_integrand, simpson, varphi_integrand
-from unipc import (
-    DomainError,
-    SingularSystemError,
-    g_vector,
-    phi_vector,
-    psi,
-    solve_weights,
-    varphi,
-    varying_coefficient_matrix,
-)
-from unipc.coeffs import MAX_BASIS_K, basis_table, bh_value
+from unipc import DomainError, SingularSystemError, SolverConfig, ValidationError, psi, varphi
+from unipc.coeffs import MAX_BASIS_K, basis_table, bh_value, update_rows
 
 E = math.e
 # Frozen with a 40-digit mpmath evaluation of the closed forms.
@@ -32,6 +23,41 @@ SWITCHES = [0.5] + [k + 1.0 for k in range(MAX_BASIS_K + 1)]
 ACCURACY_HS = sorted(set(np.geomspace(1e-9, 20.0, 41).tolist() + [
     float(x) for c in SWITCHES for x in (np.nextafter(c, 0.0), c, np.nextafter(c, np.inf))
 ]))
+
+
+def stacked(p: int, h: float, prediction: str = "noise") -> np.ndarray:
+    """phi_n(h) = h^n n! varphi_{n+1}(h) (g_n with psi for data), n = 1..p, from basis_table."""
+    n = np.arange(1, p + 1)
+    return h**n * np.array([math.factorial(k) for k in n]) * basis_table(h, p + 1, prediction)[2:]
+
+
+def solved_row(r, h: float, bh: str = "b2", prediction: str = "noise", half_a1: bool = False):
+    """One update_rows row over the offsets r (0 inserted for the node it starts from) at
+    step size h: (offsets, u), u its coefficients on the model outputs (c over the scale)."""
+    r = np.asarray(r, dtype=float)
+    R = np.insert(r, int(np.sum(r < 0.0)), 0.0)
+    nodes = (np.zeros(2), np.array([0.0, h]), np.ones(2))  # scale -sigma = -1, alpha = 1
+    _, c = update_rows(nodes, [0], [1], R[None, :], bh=bh, prediction=prediction,
+                       half_a1=half_a1)
+    return R, c[0] * (-1.0 if prediction == "noise" else 1.0)
+
+
+def solved_weights(r, h: float, bh: str = "b2", prediction: str = "noise",
+                   half_a1: bool = False) -> np.ndarray:
+    """The paper's weights w_m = u_m r_m / B(h) of that row, on its nonzero offsets."""
+    R, u = solved_row(r, h, bh, prediction, half_a1)
+    return (u * R / bh_value(bh, h))[R != 0.0]
+
+
+def weight_residual(r, h: float, bh: str = "b2", prediction: str = "noise") -> float:
+    """l1 norm of R_p(h) w B(h) - phi_p(h) (g_p for data), the target correctly rounded."""
+    r = np.asarray(r, dtype=float)
+    p, sign = len(r), 1 if prediction == "noise" else -1
+    w = solved_weights(r, h, bh, prediction)
+    exact = basis_exact(h, p + 1, sign)
+    target = np.array([h**n * math.factorial(n) * exact[n + 1] for n in range(1, p + 1)])
+    R = np.vander(r * h, N=p, increasing=True).T
+    return float(np.sum(np.abs(R @ w * bh_value(bh, h) - target)))
 
 
 class TestBasisFunctions:
@@ -94,74 +120,75 @@ class TestBasisFunctions:
 
 
 class TestStackedVectors:
+    """phi_n and g_n, the right-hand sides of the weight conditions, as update rows see them."""
+
     def test_phi1_matches_varphi2(self):
+        # phi_1 is the first moment sum_m u_m r_m of any row: h varphi_2(h)
         for h in (0.2, 0.7, 1.3):
-            assert phi_vector(1, h)[0] == pytest.approx(h * varphi(2, h), rel=1e-14)
-        assert phi_vector(1, 1.0)[0] == pytest.approx(E - 2.0, abs=1e-14)
+            R, u = solved_row([-1.0, 1.0], h)
+            assert float(np.sum(u * R)) == pytest.approx(h * varphi(2, h), rel=1e-14)
+        assert stacked(1, 1.0)[0] == pytest.approx(E - 2.0, abs=1e-14)
 
     def test_phi_small_h_ratios(self):
         h = 1e-7
-        phi = phi_vector(2, h)
+        phi = stacked(2, h)
         assert phi[0] / h == pytest.approx(0.5, abs=1e-6)
         assert phi[1] / h**2 == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_g1(self):
         h = 1e-7
-        assert g_vector(1, h)[0] / h == pytest.approx(0.5, abs=1e-6)
-        assert g_vector(1, 1.0)[0] == pytest.approx(1.0 / E, abs=1e-14)
+        assert stacked(1, h, "data")[0] / h == pytest.approx(0.5, abs=1e-6)
+        assert stacked(1, 1.0, "data")[0] == pytest.approx(1.0 / E, abs=1e-14)
 
     def test_g2_at_one(self):
         # g_2(1) = 2 psi_3(1) = 2 (1/2 - 1/e) = 1 - 2/e
-        assert g_vector(2, 1.0)[1] == pytest.approx(1.0 - 2.0 / E, abs=1e-14)
+        assert stacked(2, 1.0, "data")[1] == pytest.approx(1.0 - 2.0 / E, abs=1e-14)
 
     def test_range_checks(self):
         with pytest.raises(DomainError):
-            phi_vector(10, 0.5)
+            basis_table(0.5, MAX_BASIS_K + 1)
         with pytest.raises(DomainError):
-            g_vector(0, 0.5)
+            basis_table(0.5, -1, "data")
+        with pytest.raises(DomainError):
+            basis_table([0.5, 0.0], 3)
 
 
 class TestSolveWeights:
     def test_order1_b2_closed_form(self):
-        w = solve_weights(1, 0.3, [1.0], bh="b2").weights[0]
+        w = solved_weights([1.0], 0.3, bh="b2")[0]
         assert w == pytest.approx(W1_B2_AT_03, abs=1e-14)
 
     def test_order1_b1_closed_form(self):
-        w = solve_weights(1, 0.3, [1.0], bh="b1").weights[0]
+        w = solved_weights([1.0], 0.3, bh="b1")[0]
         assert w == pytest.approx(W1_B1_AT_03, abs=1e-14)
 
     @pytest.mark.parametrize("bh", ["b1", "b2"])
     def test_order1_weight_near_half(self, bh):
         for h in np.geomspace(1e-3, 0.5, 10):
-            w = solve_weights(1, float(h), [1.0], bh=bh).weights[0]
+            w = solved_weights([1.0], float(h), bh=bh)[0]
             assert abs(w - 0.5) <= h
 
     def test_half_a1_shortcut(self):
-        system = solve_weights(1, 0.3, [1.0], bh="b2", half_a1=True)
-        assert system.weights[0] == 0.5
+        for r in ([1.0], [-0.7]):  # a corrector's offset, or a second-order predictor's
+            assert solved_weights(r, 0.3, bh="b2", half_a1=True)[0] == 0.5
 
     def test_order2_limit_weights(self):
-        w = solve_weights(2, 1e-8, [-1.0, 1.0], bh="b1").weights
+        w = solved_weights([-1.0, 1.0], 1e-8, bh="b1")
         # limit system: w1 + w2 = 1/2, -w1 + w2 = 1/3  ->  (1/12, 5/12)
         assert np.allclose(w, [1.0 / 12.0, 5.0 / 12.0], atol=1e-7)
 
     @pytest.mark.parametrize("prediction", ["noise", "data"])
     @pytest.mark.parametrize("bh", ["b1", "b2"])
     def test_exact_solve_residual(self, bh, prediction):
-        system = solve_weights(2, 0.2, [-1.0, 1.0], bh=bh, prediction=prediction)
-        assert system.residual() < 1e-13
+        assert weight_residual([-1.0, 1.0], 0.2, bh=bh, prediction=prediction) < 1e-13
 
     def test_singular_inputs(self):
         with pytest.raises(SingularSystemError):
-            solve_weights(2, 0.2, [1.0, 1.0])
+            solved_weights([1.0, 1.0], 0.2)
         with pytest.raises(SingularSystemError):
-            solve_weights(2, 0.2, [0.0, 1.0])
-        with pytest.raises(DomainError):
-            solve_weights(2, 0.2, [1.0, -1.0])  # not increasing
-        with pytest.raises(DomainError):
-            solve_weights(10, 0.2, list(range(-9, 1)))
-        with pytest.raises(DomainError):
-            solve_weights(2, 0.2, [-1.0, 0.5, 1.0])  # length mismatch
+            solved_weights([0.0, 1.0], 0.2)
+        with pytest.raises(SingularSystemError):
+            solved_weights([1.0, -1.0], 0.2)  # not increasing
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_residual_order_of_asymptotic_weights(self, p):
@@ -179,7 +206,7 @@ class TestSolveWeights:
             ])
             w = np.linalg.solve(V, rhs_trunc)
             R = np.vander(r * h, N=p, increasing=True).T
-            resids.append(float(np.sum(np.abs(R @ w * bh_value("b1", h) - phi_vector(p, h)))))
+            resids.append(float(np.sum(np.abs(R @ w * bh_value("b1", h) - stacked(p, h)))))
         assert fitted_slope(hs, resids) >= p + 0.6
 
     @settings(max_examples=100, deadline=None)
@@ -193,30 +220,43 @@ class TestSolveWeights:
     )
     def test_exact_solve_property(self, h, offsets, bh, prediction):
         r = sorted(offsets) + [1.0]
-        system = solve_weights(len(r), h, r, bh=bh, prediction=prediction)
-        assert np.all(np.isfinite(system.weights))
-        scale = max(1.0, float(np.max(np.abs(system.weights))))
-        assert system.residual() < 1e-9 * scale
+        w = solved_weights(r, h, bh=bh, prediction=prediction)
+        assert np.all(np.isfinite(w))
+        scale = max(1.0, float(np.max(np.abs(w))))
+        assert weight_residual(r, h, bh=bh, prediction=prediction) < 1e-9 * scale
 
 
 class TestVaryingCoefficients:
+    """The varying-coefficients weights w = C^{-1} v, C[n, m] = r_m^{n-1}/n! and
+    v_n = varphi_{n+1}(h), are the solved b1 weights of the same offsets."""
+
+    @staticmethod
+    def c_inverse_weights(r, h: float) -> np.ndarray:
+        p = len(r)
+        C = np.array([[rm ** (n - 1) / math.factorial(n) for rm in r] for n in range(1, p + 1)])
+        return np.linalg.inv(C) @ np.array([varphi(n + 1, h) for n in range(1, p + 1)])
+
     def test_p1_identity(self):
-        vcm = varying_coefficient_matrix(1, [1.0])
-        assert vcm.A.shape == (1, 1) and vcm.A[0, 0] == pytest.approx(1.0)
+        # C = [[1]] for r = [1], so the one weight is v_1 = varphi_2(h)
+        for h in (0.1, 0.5, 2.0):
+            assert solved_weights([1.0], h, bh="b1")[0] == pytest.approx(varphi(2, h), rel=1e-14)
 
     def test_p2_hand_inverse(self):
-        vcm = varying_coefficient_matrix(2, [-1.0, 1.0])
-        assert np.allclose(vcm.c_matrix(), [[1.0, 1.0], [-0.5, 0.5]], atol=1e-15)
-        assert np.allclose(vcm.A, [[0.5, -1.0], [0.5, 1.0]], atol=1e-14)
+        # r = [-1, 1]: C = [[1, 1], [-1/2, 1/2]], A = C^{-1} = [[1/2, -1], [1/2, 1]]
+        h = 0.4
+        want = np.array([[0.5, -1.0], [0.5, 1.0]]) @ [varphi(2, h), varphi(3, h)]
+        assert np.allclose(solved_weights([-1.0, 1.0], h, bh="b1"), want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_inverse_property(self, p):
         r = [-(p - m) for m in range(1, p)] + [1.0]
-        vcm = varying_coefficient_matrix(p, r)
-        assert np.max(np.abs(vcm.c_matrix() @ vcm.A - np.eye(p))) < 1e-12
+        for h in (0.05, 0.5, 1.5):
+            want = self.c_inverse_weights(r, h)
+            got = solved_weights(r, h, bh="b1")
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_range_and_singular_guards(self):
-        with pytest.raises(DomainError):
-            varying_coefficient_matrix(6, [-5, -4, -3, -2, -1, 1])
+        with pytest.raises(ValidationError):
+            SolverConfig(order=6, varying_coefficients=True)
         with pytest.raises(SingularSystemError):
-            varying_coefficient_matrix(2, [1.0, 1.0])
+            solved_weights([1.0, 1.0], 0.5, bh="b1")

@@ -19,12 +19,10 @@ from unipc import (
     ddim_step,
     exact_solution_xfree,
     make_time_grid,
-    predict,
     sample,
-    solve_weights,
-    unified_update,
 )
-from unipc.coeffs import bh_value, varphi
+from unipc.coeffs import bh_value
+from unipc.schedule import TimeGrid
 from unipc.solver import BufferEntry, SolverState, _guard
 
 
@@ -38,7 +36,7 @@ def const_model(value, dim=4):
 
 def fresh_state(sched, model, x, t0):
     state = SolverState(x=np.asarray(x, float), capacity=4)
-    state.push(BufferEntry(t0, sched.lam(t0), model(x, t0)))
+    state.push(BufferEntry(t0, model(x, t0)))
     return state
 
 
@@ -140,19 +138,23 @@ class TestUpdateFormulas:
         expected = x_pred - vp_linear.sigma(t1) * bh_value("b2", h) * 0.5 * d1
         assert np.allclose(res.trajectory[1], expected, rtol=1e-14)
 
-    def test_varying_p1_matches_solved_b1_weights(self, vp_linear):
-        t_prev, t_next = 0.5, 0.4
-        x = np.array([1.0, -2.0])
-        f_prev = np.array([0.3, 0.3])
-        D1 = np.array([0.05, -0.02])
-        via_varying = unified_update(
-            vp_linear, x, t_prev, t_next, f_prev, [1.0], [D1], varying=True
-        )
-        via_solved = unified_update(
-            vp_linear, x, t_prev, t_next, f_prev, [1.0], [D1], bh="b1", half_a1=False
-        )
-        scale = np.max(np.abs(via_solved))
-        assert np.max(np.abs(via_varying - via_solved)) < 1e-9 * scale
+    @pytest.mark.parametrize("variant", ["multistep", "singlestep"])
+    @pytest.mark.parametrize("prediction", ["noise", "data"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_varying_equals_half_a1_off_bitwise(self, vp_linear, rng, order, prediction, variant):
+        # The plan solves the same moment system for both, so the runs agree bit for bit.
+        grid = make_time_grid(vp_linear, 12)
+        x0 = rng.standard_normal(3)
+
+        def run(**kwargs):
+            model = SyntheticModel.linear_in_x(0.3, 3).evaluator(vp_linear)
+            if prediction == "data":
+                model = convert_parameterization(model, vp_linear)
+            config = SolverConfig(order=order, variant=variant, prediction=prediction, **kwargs)
+            return sample(model, vp_linear, grid, config, x0, trajectory=True).trajectory
+
+        for a, b in zip(run(varying_coefficients=True), run(half_a1=False)):
+            assert np.array_equal(a, b)
 
 
 class TestLocalOrders:
@@ -161,21 +163,25 @@ class TestLocalOrders:
         t_a = sched.t_of_lambda(lam_base - h)
         t_b = sched.t_of_lambda(lam_base)
         state = SolverState(x=x_base, capacity=4)
-        state.push(BufferEntry(t_a, lam_base - h, evaluator(x_base, t_a)))
-        state.push(BufferEntry(t_b, lam_base, evaluator(x_base, t_b)))
+        state.push(BufferEntry(t_a, evaluator(x_base, t_a)))
+        state.push(BufferEntry(t_b, evaluator(x_base, t_b)))
         return state, t_b
 
     def test_unip2_local_error_order(self, vp_linear, poly_model):
+        # One UniP-2 step from x_base at t_b, the output at t_a from the same
+        # x_base (the model is x-free): sample() over (t_a, t_b, t_next), warm-started at t_b.
         lam_base = vp_linear.lam(0.35)
         x_base = np.array([1.0, -1.0, 0.5, 2.0])
         hs = [0.4 * 2.0**-k for k in range(6)]
         errs = []
         for h in hs:
-            state, t_b = self._matched_state(vp_linear, poly_model, lam_base, h, x_base)
-            t_next = vp_linear.t_of_lambda(lam_base + h)
-            pred = predict(vp_linear, state, t_next, 2)
-            exact = exact_solution_xfree(poly_model, vp_linear, x_base, t_b, t_next)
-            errs.append(np.max(np.abs(pred.x_pred - exact)))
+            ts = [vp_linear.t_of_lambda(lam) for lam in (lam_base - h, lam_base, lam_base + h)]
+            grid = TimeGrid(np.array(ts), np.array([vp_linear.lam(t) for t in ts]), "uniform-lambda")
+            res = sample(poly_model.evaluator(vp_linear), vp_linear, grid,
+                         SolverConfig(order=2, corrector="off"), x_base, warm_start=[x_base])
+            assert [rec.order for rec in res.trace] == [2]
+            exact = exact_solution_xfree(poly_model, vp_linear, x_base, ts[1], ts[2])
+            errs.append(np.max(np.abs(res.final - exact)))
         assert fitted_slope(hs, errs) >= 2.6
 
     def test_unic2_local_error_order(self, vp_linear):
@@ -188,9 +194,8 @@ class TestLocalOrders:
         for h in hs:
             state, t_b = self._matched_state(vp_linear, model, lam_base, h, x_base)
             t_next = vp_linear.t_of_lambda(lam_base + h)
-            pred = predict(vp_linear, state, t_next, 2)
-            res = correct(vp_linear, state, t_next, pred.x_pred, 2, evaluator,
-                          rs=pred.rs, Ds=pred.Ds)
+            # x-free: the output at x_pred does not depend on x_pred, so any estimate will do
+            res = correct(vp_linear, state, t_next, x_base, 2, evaluator)
             exact = exact_solution_xfree(model, vp_linear, x_base, t_b, t_next)
             errs.append(np.max(np.abs(res.corrected - exact)))
         assert fitted_slope(hs, errs) >= 3.6
@@ -198,8 +203,9 @@ class TestLocalOrders:
     def test_insufficient_history(self, vp_linear, poly_model):
         evaluator = poly_model.evaluator(vp_linear)
         state = fresh_state(vp_linear, evaluator, np.ones(4), 0.9)
-        with pytest.raises(InsufficientHistoryError):
-            predict(vp_linear, state, 0.5, 2)
+        with pytest.raises(InsufficientHistoryError, match="order 2 needs 2 buffered outputs"):
+            correct(vp_linear, state, 0.5, np.ones(4), 2, evaluator)
+        assert evaluator.eval_count == 1  # the buffered output only
 
     def test_correct_on_empty_buffer(self, vp_linear, poly_model):
         evaluator = poly_model.evaluator(vp_linear)
@@ -481,6 +487,42 @@ class TestGuards:
             correct(vp_linear, state, t1, state.x.copy(), 1,
                     ModelEvaluator(model_fn, "noise", dim), oracle=oracle)
 
+    @pytest.mark.parametrize("x,eps", [
+        (np.array(1.0), np.ones(4)),     # a scalar state was broadcast to a constant state
+        (np.ones(4), np.ones(1)),        # so was a length-1 output
+        (np.ones(4), np.ones(3)),        # a bare numpy ValueError
+        (np.ones((1, 4)), np.ones(4)),   # a batch of states is not a state
+        (np.ones(4), np.ones((4, 1))),
+        (np.ones(4), ["a"] * 4),         # not numeric
+    ], ids=["scalar-x", "length-1-eps", "short-eps", "1x4-x", "4x1-eps", "text-eps"])
+    def test_ddim_step_shape_rejected(self, vp_linear, x, eps):
+        with pytest.raises(ValidationError, match="1-d array|not a numeric array"):
+            ddim_step(vp_linear, x, eps, 0.8, 0.6)
+
+    @pytest.mark.parametrize("where,value", [
+        ("x", np.array(1.0)),            # a scalar state.x returned a broadcast state
+        ("x", np.ones(3)),
+        ("x_pred", np.array(1.0)),       # an x-free model never noticed a wrong x_pred
+        ("x_pred", np.ones(5)),
+        ("x_pred", np.ones((1, 4))),
+        ("output", np.ones(3)),          # a bare numpy ValueError
+        ("output", np.ones(1)),          # broadcast over the state
+        ("output", np.array(0.5)),
+    ], ids=["scalar-x", "short-x", "scalar-x_pred", "long-x_pred", "1x4-x_pred",
+            "short-output", "length-1-output", "scalar-output"])
+    def test_correct_shape_rejected(self, vp_linear, poly_model, where, value):
+        evaluator = poly_model.evaluator(vp_linear)
+        state = SolverState(x=np.ones(4), capacity=4)
+        state.push(BufferEntry(0.9, evaluator(np.ones(4), 0.9)))
+        state.push(BufferEntry(0.8, value if where == "output" else evaluator(np.ones(4), 0.8)))
+        if where == "x":
+            state.x = value
+        x_pred = value if where == "x_pred" else np.ones(4)
+        calls = evaluator.eval_count
+        with pytest.raises(ValidationError, match="must be a 1-d array of length 4"):
+            correct(vp_linear, state, 0.7, x_pred, 2, evaluator)
+        assert evaluator.eval_count == calls
+
     def test_warm_start_too_long(self, vp_linear, poly_model, rng):
         grid = make_time_grid(vp_linear, 3)
         with pytest.raises(ValidationError, match="warm_start"):
@@ -620,15 +662,14 @@ class TestPlugAndPlayCorrector:
 
         evaluator = poly_model.evaluator(vp_linear)
         state = SolverState(x=x0.copy(), capacity=1)
-        state.push(BufferEntry(float(grid.times[0]), float(grid.lambdas[0]),
-                               evaluator(x0, float(grid.times[0]))))
+        state.push(BufferEntry(float(grid.times[0]), evaluator(x0, float(grid.times[0]))))
         traj = [x0.copy()]
         for i in range(1, M + 1):
             t_prev, t_next = float(grid.times[i - 1]), float(grid.times[i])
             x_pred = ddim_step(vp_linear, state.x, state.buffer[-1].output, t_prev, t_next)
             if i < M:
                 res = correct(vp_linear, state, t_next, x_pred, 1, evaluator)
-                state.push(BufferEntry(t_next, float(grid.lambdas[i]), res.push_output))
+                state.push(BufferEntry(t_next, res.push_output))
                 state.x = res.corrected
             else:
                 state.x = x_pred
