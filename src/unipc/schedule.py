@@ -10,6 +10,12 @@ is strictly decreasing in t and is the integration variable used by the
 solvers; every schedule therefore exposes both lambda(t) and its inverse
 t_of_lambda.  t_end is clipped away from 0 because lambda diverges there.
 
+The forward maps (log_alpha, alpha, sigma, lam, alpha_sigma_lambda) take one
+time and run once per model call, so they stay on Python floats and the math
+module.  t_of_lambda takes a number or an array of lambdas through one numpy
+implementation, so a grid, a plan or a reference inverts all its nodes in
+one call; _maps is the array form of the forward maps for the same callers.
+
 Two families are provided:
 
   vp-linear: log alpha_t = -t^2 (beta_max - beta_min)/4 - t beta_min/2,
@@ -34,6 +40,14 @@ SKIP_KINDS = ("uniform-lambda", "uniform-time", "quadratic-time")
 
 # Slack for range checks: round-tripped times may land a few ulp outside.
 _EDGE_TOL = 1e-9
+
+
+def _check_range(x: np.ndarray, lo: float, hi: float, name: str, what: str) -> None:
+    """DomainError, naming the first offender, unless every element of x lies in
+    [lo, hi] up to _EDGE_TOL (NaN never does)."""
+    inside = (x >= lo - _EDGE_TOL) & (x <= hi + _EDGE_TOL)
+    if not inside.all():
+        raise DomainError(f"{name}={float(x[~inside][0])} outside {what} range [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -143,30 +157,55 @@ class NoiseSchedule:
 
     # -- inverse map -----------------------------------------------------
 
-    def t_of_lambda(self, lam: float) -> float:
+    def t_of_lambda(self, lam):
         """Invert lambda(t) in closed form from log alpha = -1/2 log(1 + e^{-2 lam}).
 
-        vp-linear takes the positive root of its quadratic in t; vp-cosine
-        takes t = 2(1+s)/pi acos(alpha cos(pi s/(2(1+s)))) - s.
+        lam is a number (a float comes back) or an array (an array of times
+        of its shape comes back), element by element through the same numpy
+        code.  Every element must lie in [lambda_start, lambda_end] up to
+        _EDGE_TOL, else DomainError (NaN included); the two ends map to
+        t_start and t_end exactly.  vp-linear takes the positive root of its
+        quadratic in t; vp-cosine takes
+        t = 2(1+s)/pi acos(alpha cos(pi s/(2(1+s)))) - s.
         """
-        lam = float(lam)
+        lam = np.asarray(lam, dtype=float)
         lo, hi = self.lambda_start, self.lambda_end
-        if not lo - _EDGE_TOL <= lam <= hi + _EDGE_TOL:
-            raise DomainError(f"lambda={lam} outside achievable range [{lo}, {hi}]")
-        # Exact endpoints: lambda(t_end) must map back to t_end itself.
-        if lam >= hi:
-            return self.t_end
-        if lam <= lo:
-            return self.t_start
+        _check_range(lam, lo, hi, "lambda", "achievable")
+        log1p = np.logaddexp(-2.0 * lam, 0.0)  # log(1 + e^{-2 lam}) = -2 log alpha
         if self.kind == "vp-linear":
             # Solve (db/4) t^2 + (beta_min/2) t + log_alpha = 0 for the positive root,
-            # rationalized for stability; log(1+e^{-2 lam}) = -2 log_alpha.
+            # rationalized for stability.
             db = self.beta_max - self.beta_min
-            tmp = 2.0 * db * np.logaddexp(-2.0 * lam, 0.0)
-            return float(tmp / ((math.sqrt(self.beta_min**2 + tmp) + self.beta_min) * db))
-        s = self.cosine_s
-        alpha = math.exp(-0.5 * float(np.logaddexp(-2.0 * lam, 0.0)))
-        return 2.0 * (1.0 + s) / math.pi * math.acos(alpha * math.cos(0.5 * math.pi * s / (1.0 + s))) - s
+            tmp = 2.0 * db * log1p
+            t = tmp / ((np.sqrt(self.beta_min**2 + tmp) + self.beta_min) * db)
+        else:
+            s = self.cosine_s
+            alpha = np.exp(-0.5 * log1p)
+            t = 2.0 * (1.0 + s) / math.pi * np.arccos(alpha * math.cos(0.5 * math.pi * s / (1.0 + s))) - s
+        # Exact endpoints: lambda(t_end) must map back to t_end itself.
+        t = np.where(lam >= hi, self.t_end, np.where(lam <= lo, self.t_start, t))
+        return float(t) if t.ndim == 0 else t
+
+    def _maps(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log alpha, lambda, sigma) at each of an array of times, as arrays.
+
+        The array form of log_alpha, lam and sigma, with _check_t's range check
+        on every element.  vp-linear's log alpha is arithmetic alone and equals
+        log_alpha's bit for bit; numpy's log, cos and expm1 may differ from the
+        math module's in the last place.
+        """
+        t = np.asarray(t, dtype=float)
+        _check_range(t, self.t_end, self.t_start, "t", "usable")
+        t = np.clip(t, self.t_end, self.t_start)
+        if self.kind == "vp-linear":
+            la = -0.25 * t * t * (self.beta_max - self.beta_min) - 0.5 * t * self.beta_min
+        else:
+            s = self.cosine_s
+            la = np.log(np.cos(0.5 * math.pi * (t + s) / (1.0 + s))) - math.log(
+                math.cos(0.5 * math.pi * s / (1.0 + s))
+            )
+        sig2 = -np.expm1(2.0 * la)
+        return la, la - 0.5 * np.log(sig2), np.sqrt(sig2)
 
     # -- ODE coefficients --------------------------------------------------
 
@@ -227,14 +266,12 @@ def make_time_grid(sched: NoiseSchedule, M: int, skip_kind: str = "uniform-lambd
         raise ValidationError(f"unknown skip kind {skip_kind!r}")
     if skip_kind == "uniform-lambda":
         lambdas = np.linspace(sched.lambda_start, sched.lambda_end, M + 1)
-        times = np.array([sched.t_of_lambda(l) for l in lambdas])
-        times[0], times[-1] = sched.t_start, sched.t_end
-    elif skip_kind == "uniform-time":
+        return TimeGrid(times=sched.t_of_lambda(lambdas), lambdas=lambdas, skip_kind=skip_kind)
+    if skip_kind == "uniform-time":
         times = np.linspace(sched.t_start, sched.t_end, M + 1)
     else:  # quadratic-time: uniform in sqrt(t)
         roots = np.linspace(math.sqrt(sched.t_start), math.sqrt(sched.t_end), M + 1)
         times = roots**2
         times[0], times[-1] = sched.t_start, sched.t_end
-    if skip_kind != "uniform-lambda":
-        lambdas = np.array([sched.lam(t) for t in times])
+    lambdas = sched._maps(times)[1]
     return TimeGrid(times=times, lambdas=lambdas, skip_kind=skip_kind)

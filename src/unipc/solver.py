@@ -56,6 +56,7 @@ import numpy as np
 
 from . import coeffs
 from .errors import (
+    DomainError,
     InsufficientHistoryError,
     NumericError,
     ValidationError,
@@ -80,6 +81,22 @@ class Thresholding:
             raise ValidationError(f"thresholding ratio must lie in (0.5, 1], got {self.ratio}")
         if typed(self.floor, "number", "thresholding floor") < 1.0:
             raise ValidationError(f"thresholding floor must be >= 1, got {self.floor}")
+
+
+def _check_order(p, varying: bool) -> int:
+    """The order cap, MAX_VARYING_ORDER for varying coefficients, else MAX_ORDER;
+    ValidationError unless p is an int (not a bool) in 1..cap."""
+    limit = coeffs.MAX_VARYING_ORDER if varying else coeffs.MAX_ORDER
+    if not 1 <= typed(p, "int", "order") <= limit:
+        raise ValidationError(f"order {p} outside 1..{limit}")
+    return limit
+
+
+def _check_prediction(model: ModelEvaluator, prediction: str) -> None:
+    if model.prediction != prediction:
+        raise ValidationError(
+            f"model predicts {model.prediction!r} but config expects {prediction!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -113,9 +130,7 @@ class SolverConfig:
             raise ValidationError(f"unknown corrector {self.corrector!r}")
         typed(self.varying_coefficients, "bool", "varying_coefficients")
         typed(self.half_a1, "bool", "half_a1")
-        limit = coeffs.MAX_VARYING_ORDER if self.varying_coefficients else coeffs.MAX_ORDER
-        if not 1 <= typed(self.order, "int", "order") <= limit:
-            raise ValidationError(f"order {self.order} outside 1..{limit}")
+        limit = _check_order(self.order, self.varying_coefficients)
         if self.order_schedule is not None:
             digits = self.order_schedule
             if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()) or "0" in digits:
@@ -216,13 +231,6 @@ class SampleResult:
 # -- coefficient rows ----------------------------------------------------------
 
 
-def _nodes(sched: NoiseSchedule, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log alpha, lambda, sigma) at node times, computed the one way every update uses."""
-    la = np.array([sched.log_alpha(t) for t in ts], dtype=float)
-    sig2 = -np.expm1(2.0 * la)
-    return la, la - 0.5 * np.log(sig2), np.sqrt(sig2)
-
-
 def _evaluate(model: ModelEvaluator, x: np.ndarray, t: float) -> np.ndarray:
     """model(x, t), which must be a state: ValidationError unless its shape is (model.dim,)."""
     f = model(x, t)
@@ -255,7 +263,7 @@ def _guard(arr: np.ndarray, step: int) -> None:
 def _update(sched: NoiseSchedule, x: np.ndarray, ts, outputs, opts: dict) -> np.ndarray:
     """The single update from the second-to-last node of ts to its last node, over the
     outputs at its first len(outputs) nodes."""
-    nodes = _nodes(sched, ts)
+    nodes = sched._maps(ts)  # (log alpha, lambda, sigma), the one way every update uses
     P, lam = len(ts) - 2, nodes[1]
     R = (lam[:len(outputs)] - lam[P]) / (lam[-1] - lam[P])
     a, c = coeffs.update_rows(nodes, [P], [P + 1], R[None, :], **opts)
@@ -300,10 +308,18 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     mode the model is re-evaluated at the corrected state (one extra call)
     and that output is returned for buffering instead.  The history is the
     p latest buffered outputs; state.x, x_pred and each of those must be 1-d
-    arrays of length model.dim (ValidationError otherwise).
+    arrays of length model.dim (ValidationError otherwise).  p must be an int
+    in 1..MAX_ORDER (1..MAX_VARYING_ORDER when varying) and model must make
+    `prediction`s (ValidationError otherwise), and t_next must lie below the
+    last buffered time (DomainError); all of this is checked before the model
+    is called.
     """
+    _check_order(p, varying)
+    _check_prediction(model, prediction)
     opts = dict(bh=bh, prediction=prediction, half_a1=half_a1 and not varying)
     entries = _history(state, p)
+    if not t_next < entries[-1].t:
+        raise DomainError(f"t_next={t_next} is not below the last buffered t={entries[-1].t}")
     x = _state(state.x, model.dim, "state.x")
     outputs = [_state(e.output, model.dim, f"buffered output at t={e.t}") for e in entries]
     f_pred = _evaluate(model, _state(x_pred, model.dim, "x_pred"), t_next)
@@ -315,6 +331,22 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
 
 
 # -- step plan ------------------------------------------------------------------
+
+
+def _singlestep_times(sched: NoiseSchedule, times: np.ndarray, lam: np.ndarray, p: np.ndarray,
+                      first: int) -> np.ndarray:
+    """Node times of singlestep steps first..M of orders p, in evaluation order: the grid
+    times (lambdas lam), each step's p_i - 1 interior nodes at lambda_{i-1} + (m/p_i) h_i,
+    m = 1..p_i - 1, before its grid node."""
+    ts = np.empty(first + p.sum())
+    on_grid = np.r_[:first, first - 1 + np.cumsum(p)]
+    ts[on_grid] = times
+    q = p - 1  # interior nodes per step
+    m = np.arange(1, q.sum() + 1) - np.repeat(np.cumsum(q) - q, q)
+    lam0, h = lam[first - 1:-1], np.diff(lam)[first - 1:]  # each step's start and size
+    interior = np.repeat(lam0, q) + (m / np.repeat(p, q)) * np.repeat(h, q)
+    ts[np.delete(np.arange(ts.size), on_grid)] = sched.t_of_lambda(interior)
+    return ts
 
 
 #: Rows built together: bounds the build's temporaries (about 0.3 KB a row).
@@ -344,15 +376,11 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     corr = (np.arange(first, M + 1) < M) & (config.corrector != "off")
     single = config.variant == "singlestep"
     ts = grid.times
-    nodes = _nodes(sched, ts)
+    nodes = sched._maps(ts)
     base = first - 1 + (np.cumsum(p) - p if single else np.arange(len(p)))  # each step's start
     if single:
-        lam, ts = nodes[1], np.empty(first + p.sum())
-        ts[np.r_[:first, base + p]] = grid.times  # grid nodes; each step's interior ones:
-        for i, b, p_i in zip(range(first, M + 1), base.tolist(), orders):
-            h = lam[i] - lam[i - 1]
-            ts[b + 1:b + p_i] = [sched.t_of_lambda(lam[i - 1] + (m / p_i) * h) for m in range(1, p_i)]
-        nodes = _nodes(sched, ts)
+        ts = _singlestep_times(sched, grid.times, nodes[1], p, first)
+        nodes = sched._maps(ts)
     lam = nodes[1]
     count = 1 + corr + (p - 1 if single else 0)  # rows per step
     ends = np.cumsum(count)
@@ -400,10 +428,7 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     never written, and the model must not keep the arrays it is given (the
     run reuses them).  trajectory=True also keeps a copy of every grid state.
     """
-    if model.prediction != config.prediction:
-        raise ValidationError(
-            f"model predicts {model.prediction!r} but config expects {config.prediction!r}"
-        )
+    _check_prediction(model, config.prediction)
     times, lambdas = grid.times, grid.lambdas
     M = grid.num_steps
     if abs(lambdas[0] - sched.lam(times[0])) > 1e-8 or abs(lambdas[-1] - sched.lam(times[-1])) > 1e-8:

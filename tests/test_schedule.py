@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unipc import DomainError, NoiseSchedule, ValidationError, make_time_grid
+from unipc.schedule import _EDGE_TOL
 
 # Frozen with a 40-digit mpmath evaluation of the closed forms.
 ALPHA_AT_1 = 0.0065715864949296154
@@ -85,6 +86,68 @@ class TestInverse:
             if ta == tb:
                 continue
             assert sched.lam(float(ta)) > sched.lam(float(tb))
+
+
+class TestArrayMaps:
+    """t_of_lambda and _maps on arrays against the scalar maps, element by element."""
+
+    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
+    def test_inverse_array_equals_scalar(self, kind):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        lams = np.linspace(sched.lambda_start, sched.lambda_end, 2001)
+        lams = np.concatenate([lams, np.random.default_rng(3).uniform(lams[0], lams[-1], 500)])
+        ts = sched.t_of_lambda(lams)
+        assert isinstance(ts, np.ndarray) and ts.shape == lams.shape
+        scalar = [sched.t_of_lambda(float(lam)) for lam in lams]
+        assert all(type(t) is float for t in scalar)
+        assert np.array_equal(ts, scalar)
+
+    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
+    def test_forward_arrays_match_scalar_maps(self, kind):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        ts = np.linspace(sched.t_end, sched.t_start, 2001)
+        la, lam, sigma = sched._maps(ts)
+        scalar = np.array([(sched.log_alpha(t), sched.lam(t), sched.sigma(t)) for t in ts.tolist()])
+        # numpy's log, cos and expm1 may differ from the math module's in the last place
+        assert np.max(np.abs(np.stack([la, lam, sigma], axis=1) - scalar)) <= 1e-15
+        if kind == "vp-linear":  # log alpha is arithmetic alone
+            assert np.array_equal(la, scalar[:, 0])
+
+    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
+    def test_endpoints_exact_within_slack(self, kind):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        lo, hi, slack = sched.lambda_start, sched.lambda_end, 0.5 * _EDGE_TOL
+        ts = sched.t_of_lambda(np.array([lo, hi, lo - slack, hi + slack]))
+        assert ts.tolist() == [sched.t_start, sched.t_end] * 2
+        edges = np.array([sched.t_end, sched.t_start])
+        for got, want in zip(sched._maps(edges + [-slack, slack]), sched._maps(edges)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
+    @pytest.mark.parametrize("where", [0, 3, 7])
+    @pytest.mark.parametrize("bad", ["below", "above", "nan"])
+    def test_one_bad_element_raises(self, kind, where, bad):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        lams = np.linspace(sched.lambda_start, sched.lambda_end, 8)
+        ts = np.linspace(sched.t_end, sched.t_start, 8)
+        lams[where] = {"below": sched.lambda_start - 2 * _EDGE_TOL,
+                       "above": sched.lambda_end + 2 * _EDGE_TOL, "nan": math.nan}[bad]
+        ts[where] = {"below": sched.t_end - 2 * _EDGE_TOL,
+                     "above": sched.t_start + 2 * _EDGE_TOL, "nan": math.nan}[bad]
+        with pytest.raises(DomainError, match="lambda=.* outside achievable range"):
+            sched.t_of_lambda(lams)
+        with pytest.raises(DomainError, match="t=.* outside usable range"):
+            sched._maps(ts)
+
+    def test_scalar_nan_rejected(self, vp_cosine):
+        with pytest.raises(DomainError):
+            vp_cosine.t_of_lambda(math.nan)
+
+    @pytest.mark.parametrize("lam", [np.array(0.3), np.float64(0.3), 0.3, 1])
+    def test_scalar_in_gives_float_out(self, vp_cosine, lam):
+        t = vp_cosine.t_of_lambda(lam)
+        assert type(t) is float
+        assert t == vp_cosine.t_of_lambda(np.array([lam], dtype=float))[0]
 
 
 class TestDriftDiffusion:

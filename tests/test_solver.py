@@ -7,6 +7,7 @@ import pytest
 
 from oracles import fitted_slope
 from unipc import (
+    DomainError,
     InsufficientHistoryError,
     ModelEvaluator,
     NumericError,
@@ -213,6 +214,60 @@ class TestLocalOrders:
         with pytest.raises(InsufficientHistoryError, match="buffer is empty"):
             correct(vp_linear, state, 0.5, np.ones(4), 1, evaluator)
         assert evaluator.eval_count == 0
+
+
+class TestCorrectChecks:
+    """correct() rejects a bad order, a model of the other prediction and a t_next that
+    does not step forward, before it calls the model."""
+
+    def _state(self, evaluator, ts):
+        state = SolverState(x=np.ones(4), capacity=len(ts))
+        for t in ts:
+            state.push(BufferEntry(t, evaluator(np.ones(4), t)))
+        return state
+
+    @pytest.mark.parametrize("p,varying", [
+        (0, False), (-1, False), (1.5, False), (2.0, False), (True, False), ("2", False),
+        (None, False), (10, False), (6, True),
+    ], ids=["zero", "negative", "fraction", "float", "bool", "text", "none", "above-cap",
+            "above-varying-cap"])
+    def test_bad_order_rejected(self, vp_linear, poly_model, p, varying):
+        # ten buffered outputs: enough history for every order tried
+        evaluator = poly_model.evaluator(vp_linear)
+        state = self._state(evaluator, [0.9 - 0.05 * k for k in range(10)])
+        calls = evaluator.eval_count
+        with pytest.raises(ValidationError, match="order"):
+            correct(vp_linear, state, 0.4, np.ones(4), p, evaluator, varying=varying)
+        assert evaluator.eval_count == calls
+
+    def test_numpy_int_order_accepted(self, vp_linear, poly_model):
+        evaluator = poly_model.evaluator(vp_linear)
+        state = self._state(evaluator, [0.9, 0.8, 0.7])
+        got = correct(vp_linear, state, 0.6, np.ones(4), np.int64(3), evaluator)
+        want = correct(vp_linear, state, 0.6, np.ones(4), 3, evaluator)
+        assert np.array_equal(got.corrected, want.corrected)
+
+    @pytest.mark.parametrize("model_prediction", ["noise", "data"])
+    def test_prediction_mismatch_rejected(self, vp_linear, poly_model, model_prediction):
+        evaluator = poly_model.evaluator(vp_linear)
+        if model_prediction == "data":
+            evaluator = convert_parameterization(evaluator, vp_linear)
+        other = "noise" if model_prediction == "data" else "data"
+        state = self._state(evaluator, [0.9, 0.8])
+        calls = evaluator.eval_count
+        with pytest.raises(ValidationError,
+                           match=f"model predicts '{model_prediction}' but config expects '{other}'"):
+            correct(vp_linear, state, 0.7, np.ones(4), 2, evaluator, prediction=other)
+        assert evaluator.eval_count == calls
+
+    @pytest.mark.parametrize("t_next", [0.95, 0.7, math.nan])
+    def test_t_next_must_lie_below_last_buffered_time(self, vp_linear, poly_model, t_next):
+        evaluator = poly_model.evaluator(vp_linear)
+        state = self._state(evaluator, [0.9, 0.7])
+        calls = evaluator.eval_count
+        with pytest.raises(DomainError, match="t_next"):
+            correct(vp_linear, state, t_next, np.ones(4), 2, evaluator)
+        assert evaluator.eval_count == calls
 
 
 class TestDataPrediction:

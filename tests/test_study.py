@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import rk4_reference
 from unipc import (
     ConvergenceStudy,
     FitError,
@@ -66,6 +67,49 @@ class TestReferenceSolution:
         with pytest.raises(DomainError):
             reference_solution(SyntheticModel.linear_in_x(0.5, 2), vp_linear,
                                rng.standard_normal(2), 1.0, 1e-3, "closed-form")
+
+
+class _CountedModel:
+    """A SyntheticModel that keeps the evaluators it hands out, to count their calls."""
+
+    def __init__(self, model):
+        self.model, self.evaluators = model, []
+
+    def evaluator(self, sched):
+        self.evaluators.append(self.model.evaluator(sched))
+        return self.evaluators[-1]
+
+
+class TestReferenceAgainstOracle:
+    # 1500 steps are one full block and a partial one (the 3000-step pass: two and a
+    # partial); 1024 steps are exactly one block (two).  Both pass the drift gate.
+    @pytest.mark.parametrize("kind,family,steps", [
+        ("vp-linear", "linear-in-x", 1500),
+        ("vp-linear", "x-free-poly", 1500),
+        ("vp-cosine", "linear-in-x", 1500),
+        ("vp-cosine", "x-free-poly", 1500),
+        ("vp-cosine", "x-free-poly", 1024),
+    ])
+    def test_matches_stagewise_rk4(self, kind, family, steps, rng):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        if family == "linear-in-x":
+            model = SyntheticModel.linear_in_x([0.3, -0.5, 0.8], 3)
+        else:
+            model = SyntheticModel.x_free_poly([0.3, -1.2, 0.5], 3)
+        x = rng.standard_normal(3)
+        counted = _CountedModel(model)
+        got = reference_solution(counted, sched, x, sched.t_start, sched.t_end, "fine-rk4",
+                                 steps=steps)
+        want = rk4_reference(model.evaluator(sched), sched, x, sched.t_start, sched.t_end,
+                             2 * steps)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert sum(e.eval_count for e in counted.evaluators) == 12 * steps
+
+    @pytest.mark.parametrize("steps", [0, -3, 2.0, True])
+    def test_bad_step_count_rejected(self, vp_linear, steps):
+        with pytest.raises(ValidationError, match="steps"):
+            reference_solution(SyntheticModel.linear_in_x(0.5, 2), vp_linear, np.ones(2),
+                               1.0, 1e-3, "fine-rk4", steps=steps)
 
 
 class TestFitOrder:
