@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -136,27 +137,20 @@ def _plan_row_residual(sched, times, nodes, P: int, N: int, a, c, prediction: st
 
 
 def _selftest_plan() -> tuple[bool, str]:
-    sched = NoiseSchedule()
-    M = 12
-    grid = make_time_grid(sched, M, "quadratic-time")  # step sizes and offsets vary
-    times = [float(t) for t in grid.times]
-    worst, drift, rows = 0.0, 0.0, 0
-    for order in range(1, 6):
-        for bh in coeffs.BH_KINDS:
-            for prediction in ("noise", "data"):
-                config = SolverConfig(order=order, bh=bh, prediction=prediction, half_a1=False)
-                a, c, _, orders = solver._plan(sched, grid, config, 1)
-                row, K = 0, c.shape[1]
-                for i, p in enumerate(orders, start=1):
-                    # predictor on nodes i-p..i-1, then the corrector on i-p..i (slots j % K)
-                    for w in (p, p + 1) if i < M else (p,):
-                        nodes = range(i - p, i - p + w)
-                        residual, w1_drift = _plan_row_residual(
-                            sched, times, nodes, i - 1, i, a[row],
-                            c[row, [j % K for j in nodes]], prediction, bh)
-                        worst, drift = max(worst, residual), max(drift, w1_drift)
-                        row += 1
-                rows += row
+    sched, worst, drift, rows = NoiseSchedule(), 0.0, 0.0, 0
+    grid = make_time_grid(sched, 12, "quadratic-time")  # step sizes and offsets vary
+    for variant, order, bh, prediction in itertools.product(
+            solver.VARIANTS, range(1, 6), coeffs.BH_KINDS, ("noise", "data")):
+        config = SolverConfig(order=order, variant=variant, bh=bh, prediction=prediction,
+                              half_a1=False)
+        plan = solver._plan(sched, grid, config, 1)
+        K = plan.c.shape[1]
+        for r, (P, N, low, corr) in enumerate(zip(plan.src, plan.dst, plan.low, plan.corrector)):
+            nodes = range(low, N + corr)  # a corrector also reads the node it lands on
+            residual, w1_drift = _plan_row_residual(sched, plan.ts, nodes, P, N, plan.a[r],
+                                                    plan.c[r, np.mod(nodes, K)], prediction, bh)
+            worst, drift = max(worst, residual), max(drift, w1_drift)
+        rows += len(plan.a)
     return worst < 1e-12 and drift <= 1.0, (
         f"max relative order-condition residual = {worst:.3e} over {rows} rows, "
         f"|w1 - 1/2|/h <= {drift:.3f}")

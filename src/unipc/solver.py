@@ -29,27 +29,30 @@ varying-coefficients weights w = A v, A = C^{-1}, C = diag(1/n!) V(r),
 are that same solution.  Only the half_a1 shortcut, which pins a single
 weight to 1/2 (accurate for both B variants), depends on B.
 
-sample() builds the plan once per call from (schedule, grid, config): a
-and c of every predictor, corrector and singlestep interior node, for all
-steps at once (coeffs.basis_table and coeffs.moment_rows on batches of
-rows).  The run keeps the K latest model outputs in a K-row ring, node n's
-in row n % K, and each plan row holds its c in that slot order (0 in slots
-it does not use), so an update is one c @ ring + a x into one of two reused
-state buffers: K + 2 state-sized arrays whatever the number of steps.
-correct and ddim_step, the one-step API for plugging UniC into another
-sampler, build a single row the same way and apply it as c @ F + a x.
+sample() builds the plan once per call from (schedule, grid, config), for
+all steps at once (coeffs.basis_table and coeffs.moment_rows on batches of
+rows).  The plan owns the run layout: per update its a and c, the node it
+steps from and lands on, the nodes it reads and the model call after it;
+the driver is one config-free loop over those rows.  The run keeps the K
+latest model outputs in a K-row ring, node n's in row n % K, and each plan
+row holds its c in that slot order (0 in slots it does not use), so an
+update is one c @ ring + a x into one of two reused state buffers: K + 2
+state-sized arrays whatever the number of steps.  correct and ddim_step,
+the one-step API for plugging UniC into another sampler, build a single
+row the same way and apply it as c @ F + a x.
 
-The multistep driver follows the warm-up discipline p_i = min(p, i),
-pushes the model output evaluated at the *uncorrected* predictor result
-into the history buffer, never corrects after the final predictor, and
-skips the final unconsumed evaluation, so a run over M steps costs
-exactly M model calls with the standard corrector (2M - 1 in oracle mode,
-which re-evaluates at each corrected state).
+The multistep plan follows the warm-up discipline p_i = min(p, i), pushes
+the model output evaluated at the *uncorrected* predictor result into the
+history buffer, never corrects after the final predictor, and skips the
+final unconsumed evaluation, so a run over M steps costs exactly M model
+calls with the standard corrector (2M - 1 in oracle mode, which
+re-evaluates at each corrected state).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -177,6 +180,9 @@ class SolverConfig:
         th = spec.pop("thresholding", None)
         if th is not None:
             th = typed(th, "dict", "thresholding")
+            extra, missing = sorted(set(th) - {"ratio", "floor"}), sorted({"ratio", "floor"} - set(th))
+            if extra or missing:
+                raise ValidationError(f"thresholding fields: unknown {extra}, missing {missing}")
             th = Thresholding(ratio=float(typed(th["ratio"], "number", "thresholding ratio")),
                               floor=float(typed(th["floor"], "number", "thresholding floor")))
         extra = set(spec) - {f.name for f in fields(cls)}
@@ -353,66 +359,78 @@ def _singlestep_times(sched: NoiseSchedule, times: np.ndarray, lam: np.ndarray, 
 _BATCH = 32
 
 
-def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int):
-    """Compile steps first..M of a run into its updates, for all steps at once.
-
-    Returns (a, c, ts, orders): the updates in the order the run applies
-    them, per step the singlestep interior nodes m = 1..p-1, the predictor,
-    then the corrector if the step is corrected.  These combine the
-    outputs of the w = m, p and p + 1 latest nodes: update j is
-    c[j] @ ring + a[j] x, with x the state the step starts from and ring
-    the K = c.shape[1] latest outputs, node n's in row n % K (c[j] is 0 in
-    the others).  ts holds the node times in evaluation order, orders the
-    order of each step.
-
-    Row r steps from node P to node N and combines the outputs of nodes
-    low..E, at offsets from the node lambdas (multistep: the grid nodes) or
-    at the nominal fractions of a singlestep step from node b, which adds
-    interior nodes b + m at lambda_b + (m/p) h, then its grid node b + p.
-    """
-    M = grid.num_steps
-    orders = config.resolved_orders(M)[first - 1:]
-    p = np.array(orders)
-    corr = (np.arange(first, M + 1) < M) & (config.corrector != "off")
-    single = config.variant == "singlestep"
-    ts = grid.times
-    nodes = sched._maps(ts)
-    base = first - 1 + (np.cumsum(p) - p if single else np.arange(len(p)))  # each step's start
-    if single:
-        ts = _singlestep_times(sched, grid.times, nodes[1], p, first)
-        nodes = sched._maps(ts)
-    lam = nodes[1]
-    count = 1 + corr + (p - 1 if single else 0)  # rows per step
-    ends = np.cumsum(count)
-    K = max(orders) + (config.corrector != "off")
-    a, c = np.empty(ends[-1]), np.zeros((ends[-1], K))
+def _coefficients(nodes, src, dst, low, corrector, config: SolverConfig, K: int):
+    """a and c of the rows that _plan lays out, built _BATCH rows at a time."""
+    lam, single = nodes[1], config.variant == "singlestep"
     opts = dict(bh=config.bh, prediction=config.prediction,
                 half_a1=config.half_a1 and not config.varying_coefficients)
-    for j in range(0, ends[-1], _BATCH):
-        rows = np.arange(j, min(j + _BATCH, ends[-1]))
-        s = np.searchsorted(ends, rows, side="right")  # step of each row
-        pos = rows - (ends - count)[s]  # 0 for the step's first row
-        P = base[s]
-        if single:  # interior nodes, predictor, corrector
-            N = P + np.minimum(pos + 1, p[s])
-            E, low = N - 1 + (pos == p[s]), P
-        else:  # predictor, corrector
-            N = P + 1
-            E, low = P + pos, N - p[s]
-        J = E[:, None] + np.arange(-int((E - low).max()), 1)  # each row's nodes, oldest first
+    a, c = np.empty(len(src)), np.zeros((len(src), K))
+    for j in range(0, len(src), _BATCH):
+        rows = slice(j, j + _BATCH)
+        P, N, L = (v[rows].astype(np.intp) for v in (src, dst, low))  # intp indexes faster
+        E = N - 1 + corrector[rows]  # the last node a row reads
+        J = E[:, None] + np.arange(-int((E - L).max()), 1)  # each row's nodes, oldest first
         if single:
             R = (J - P[:, None]) / (N - P)[:, None]
         else:
             R = (lam[np.maximum(J, 0)] - lam[P][:, None]) / (lam[N] - lam[P])[:, None]
-        R[J < low[:, None]] = np.nan  # nodes the row does not use; their c is 0
+        R[J < L[:, None]] = np.nan  # nodes the row does not use; their c is 0
         a[rows], cb = coeffs.update_rows(nodes, P, N, R, **opts)
-        c[rows[:, None], J % K] = cb  # a row's <= K consecutive nodes take distinct slots
-    return a, c, ts.tolist(), orders
+        c[np.arange(j, j + len(J))[:, None], J % K] = cb  # <= K consecutive nodes, distinct slots
+    return a, c
+
+
+_Plan = namedtuple("_Plan", "a c ts src dst low corrector call bounds trace")
+
+
+def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Plan:
+    """Compile steps first..M of a run into its updates, for all steps at once.
+
+    The plan is the one owner of the run layout.  Its rows are the updates in
+    the order the run applies them: per step the singlestep interior nodes
+    m = 1..p-1, the predictor, then the corrector if the step is corrected.
+    Row r steps from node src[r] (the state x its step starts from) to node
+    dst[r], reads the outputs of nodes low[r]..dst[r] - 1 (and dst[r] if
+    corrector[r]) and is c[r] @ ring + a[r] x, with ring the K = c.shape[1]
+    latest outputs, node n's in row n % K (c[r] is 0 in the others).  call[r]
+    is the node whose model call follows the row, at its result, or -1 (a
+    standard corrector, the run's last row).  ts holds the node times in
+    evaluation order; step k is rows bounds[k]:bounds[k + 1], trace[k] its
+    StepRecord.
+
+    Rows take their offsets from the node lambdas (multistep: the grid nodes)
+    or at the nominal fractions of a singlestep step from node b, which adds
+    interior nodes b + m at lambda_b + (m/p) h, then its grid node b + p.
+    """
+    M = grid.num_steps
+    orders = config.resolved_orders(M)[first - 1:]
+    p = np.array(orders, np.int32)  # node numbers are int32: the plan keeps several per row
+    corr = (np.arange(first, M + 1) < M) & (config.corrector != "off")
+    single = config.variant == "singlestep"
+    ts, base = grid.times, np.arange(first - 1, M, dtype=np.int32)  # each step's start node
+    if single:
+        base = first - 1 + p.cumsum(dtype=np.int32) - p
+        ts = _singlestep_times(sched, ts, sched._maps(ts)[1], p, first)
+    count = 1 + corr + (p - 1 if single else 0)  # rows per step
+    bounds = np.zeros(len(p) + 1, int)  # step k is rows bounds[k]:bounds[k + 1]
+    bounds[1:] = count.cumsum()
+    last = bounds[1:] - 1  # each step's last row
+    src, corrector = base.repeat(count), np.zeros(bounds[-1], bool)
+    corrector[last] = corr
+    dst = first - 1 + (~corrector).cumsum(dtype=np.int32)  # only correctors reuse a node
+    low = src if single else dst - p.repeat(count)
+    a, c = _coefficients(sched._maps(ts), src, dst, low, corrector, config,
+                         max(orders) + (config.corrector != "off"))  # its temporaries die here
+    call = np.where(corrector, -1, dst) if config.corrector == "standard" else dst.copy()
+    call[-1] = -1
+    ts = ts.tolist()  # below: a step's used_ts lists the nodes after its start b first
+    trace = [StepRecord(i, q, ts[b], ts[n], tuple(ts[b + 1:n] + ts[lo:b + 1] + ts[n:n + cr]), cr)
+             for i, q, b, n, lo, cr in zip(range(first, M + 1), orders,
+                                           *map(memoryview, (base, dst[last], low[last], corr)))]
+    return _Plan(a, c, ts, src, dst, low, corrector, call, bounds, trace)
 
 
 # -- driver ----------------------------------------------------------------
-
-
 
 
 def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig,
@@ -430,59 +448,46 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     """
     _check_prediction(model, config.prediction)
     times, lambdas = grid.times, grid.lambdas
-    M = grid.num_steps
     if abs(lambdas[0] - sched.lam(times[0])) > 1e-8 or abs(lambdas[-1] - sched.lam(times[-1])) > 1e-8:
         raise ValidationError("grid does not belong to this schedule")
     x = _state(x_init, model.dim, "x_init")
     warm = [_state(xs, model.dim, f"warm_start[{j}]") for j, xs in enumerate(warm_start or [])]
-    if len(warm) > M - 1:
+    if len(warm) >= grid.num_steps:
         raise ValidationError("warm_start longer than the grid allows")
-    first = len(warm) + 1
-    a, c, ts, orders = _plan(sched, grid, config, first)
-    K = c.shape[1]
+    plan = _plan(sched, grid, config, len(warm) + 1)
+    c, K = plan.c, plan.c.shape[1]
+    # memoryviews index to Python scalars, cheaper per row than numpy's
+    a, corrector, call, bounds = map(memoryview, (plan.a, plan.corrector, plan.call, plan.bounds))
     ring = np.zeros((K, model.dim))  # node n's output in row n % K
-    # Steps alternate between two buffers: a corrector reads x, never x_pred.
     buffers = (np.empty(model.dim), np.empty(model.dim))
-    nfe = n = row = 0  # model calls, latest node, next update
+    th, nfe = config.thresholding, 0
 
     def evaluate(x_at: np.ndarray, node: int, step: int) -> None:
         # Straight into the slot (its old output is dead), so the model's array
         # is freed before thresholding, which then works in the slot.
         nonlocal nfe
         out = ring[node % K]
-        out[...] = _evaluate(model, x_at, ts[node])
+        out[...] = _evaluate(model, x_at, plan.ts[node])
         nfe += 1
-        if (th := config.thresholding) is not None:
+        if th is not None:
             _threshold(out, th.ratio, th.floor)
         _guard(out, step)
 
-    def update(y: np.ndarray) -> np.ndarray:  # the next update, written into y
-        nonlocal row
-        row += 1
-        return np.add(np.dot(c[row - 1], ring, out=y), a[row - 1] * x, out=y)
-
-    kept, trace = ([s.copy() for s in [x] + warm] if trajectory else None), []
+    kept = [s.copy() for s in [x] + warm] if trajectory else None
     for n, x in enumerate([x] + warm):
         _guard(x, n)
         evaluate(x, n, n)
-    single = config.variant == "singlestep"
-    for i, p in zip(range(first, M + 1), orders):
-        b, y = n, buffers[(i - first) % 2]  # y: the buffer x is not in
-        used = ts[b + 1:b + p] + ts[b:b + 1] if single else ts[b - p + 1:b + 1]
-        for m in range(1, p + 1 if single else 2):  # interior nodes, then the predictor
-            _guard(update(y), i)
-            if i < M or (single and m < p):
-                n += 1
-                evaluate(y, n, i)
-        if i < M and config.corrector != "off":
-            update(y)
-            if config.corrector == "oracle":
-                evaluate(y, n, i)
-            _guard(y, i)
-            used.append(ts[n])
-        trace.append(StepRecord(i, p, ts[b], ts[b + (p if single else 1)], tuple(used),
-                                i < M and config.corrector != "off"))
+    for k, rec in enumerate(plan.trace):
+        i, y = rec.index, buffers[k % 2]  # alternate buffers: a corrector reads x, never x_pred
+        for r in range(bounds[k], bounds[k + 1]):
+            np.add(np.dot(c[r], ring, out=y), a[r] * x, out=y)
+            if not corrector[r]:
+                _guard(y, i)
+            if call[r] >= 0:
+                evaluate(y, call[r], i)
+            if corrector[r]:  # an oracle corrector's call comes first
+                _guard(y, i)
         x = y
         if trajectory:
             kept.append(x.copy())
-    return SampleResult(final=x, nfe=nfe, trace=trace, trajectory=kept)
+    return SampleResult(final=x, nfe=nfe, trace=plan.trace, trajectory=kept)

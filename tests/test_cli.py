@@ -158,6 +158,17 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         assert calls == []
 
+    @pytest.mark.parametrize("th", [{"ratio": 0.9, "floor": 1.0, "flor": 2.0}, {"ratio": 0.9}],
+                             ids=["unknown-key", "missing-key"])
+    def test_thresholding_keys_exit_2(self, tmp_path, capsys, th):
+        cfg = with_field(with_field(CONFIG, ("solvers", 0, "prediction"), "data"),
+                         ("solvers", 0, "thresholding"), th)
+        path = tmp_path / "th.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "thresholding fields" in err and "Traceback" not in err
+
     def test_invalid_order_schedule_exits_2(self, config_path, tmp_path):
         cfg = json.loads(open(config_path).read())
         cfg["solvers"] = [{"order": 3, "order_schedule": "331"}]
@@ -246,4 +257,5 @@ class TestSelftest:
         printed = capsys.readouterr().out
         assert printed.count("PASS") == 4 and "FAIL" not in printed
         assert "selftest plan-residuals: PASS" in printed and "|w1 - 1/2|/h <=" in printed
+        assert "over 1320 rows" in printed  # 460 multistep and 860 singlestep rows
         assert "selftest threshold-quantile: PASS" in printed

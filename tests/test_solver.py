@@ -41,6 +41,37 @@ def fresh_state(sched, model, x, t0):
     return state
 
 
+def documented_layout(sched, grid, config, warm):
+    """The model-call times and the per-step trace rows (index, order, t_prev, t_next,
+    used_ts, corrected) of a run, as the solver.py docstrings lay it out.
+
+    The run evaluates the model at its start state and each warm-start state, then
+    per step i of order p: singlestep first evaluates its p - 1 interior nodes
+    lambda_{i-1} + (m/p) h, m = 1..p-1; every step but the last evaluates at t_i, and
+    the oracle corrector evaluates there again.  A multistep step reads the outputs
+    at t_{i-p}..t_{i-1}, a singlestep step its interior nodes then t_{i-1}; a
+    corrector (every step but the last) also reads t_i.
+    """
+    t, M = [float(v) for v in grid.times], grid.num_steps
+    calls, records = t[:warm + 1], []
+    for i, p in zip(range(warm + 1, M + 1), config.resolved_orders(M)[warm:]):
+        lam0, h = sched.lam(t[i - 1]), sched.lam(t[i]) - sched.lam(t[i - 1])
+        interior = [sched.t_of_lambda(lam0 + (m / p) * h) for m in range(1, p)]
+        corrected = i < M and config.corrector != "off"
+        if config.variant == "singlestep":
+            calls += interior
+            used = interior + [t[i - 1]]
+        else:
+            used = t[i - p:i]
+        calls += [t[i]] * ((i < M) + (corrected and config.corrector == "oracle"))
+        records.append((i, p, t[i - 1], t[i], tuple(used + [t[i]] * corrected), corrected))
+    return calls, records
+
+
+LAYOUTS = [(variant, corrector, warm) for variant in ("multistep", "singlestep")
+           for corrector in ("off", "standard", "oracle") for warm in (0, 2)]
+
+
 class TestDDIMReduction:
     def manual_ddim(self, sched, model, grid, x0):
         x = np.asarray(x0, float)
@@ -340,20 +371,19 @@ class TestNFEAccounting:
 
 
 class TestBufferDiscipline:
-    def test_used_timesteps_per_step(self, vp_linear, poly_model, rng):
-        M = 8
+    @pytest.mark.parametrize("variant,corrector,warm", LAYOUTS)
+    def test_used_timesteps_per_step(self, vp_linear, poly_model, rng, variant, corrector, warm):
+        M, x0 = 6, rng.standard_normal(4)
         grid = make_time_grid(vp_linear, M)
-        res = sample(poly_model.evaluator(vp_linear), vp_linear, grid,
-                     SolverConfig(order=3, corrector="standard"), rng.standard_normal(4))
-        for rec in res.trace:
-            i, p = rec.index, rec.order
-            expected = {float(grid.times[i - m]) for m in range(1, p + 1)}
-            if i < M:
-                expected.add(float(grid.times[i]))
-                assert rec.corrected
-            else:
-                assert not rec.corrected
-            assert set(rec.used_ts) == expected
+        config = SolverConfig(order=3, variant=variant, corrector=corrector)
+        res = sample(poly_model.evaluator(vp_linear), vp_linear, grid, config, x0,
+                     warm_start=[x0] * warm)
+        _, records = documented_layout(vp_linear, grid, config, warm)
+        assert [rec.index for rec in res.trace] == [r[0] for r in records]
+        for rec, (i, p, t_prev, t_next, used, corrected) in zip(res.trace, records):
+            assert (rec.order, rec.t_prev, rec.t_next, rec.corrected) == (
+                p, t_prev, t_next, corrected)
+            assert rec.used_ts == pytest.approx(used, rel=1e-12, abs=0)
 
     def test_warmup_orders(self, vp_linear, poly_model, rng):
         grid = make_time_grid(vp_linear, 9)
@@ -361,21 +391,23 @@ class TestBufferDiscipline:
                      SolverConfig(order=4, corrector="standard"), rng.standard_normal(4))
         assert [rec.order for rec in res.trace] == [1, 2, 3, 4, 4, 4, 4, 4, 4]
 
-    def test_eval_call_pattern(self, vp_linear, poly_model, rng):
-        M = 6
+    @pytest.mark.parametrize("variant,corrector,warm", LAYOUTS)
+    def test_eval_call_pattern(self, vp_linear, poly_model, rng, variant, corrector, warm):
+        M, x0 = 6, rng.standard_normal(4)
         grid = make_time_grid(vp_linear, M)
         calls = []
         inner = poly_model.evaluator(vp_linear)
 
         def recording(x, t):
-            calls.append(round(float(t), 12))
+            calls.append(float(t))
             return inner._fn(x, t)
 
-        instrumented = ModelEvaluator(recording, "noise", 4)
-        sample(instrumented, vp_linear, grid,
-               SolverConfig(order=3, corrector="standard"), rng.standard_normal(4))
-        expected = [round(float(t), 12) for t in grid.times[:-1]]
-        assert calls == expected
+        config = SolverConfig(order=3, variant=variant, corrector=corrector)
+        res = sample(ModelEvaluator(recording, "noise", 4), vp_linear, grid, config, x0,
+                     warm_start=[x0] * warm)
+        expected, _ = documented_layout(vp_linear, grid, config, warm)
+        assert calls == pytest.approx(expected, rel=1e-12, abs=0)
+        assert res.nfe == len(expected)
 
     def test_oracle_mode_reevaluates(self, vp_linear, rng):
         # On an x-dependent model the oracle push differs from the standard one.
@@ -486,6 +518,38 @@ class TestGuards:
             sample(ModelEvaluator(flaky, "noise", 2), vp_linear, grid,
                    SolverConfig(order=2, corrector="standard"), rng.standard_normal(2))
         assert excinfo.value.step == 3
+
+    @pytest.mark.parametrize("variant,corrector,value,after,step,calls", [
+        # the model's 4th call returns NaN: the abort names the step that made the call
+        ("multistep", "off", np.nan, 3, 3, 4),
+        ("multistep", "standard", np.nan, 3, 3, 4),
+        ("multistep", "oracle", np.nan, 3, 2, 4),
+        ("singlestep", "off", np.nan, 3, 2, 4),
+        ("singlestep", "standard", np.nan, 3, 2, 4),
+        ("singlestep", "oracle", np.nan, 3, 2, 4),
+        # the 2nd call (at t_1) returns a finite 1e308: the first update that weights it
+        # by more than about 1.8 overflows; a corrector's oracle call (3rd) comes before
+        # the guard of the corrected state
+        ("multistep", "off", 1e308, 1, 2, 2),
+        ("multistep", "standard", 1e308, 1, 1, 2),
+        ("multistep", "oracle", 1e308, 1, 1, 3),
+        ("singlestep", "off", 1e308, 1, 2, 3),
+        ("singlestep", "standard", 1e308, 1, 1, 2),
+        ("singlestep", "oracle", 1e308, 1, 1, 3),
+    ])
+    def test_abort_reports_step_and_calls(self, vp_linear, variant, corrector, value, after,
+                                          step, calls):
+        # eval_count is what run_study writes into the nfe column of a divergent row.
+        def fn(x, t):
+            return 0.1 * x if model.eval_count <= after else np.full(3, value)
+
+        model = ModelEvaluator(fn, "noise", 3)
+        config = SolverConfig(order=2, variant=variant, corrector=corrector)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(NumericError, match=f"non-finite value at step {step}$") as excinfo:
+                sample(model, vp_linear, make_time_grid(vp_linear, 5), config, np.ones(3))
+        assert (excinfo.value.step, model.eval_count) == (step, calls)
 
     def test_grid_schedule_mismatch(self, vp_linear, poly_model, rng):
         other = type(vp_linear)(beta_min=0.2, beta_max=15.0)
@@ -747,6 +811,15 @@ class TestConfigJSON:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValidationError):
             SolverConfig.from_json({"order": 2, "step_mode": "fancy"})
+
+    @pytest.mark.parametrize("th,message", [
+        ({"ratio": 0.9, "floor": 1.0, "flor": 2}, r"unknown \['flor'\]"),  # was accepted
+        ({"ratio": 0.9}, r"missing \['floor'\]"),                        # was a bare KeyError
+        ({"floor": 1.0}, r"missing \['ratio'\]"),
+    ])
+    def test_thresholding_fields_checked(self, th, message):
+        with pytest.raises(ValidationError, match="thresholding fields.*" + message):
+            SolverConfig.from_json({"order": 2, "prediction": "data", "thresholding": th})
 
     def test_varying_order_cap(self):
         with pytest.raises(ValidationError):
