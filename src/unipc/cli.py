@@ -144,13 +144,13 @@ def _selftest_plan() -> tuple[bool, str]:
         config = SolverConfig(order=order, variant=variant, bh=bh, prediction=prediction,
                               half_a1=False)
         plan = solver._plan(sched, grid, config, 1)
-        K = plan.c.shape[1]
-        for r, (P, N, low, corr) in enumerate(zip(plan.src, plan.dst, plan.low, plan.corrector)):
+        K = plan.rows.shape[1] - 1  # a row is [c in ring slot order, a]
+        for row, P, N, low, corr in zip(plan.rows, plan.src, plan.dst, plan.low, plan.corrector):
             nodes = range(low, N + corr)  # a corrector also reads the node it lands on
-            residual, w1_drift = _plan_row_residual(sched, plan.ts, nodes, P, N, plan.a[r],
-                                                    plan.c[r, np.mod(nodes, K)], prediction, bh)
+            residual, w1_drift = _plan_row_residual(sched, plan.ts, nodes, P, N, row[K],
+                                                    row[np.mod(nodes, K)], prediction, bh)
             worst, drift = max(worst, residual), max(drift, w1_drift)
-        rows += len(plan.a)
+        rows += len(plan.rows)
     return worst < 1e-12 and drift <= 1.0, (
         f"max relative order-condition residual = {worst:.3e} over {rows} rows, "
         f"|w1 - 1/2|/h <= {drift:.3f}")

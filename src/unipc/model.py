@@ -152,10 +152,14 @@ class SyntheticModel:
         if dim < 1:
             raise ValidationError("dim must be >= 1")
         if family == "x-free-poly":
-            return cls.x_free_poly(spec["coeffs"], dim)
-        if family == "linear-in-x":
-            return cls.linear_in_x(spec.get("kappa", spec.get("coeffs")), dim)
-        raise ValidationError(f"unknown model family {family!r}")
+            build, name = cls.x_free_poly, "coeffs"
+        elif family == "linear-in-x":
+            build, name = cls.linear_in_x, "kappa"  # its gains may also come as coeffs
+        else:
+            raise ValidationError(f"unknown model family {family!r}")
+        if name not in spec and "coeffs" not in spec:
+            raise ValidationError(f"{family} model missing field {name!r}")
+        return build(spec.get(name, spec.get("coeffs")), dim)
 
     def to_json(self) -> dict:
         if self.family == "x-free-poly":

@@ -33,13 +33,18 @@ sample() builds the plan once per call from (schedule, grid, config), for
 all steps at once (coeffs.basis_table and coeffs.moment_rows on batches of
 rows).  The plan owns the run layout: per update its a and c, the node it
 steps from and lands on, the nodes it reads and the model call after it;
-the driver is one config-free loop over those rows.  The run keeps the K
-latest model outputs in a K-row ring, node n's in row n % K, and each plan
-row holds its c in that slot order (0 in slots it does not use), so an
-update is one c @ ring + a x into one of two reused state buffers: K + 2
-state-sized arrays whatever the number of steps.  correct and ddim_step,
-the one-step API for plugging UniC into another sampler, build a single
-row the same way and apply it as c @ F + a x.
+the driver is one config-free loop over those rows.  The run holds one
+zeroed (K + 2, dim) work array [ring..., x, y]: the K latest model outputs
+(node n's in row n % K; K is the widest row), the state x its step starts
+from, and y, where updates land.  A plan row is c in ring slot order (0 in
+slots it does not read), then a, so an update is one gemv,
+row @ work[:K + 1] into work[K + 1], with no temporary; y is copied into
+x's row once a step, and the last step writes into a fresh array that the
+result owns.  correct and ddim_step, the one-step API for plugging UniC
+into another sampler, apply a row [c..., a] over np.stack(outputs + [x]).
+BLAS rounds a gemv by row width and column order, so they match the driver
+bit for bit only because both use that one column order, x last, and the
+ring is no wider than the widest row.
 
 The multistep plan follows the warm-up discipline p_i = min(p, i), pushes
 the model output evaluated at the *uncorrected* predictor result into the
@@ -273,7 +278,7 @@ def _update(sched: NoiseSchedule, x: np.ndarray, ts, outputs, opts: dict) -> np.
     P, lam = len(ts) - 2, nodes[1]
     R = (lam[:len(outputs)] - lam[P]) / (lam[-1] - lam[P])
     a, c = coeffs.update_rows(nodes, [P], [P + 1], R[None, :], **opts)
-    return c[0] @ np.stack(outputs) + a[0] * x
+    return np.dot(np.append(c[0], a), np.stack(outputs + [x]))  # x last, as in sample()
 
 
 def ddim_step(sched: NoiseSchedule, x: np.ndarray, eps_prev: np.ndarray, t_prev: float,
@@ -360,27 +365,27 @@ _BATCH = 32
 
 
 def _coefficients(nodes, src, dst, low, corrector, config: SolverConfig, K: int):
-    """a and c of the rows that _plan lays out, built _BATCH rows at a time."""
+    """The rows that _plan lays out, [c in ring slot order, a], built _BATCH rows at a time."""
     lam, single = nodes[1], config.variant == "singlestep"
     opts = dict(bh=config.bh, prediction=config.prediction,
                 half_a1=config.half_a1 and not config.varying_coefficients)
-    a, c = np.empty(len(src)), np.zeros((len(src), K))
+    rows = np.zeros((len(src), K + 1))
     for j in range(0, len(src), _BATCH):
-        rows = slice(j, j + _BATCH)
-        P, N, L = (v[rows].astype(np.intp) for v in (src, dst, low))  # intp indexes faster
-        E = N - 1 + corrector[rows]  # the last node a row reads
+        batch = slice(j, j + _BATCH)
+        P, N, L = (v[batch].astype(np.intp) for v in (src, dst, low))  # intp indexes faster
+        E = N - 1 + corrector[batch]  # the last node a row reads
         J = E[:, None] + np.arange(-int((E - L).max()), 1)  # each row's nodes, oldest first
         if single:
             R = (J - P[:, None]) / (N - P)[:, None]
         else:
             R = (lam[np.maximum(J, 0)] - lam[P][:, None]) / (lam[N] - lam[P])[:, None]
         R[J < L[:, None]] = np.nan  # nodes the row does not use; their c is 0
-        a[rows], cb = coeffs.update_rows(nodes, P, N, R, **opts)
-        c[np.arange(j, j + len(J))[:, None], J % K] = cb  # <= K consecutive nodes, distinct slots
-    return a, c
+        rows[batch, K], cb = coeffs.update_rows(nodes, P, N, R, **opts)
+        rows[np.arange(j, j + len(J))[:, None], J % K] = cb  # <= K consecutive nodes, distinct slots
+    return rows
 
 
-_Plan = namedtuple("_Plan", "a c ts src dst low corrector call bounds trace")
+_Plan = namedtuple("_Plan", "rows ts src dst low corrector call bounds trace")
 
 
 def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Plan:
@@ -391,8 +396,9 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     m = 1..p-1, the predictor, then the corrector if the step is corrected.
     Row r steps from node src[r] (the state x its step starts from) to node
     dst[r], reads the outputs of nodes low[r]..dst[r] - 1 (and dst[r] if
-    corrector[r]) and is c[r] @ ring + a[r] x, with ring the K = c.shape[1]
-    latest outputs, node n's in row n % K (c[r] is 0 in the others).  call[r]
+    corrector[r]) and is rows[r] @ [ring, x]: ring holds the K latest outputs,
+    node n's in row n % K, with K the widest row, and rows[r] is c in that
+    slot order (0 in slots the row does not read), then a.  call[r]
     is the node whose model call follows the row, at its result, or -1 (a
     standard corrector, the run's last row).  ts holds the node times in
     evaluation order; step k is rows bounds[k]:bounds[k + 1], trace[k] its
@@ -419,15 +425,15 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     corrector[last] = corr
     dst = first - 1 + (~corrector).cumsum(dtype=np.int32)  # only correctors reuse a node
     low = src if single else dst - p.repeat(count)
-    a, c = _coefficients(sched._maps(ts), src, dst, low, corrector, config,
-                         max(orders) + (config.corrector != "off"))  # its temporaries die here
+    K = int((dst - low + corrector).max())  # the widest row: more slots would add zero terms
+    rows = _coefficients(sched._maps(ts), src, dst, low, corrector, config, K)  # temporaries die here
     call = np.where(corrector, -1, dst) if config.corrector == "standard" else dst.copy()
     call[-1] = -1
     ts = ts.tolist()  # below: a step's used_ts lists the nodes after its start b first
     trace = [StepRecord(i, q, ts[b], ts[n], tuple(ts[b + 1:n] + ts[lo:b + 1] + ts[n:n + cr]), cr)
              for i, q, b, n, lo, cr in zip(range(first, M + 1), orders,
                                            *map(memoryview, (base, dst[last], low[last], corr)))]
-    return _Plan(a, c, ts, src, dst, low, corrector, call, bounds, trace)
+    return _Plan(rows, ts, src, dst, low, corrector, call, bounds, trace)
 
 
 # -- driver ----------------------------------------------------------------
@@ -455,18 +461,19 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     if len(warm) >= grid.num_steps:
         raise ValidationError("warm_start longer than the grid allows")
     plan = _plan(sched, grid, config, len(warm) + 1)
-    c, K = plan.c, plan.c.shape[1]
+    rows, K = plan.rows, plan.rows.shape[1] - 1
     # memoryviews index to Python scalars, cheaper per row than numpy's
-    a, corrector, call, bounds = map(memoryview, (plan.a, plan.corrector, plan.call, plan.bounds))
-    ring = np.zeros((K, model.dim))  # node n's output in row n % K
-    buffers = (np.empty(model.dim), np.empty(model.dim))
+    corrector, call, bounds = map(memoryview, (plan.corrector, plan.call, plan.bounds))
+    # [ring: node n's output in row n % K, x, y], zeroed: a 0 coefficient meets unwritten slots
+    work = np.zeros((K + 2, model.dim))
+    F, y = work[:K + 1], work[K + 1]  # an update reads F and writes y, so they never overlap
     th, nfe = config.thresholding, 0
 
     def evaluate(x_at: np.ndarray, node: int, step: int) -> None:
         # Straight into the slot (its old output is dead), so the model's array
         # is freed before thresholding, which then works in the slot.
         nonlocal nfe
-        out = ring[node % K]
+        out = work[node % K]
         out[...] = _evaluate(model, x_at, plan.ts[node])
         nfe += 1
         if th is not None:
@@ -477,17 +484,21 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     for n, x in enumerate([x] + warm):
         _guard(x, n)
         evaluate(x, n, n)
+    work[K] = x
     for k, rec in enumerate(plan.trace):
-        i, y = rec.index, buffers[k % 2]  # alternate buffers: a corrector reads x, never x_pred
+        i = rec.index
+        if k:
+            work[K] = y  # one copy a step: every row of a step reads the state it starts from
+        if k == len(plan.trace) - 1:
+            y = np.empty(model.dim)  # the final state owns its memory, not a row of work
         for r in range(bounds[k], bounds[k + 1]):
-            np.add(np.dot(c[r], ring, out=y), a[r] * x, out=y)
+            np.dot(rows[r], F, out=y)
             if not corrector[r]:
                 _guard(y, i)
             if call[r] >= 0:
                 evaluate(y, call[r], i)
             if corrector[r]:  # an oracle corrector's call comes first
                 _guard(y, i)
-        x = y
         if trajectory:
-            kept.append(x.copy())
-    return SampleResult(final=x, nfe=nfe, trace=plan.trace, trajectory=kept)
+            kept.append(y.copy())
+    return SampleResult(final=y, nfe=nfe, trace=plan.trace, trajectory=kept)

@@ -94,17 +94,31 @@ def basis_series(k: int, h: float, sign: float) -> float:
     return math.fsum((sign * h) ** j / math.factorial(j + k) for j in range(80))
 
 
+def update_magnitude(a, x, coefficients, outputs):
+    """|a||x| + sum_j (|c_j| + max_i |c_i|)|f_j| for an update a x + sum_j c_j f_j.
+
+    The max_i |c_i| term stands for the error of the coefficients themselves: two ways
+    of solving the moment system agree to a few ulps of the largest coefficient, not of
+    each one (a small one comes out of cancellation).
+    """
+    wide = max(map(abs, coefficients))
+    return abs(a) * np.abs(x) + sum((abs(c) + wide) * np.abs(f)
+                                    for c, f in zip(coefficients, outputs))
+
+
 def reference_update(sched, config, x, t_prev, t_next, f_prev, rs, Ds):
-    """One noise- or data-prediction update from offsets rs and differences Ds."""
+    """One noise- or data-prediction update from offsets rs and differences Ds, and its
+    update_magnitude over x and the outputs it reads (f_prev and f_prev + D_m)."""
     la_p, la_n = sched.log_alpha(t_prev), sched.log_alpha(t_next)
     h = sched.lam(t_next) - sched.lam(t_prev)
     noise = config.prediction == "noise"
     if noise:
-        out = math.exp(la_n - la_p) * x - sched.sigma(t_next) * math.expm1(h) * f_prev
+        a, first = math.exp(la_n - la_p), -sched.sigma(t_next) * math.expm1(h)
     else:
-        out = sched.sigma(t_next) / sched.sigma(t_prev) * x - sched.alpha(t_next) * math.expm1(-h) * f_prev
+        a, first = sched.sigma(t_next) / sched.sigma(t_prev), -sched.alpha(t_next) * math.expm1(-h)
+    out = a * x + first * f_prev
     if not rs:
-        return out
+        return out, update_magnitude(a, x, [first], [f_prev])
     k, sign = len(rs), 1.0 if noise else -1.0
     if config.varying_coefficients:
         C = np.array([[r ** (n - 1) / math.factorial(n) for r in rs] for n in range(1, k + 1)])
@@ -120,13 +134,16 @@ def reference_update(sched, config, x, t_prev, t_next, f_prev, rs, Ds):
                             for n in range(1, k + 1)])
             w = np.linalg.solve(V, rhs)
     acc = sum((wm / r) * D for wm, r, D in zip(w, rs, Ds))
-    if noise:
-        return out - sched.sigma(t_next) * B * acc
-    return out + sched.alpha(t_next) * B * acc
+    scale = -sched.sigma(t_next) * B if noise else sched.alpha(t_next) * B
+    cs = [scale * wm / r for wm, r in zip(w, rs)]  # the coefficients on f_prev + D_m
+    return out + scale * acc, update_magnitude(
+        a, x, [first - sum(cs)] + cs, [f_prev] + [f_prev + D for D in Ds])
 
 
 def reference_sample(model, sched, grid, config, x_init, warm_start=()):
-    """Trajectory and model-call count of a run, one update at a time."""
+    """Trajectory and model-call count of a run, one update at a time, and per state the
+    magnitudes that the updates up to it combined (reference_update), summed along the run
+    (0 for the given states)."""
     times = [float(t) for t in grid.times]
     M = len(times) - 1
     if config.order_schedule is None:
@@ -135,12 +152,13 @@ def reference_sample(model, sched, grid, config, x_init, warm_start=()):
         orders = [int(d) for d in config.order_schedule]
     x = np.asarray(x_init, dtype=float)
     buffer = [(times[0], model(x, times[0]))]  # (t, output), oldest first
-    traj, nfe = [x], 1
+    traj, nfe, total = [x], 1, np.zeros(x.shape)
     for j, xs in enumerate(warm_start, start=1):
         x = np.asarray(xs, dtype=float)
         buffer.append((times[j], model(x, times[j])))
         traj.append(x)
         nfe += 1
+    sums = [total] * len(traj)
     for i in range(len(warm_start) + 1, M + 1):
         p, t_prev, t_next = orders[i - 1], times[i - 1], times[i]
         f_prev = buffer[-1][1]
@@ -154,12 +172,14 @@ def reference_sample(model, sched, grid, config, x_init, warm_start=()):
             rs, Ds = [], []
             for m in range(1, p):
                 s_m = sched.t_of_lambda(lam_prev + (m / p) * h)
-                x_m = reference_update(sched, config, x, t_prev, s_m, f_prev,
-                                       [j / m for j in range(1, m)], Ds)
+                x_m, size = reference_update(sched, config, x, t_prev, s_m, f_prev,
+                                             [j / m for j in range(1, m)], Ds)
+                total = total + size
                 Ds = Ds + [model(x_m, s_m) - f_prev]
                 rs.append(m / p)
                 nfe += 1
-        x_pred = reference_update(sched, config, x, t_prev, t_next, f_prev, rs, Ds)
+        x_pred, size = reference_update(sched, config, x, t_prev, t_next, f_prev, rs, Ds)
+        total = total + size
         if i == M:
             x = x_pred
         else:
@@ -167,15 +187,17 @@ def reference_sample(model, sched, grid, config, x_init, warm_start=()):
             nfe += 1
             push = f_pred
             if config.corrector != "off":
-                x_pred = reference_update(sched, config, x, t_prev, t_next, f_prev,
-                                          rs + [1.0], Ds + [f_pred - f_prev])
+                x_pred, size = reference_update(sched, config, x, t_prev, t_next, f_prev,
+                                                rs + [1.0], Ds + [f_pred - f_prev])
+                total = total + size
                 if config.corrector == "oracle":
                     push = model(x_pred, t_next)
                     nfe += 1
             buffer.append((t_next, push))
             x = x_pred
         traj.append(x)
-    return traj, nfe
+        sums.append(total)
+    return traj, nfe, sums
 
 
 # -- fine RK4 ------------------------------------------------------------------

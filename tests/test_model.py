@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import dynamic_threshold_reference, trapezoid
 from unipc import (
+    ConvergenceStudy,
     DomainError,
     ModelEvaluator,
     SyntheticModel,
@@ -18,6 +19,7 @@ from unipc import (
     dynamic_threshold,
     exact_solution_xfree,
 )
+from unipc.cli import main
 from unipc.model import _tail_candidates
 
 
@@ -320,6 +322,23 @@ class TestSyntheticModelConstruction:
     def test_bad_family(self):
         with pytest.raises(ValidationError):
             SyntheticModel.from_json({"family": "neural", "dim": 2})
+
+    @pytest.mark.parametrize("family, name", [("x-free-poly", "coeffs"), ("linear-in-x", "kappa")])
+    def test_missing_model_field_is_named(self, family, name, tmp_path, capsys):
+        # was "study config missing field 'coeffs'" and, for linear-in-x,
+        # "coefficients must be finite numbers, got None"
+        spec = {"family": family, "dim": 2}
+        message = f"{family} model missing field '{name}'"
+        with pytest.raises(ValidationError, match=message):
+            SyntheticModel.from_json(spec)
+        config = {"model": spec, "schedule": {"kind": "vp-linear"},
+                  "solvers": [{"order": 1}], "step_counts": [4, 8]}
+        with pytest.raises(ValidationError, match=message):
+            ConvergenceStudy.from_json(config)
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_xfree_needs_schedule(self):
         m = SyntheticModel.x_free_poly([1.0], 2)

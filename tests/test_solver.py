@@ -133,6 +133,21 @@ class TestUpdateFormulas:
         assert res.nfe == 1
         assert [rec.order for rec in res.trace] == [1]
 
+    @pytest.mark.parametrize("corrector", ["off", "standard", "oracle"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_one_step_run_is_ddim_at_any_order(self, vp_linear, poly_model, rng, order,
+                                               corrector):
+        # The ring is as wide as the widest row the plan reads, one output here, so the
+        # update is the same two-term gemv as ddim_step's whatever the configured order.
+        grid = make_time_grid(vp_linear, 1)
+        x0 = rng.standard_normal(4)
+        res = sample(poly_model.evaluator(vp_linear), vp_linear, grid,
+                     SolverConfig(order=order, corrector=corrector), x0)
+        eps0 = poly_model.evaluator(vp_linear)(x0, float(grid.times[0]))
+        expected = ddim_step(vp_linear, x0, eps0, float(grid.times[0]), float(grid.times[1]))
+        assert np.array_equal(res.final, expected)
+        assert res.nfe == 1
+
     def test_homogeneous_model_varying_coefficients(self, vp_linear, rng):
         x0 = rng.standard_normal(4)
         grid = make_time_grid(vp_linear, 6)
@@ -700,6 +715,12 @@ class TestWorkingSet:
             assert np.array_equal(given, copy)
             assert not np.shares_memory(res.final, given)
         assert not any(np.shares_memory(res.final, s) for s in res.trajectory)
+
+    @pytest.mark.parametrize("M", [1, 7])
+    def test_final_owns_its_memory(self, vp_linear, rng, M):
+        # Not a view of the run's work array, which the result would otherwise keep alive.
+        res = self.run(vp_linear, rng.standard_normal(4), M=M)
+        assert res.final.base is None and res.final.flags.owndata
 
     def test_second_run_leaves_first_final(self, vp_linear, rng):
         first = self.run(vp_linear, rng.standard_normal(4))
