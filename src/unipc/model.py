@@ -152,14 +152,20 @@ class SyntheticModel:
         if dim < 1:
             raise ValidationError("dim must be >= 1")
         if family == "x-free-poly":
-            build, name = cls.x_free_poly, "coeffs"
+            build, names = cls.x_free_poly, ["coeffs"]
         elif family == "linear-in-x":
-            build, name = cls.linear_in_x, "kappa"  # its gains may also come as coeffs
+            build, names = cls.linear_in_x, ["kappa", "coeffs"]  # its gains, by either name
         else:
             raise ValidationError(f"unknown model family {family!r}")
-        if name not in spec and "coeffs" not in spec:
-            raise ValidationError(f"{family} model missing field {name!r}")
-        return build(spec.get(name, spec.get("coeffs")), dim)
+        extra = sorted(set(spec) - {"family", "dim", *names})
+        if extra:
+            raise ValidationError(f"unknown {family} model fields {extra}")
+        given = [name for name in names if name in spec]
+        if not given:
+            raise ValidationError(f"{family} model missing field {names[0]!r}")
+        if len(given) > 1:
+            raise ValidationError(f"{family} model takes {given[0]!r} or {given[1]!r}, not both")
+        return build(spec[given[0]], dim)
 
     def to_json(self) -> dict:
         if self.family == "x-free-poly":

@@ -233,8 +233,8 @@ class TimeGrid:
     skip_kind: str
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        lambdas = np.asarray(self.lambdas, dtype=float)
+        times = np.array(self.times, dtype=float)  # own copies, so a caller cannot change them
+        lambdas = np.array(self.lambdas, dtype=float)
         if times.ndim != 1 or times.shape != lambdas.shape or len(times) < 2:
             raise ValidationError("times and lambdas must be equal-length 1-d arrays")
         if not np.all(np.diff(times) < 0):

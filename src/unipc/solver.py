@@ -29,10 +29,18 @@ varying-coefficients weights w = A v, A = C^{-1}, C = diag(1/n!) V(r),
 are that same solution.  Only the half_a1 shortcut, which pins a single
 weight to 1/2 (accurate for both B variants), depends on B.
 
-sample() builds the plan once per call from (schedule, grid, config), for
-all steps at once (coeffs.basis_table and coeffs.moment_rows on batches of
-rows).  The plan owns the run layout: per update its a and c, the node it
-steps from and lands on, the nodes it reads and the model call after it;
+sample() takes the plan for (schedule, grid, config, warm-start length)
+from a bounded cache, keyed by the schedule and config (frozen, compared by
+value), the warm-start length and the grid times bit for bit.  A miss builds
+it for all steps at once (coeffs.basis_table and coeffs.moment_rows on
+batches of rows).  A plan is kept from its key's second use on, so repeated
+sampling with fixed settings builds it twice in all and a run made once
+keeps nothing.  Kept plans are shared: their arrays are read-only, and each
+result gets a fresh list of the frozen StepRecords.  The cache holds at
+most _CACHE_STEPS = 4,096 plan steps, under about 6 MB.
+
+The plan owns the run layout: per update its a and c, the node it steps
+from and lands on, the nodes it reads and the model call after it;
 the driver is one config-free loop over those rows.  The run holds one
 zeroed (K + 2, dim) work array [ring..., x, y]: the K latest model outputs
 (node n's in row n % K; K is the widest row), the state x its step starts
@@ -57,7 +65,8 @@ re-evaluates at each corrected state).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -436,6 +445,64 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     return _Plan(rows, ts, src, dst, low, corrector, call, bounds, trace)
 
 
+# -- plan cache -----------------------------------------------------------------
+
+#: Plan steps the cache holds in all.  A study of the shipped shape (30 plans, 3,150
+#: steps) fits whole.  A kept plan costs 0.16-0.6 KB a step multistep, at most about
+#: 1.45 KB a step (singlestep order 9) and about 1.2 KB for a one-step plan, so the
+#: cache stays under about 6 MB, and the set of key hashes seen once under 0.3 MB.
+_CACHE_STEPS = 4096
+_cache: OrderedDict = OrderedDict()  # key -> read-only plan, least recently used first
+_cache_steps = 0  # steps of the plans in _cache
+_seen: set[int] = set()  # hashes of keys used once; a key used again keeps its plan
+_cache_lock = threading.Lock()
+
+
+def _shared(plan: _Plan) -> _Plan:
+    """What sample() reads of a plan, read-only: no src, dst or low; ts and trace as tuples."""
+    for arr in (plan.rows, plan.corrector, plan.call, plan.bounds):
+        arr.flags.writeable = False
+    return plan._replace(ts=tuple(plan.ts), src=None, dst=None, low=None, trace=tuple(plan.trace))
+
+
+def _cached_plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Plan:
+    """_plan(sched, grid, config, first), built once and shared read-only from its second use.
+
+    The key is everything _plan reads: the schedule and config (frozen, compared by
+    value), first, and the grid times bit for bit.  A plan is kept when its key is
+    asked for again, so a run made once (each cell of a study) costs no memory.
+    Least recently used plans are dropped once the cache holds more than
+    _CACHE_STEPS steps; a plan larger than that is built per call and not kept.
+    """
+    global _cache_steps
+    key = (sched, config, first, grid.times.tobytes())
+    try:
+        with _cache_lock:
+            plan = _cache.get(key)
+            if plan is not None:
+                _cache.move_to_end(key)
+                return plan
+            mark = hash(key)  # a collision only keeps a plan one use early
+            again = mark in _seen
+            if not again:
+                if len(_seen) >= _CACHE_STEPS:  # as many keys as the cache can hold plans
+                    _seen.clear()
+                _seen.add(mark)
+    except TypeError:  # a schedule built with an unhashable field, such as a 0-d array
+        return _plan(sched, grid, config, first)
+    plan = _plan(sched, grid, config, first)
+    steps = len(plan.trace)
+    if again and steps <= _CACHE_STEPS:
+        plan = _shared(plan)
+        with _cache_lock:
+            if key not in _cache:  # another thread may have built it meanwhile
+                _cache[key] = plan
+                _cache_steps += steps
+                while _cache_steps > _CACHE_STEPS:
+                    _cache_steps -= len(_cache.popitem(last=False)[1].trace)
+    return plan
+
+
 # -- driver ----------------------------------------------------------------
 
 
@@ -451,6 +518,8 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     States are 1-d arrays of length model.dim; x_init and warm_start are
     never written, and the model must not keep the arrays it is given (the
     run reuses them).  trajectory=True also keeps a copy of every grid state.
+    The step plan comes from the module's bounded plan cache; result.trace is a
+    fresh list each call.
     """
     _check_prediction(model, config.prediction)
     times, lambdas = grid.times, grid.lambdas
@@ -460,7 +529,7 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     warm = [_state(xs, model.dim, f"warm_start[{j}]") for j, xs in enumerate(warm_start or [])]
     if len(warm) >= grid.num_steps:
         raise ValidationError("warm_start longer than the grid allows")
-    plan = _plan(sched, grid, config, len(warm) + 1)
+    plan = _cached_plan(sched, grid, config, len(warm) + 1)
     rows, K = plan.rows, plan.rows.shape[1] - 1
     # memoryviews index to Python scalars, cheaper per row than numpy's
     corrector, call, bounds = map(memoryview, (plan.corrector, plan.call, plan.bounds))
@@ -501,4 +570,4 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
                 _guard(y, i)
         if trajectory:
             kept.append(y.copy())
-    return SampleResult(final=y, nfe=nfe, trace=plan.trace, trajectory=kept)
+    return SampleResult(final=y, nfe=nfe, trace=list(plan.trace), trajectory=kept)

@@ -340,6 +340,34 @@ class TestSyntheticModelConstruction:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"family": "x-free-poly", "coeffs": [0.3], "dim": 2, "kapa": 1},
+         r"unknown x-free-poly model fields \['kapa'\]"),
+        ({"family": "x-free-poly", "coeffs": [0.3], "dim": 2, "kappa": 5},
+         r"unknown x-free-poly model fields \['kappa'\]"),
+        ({"family": "linear-in-x", "kappa": 0.2, "dim": 2, "mu": [0.0]},
+         r"unknown linear-in-x model fields \['mu'\]"),
+        ({"family": "linear-in-x", "kappa": 0.2, "coeffs": [0.3, 0.1], "dim": 2},
+         "linear-in-x model takes 'kappa' or 'coeffs', not both"),
+    ])
+    def test_unknown_or_clashing_model_field_is_named(self, spec, message, tmp_path, capsys):
+        # each of these loaded: unknown fields were ignored, and coeffs beside kappa dropped
+        with pytest.raises(ValidationError, match=message):
+            SyntheticModel.from_json(spec)
+        config = {"model": spec, "schedule": {"kind": "vp-linear"},
+                  "solvers": [{"order": 1}], "step_counts": [4, 8]}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_linear_gains_by_either_name(self):
+        by_kappa = SyntheticModel.from_json({"family": "linear-in-x", "kappa": [0.2, 0.4], "dim": 2})
+        by_coeffs = SyntheticModel.from_json({"family": "linear-in-x", "coeffs": [0.2, 0.4], "dim": 2})
+        assert by_kappa == by_coeffs
+
     def test_xfree_needs_schedule(self):
         m = SyntheticModel.x_free_poly([1.0], 2)
         with pytest.raises(ValidationError):

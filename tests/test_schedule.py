@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unipc import DomainError, NoiseSchedule, ValidationError, make_time_grid
-from unipc.schedule import _EDGE_TOL
+from unipc.schedule import _EDGE_TOL, TimeGrid
 
 # Frozen with a 40-digit mpmath evaluation of the closed forms.
 ALPHA_AT_1 = 0.0065715864949296154
@@ -206,6 +206,18 @@ class TestTimeGrid:
     def test_zero_steps_rejected(self, vp_linear):
         with pytest.raises(DomainError):
             make_time_grid(vp_linear, 0)
+
+    def test_keeps_its_own_copy(self, vp_linear):
+        # The grid once aliased the caller's arrays and flipped them read-only; the
+        # caller could flip them back and change a validated grid.
+        times = np.linspace(1.0, 1e-3, 5)
+        lambdas = vp_linear._maps(times)[1]
+        grid = TimeGrid(times, lambdas, "uniform-time")
+        kept = grid.times.copy(), grid.lambdas.copy()
+        assert times.flags.writeable and lambdas.flags.writeable
+        times[1], lambdas[1] = 0.9, 0.0
+        assert np.array_equal(grid.times, kept[0]) and np.array_equal(grid.lambdas, kept[1])
+        assert not grid.times.flags.writeable and not grid.lambdas.flags.writeable
 
     def test_unknown_skip_rejected(self, vp_linear):
         with pytest.raises(ValidationError):

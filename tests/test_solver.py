@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 import warnings
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from unipc import (
     DomainError,
     InsufficientHistoryError,
     ModelEvaluator,
+    NoiseSchedule,
     NumericError,
     SolverConfig,
     SyntheticModel,
@@ -22,6 +25,7 @@ from unipc import (
     make_time_grid,
     sample,
 )
+from unipc import solver
 from unipc.coeffs import bh_value
 from unipc.schedule import TimeGrid
 from unipc.solver import BufferEntry, SolverState, _guard
@@ -851,3 +855,113 @@ class TestConfigJSON:
         assert SolverConfig(order=3, corrector="off").name() == "unip-3"
         assert SolverConfig(order=2).name() == "unipc-2"
         assert SolverConfig(order=2, varying_coefficients=True).name() == "unipc_v-2"
+
+
+class TestPlanCache:
+    """sample() builds a plan once per (schedule, config, warm-start length, grid times)
+    and shares it read-only from the key's second use on."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(solver, "_cache", OrderedDict())
+        monkeypatch.setattr(solver, "_cache_steps", 0)
+        monkeypatch.setattr(solver, "_seen", set())
+
+    @staticmethod
+    def assert_same_plan(plan, fresh):
+        for name in ("rows", "corrector", "call", "bounds"):
+            got, want = getattr(plan, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        assert list(plan.ts) == list(fresh.ts)
+        assert list(plan.trace) == list(fresh.trace)
+
+    @staticmethod
+    def differs(plan, other):
+        return (plan.rows.shape != other.rows.shape or plan.rows.tobytes() != other.rows.tobytes()
+                or list(plan.ts) != list(other.ts) or list(plan.trace) != list(other.trace))
+
+    @pytest.mark.parametrize("variant, corrector, warm", LAYOUTS)
+    def test_hit_is_bitwise_a_fresh_build(self, vp_linear, rng, variant, corrector, warm):
+        model = SyntheticModel.linear_in_x(0.3, 4).evaluator(vp_linear)
+        grid, config = make_time_grid(vp_linear, 9), SolverConfig(order=3, variant=variant,
+                                                                   corrector=corrector)
+        x0, states = rng.standard_normal(4), [rng.standard_normal(4) for _ in range(warm)]
+        runs = [sample(model, vp_linear, grid, config, x0, warm_start=states) for _ in range(3)]
+        assert len(solver._cache) == 1  # kept at the second use, read at the third
+        (plan,) = solver._cache.values()
+        self.assert_same_plan(plan, solver._plan(vp_linear, grid, config, warm + 1))
+        for res in runs[1:]:
+            assert res.final.tobytes() == runs[0].final.tobytes()
+            assert res.nfe == runs[0].nfe and res.trace == runs[0].trace
+
+    def test_each_key_part_separates_plans(self, vp_linear):
+        grid, config = make_time_grid(vp_linear, 8, "quadratic-time"), SolverConfig(order=3)
+        times = grid.times.copy()
+        times[3] = np.nextafter(times[3], 1.0)  # one ulp
+        nudged = TimeGrid(times, vp_linear._maps(times)[1], grid.skip_kind)
+        other = NoiseSchedule(beta_max=19.0)  # the same times under another schedule
+        regrid = TimeGrid(grid.times, other._maps(grid.times)[1], grid.skip_kind)
+        variants = {
+            "grid time": (vp_linear, nudged, config, 1),
+            "warm start": (vp_linear, grid, config, 2),
+            "schedule": (other, regrid, config, 1),
+        }
+        for name, value in [("bh", "b1"), ("half_a1", False), ("order_schedule", "12312312"),
+                            ("variant", "singlestep"), ("prediction", "data"),
+                            ("corrector", "off"), ("order", 2), ("varying_coefficients", True)]:
+            variants[name] = (vp_linear, grid, replace(config, **{name: value}), 1)
+        for _ in range(2):  # kept at its second use
+            base = solver._cached_plan(vp_linear, grid, config, 1)
+        for name, args in variants.items():
+            fresh = solver._plan(*args)
+            assert self.differs(fresh, base), name
+            for _ in range(3):
+                plan = solver._cached_plan(*args)
+                self.assert_same_plan(plan, fresh)
+        assert len(solver._cache) == 1 + len(variants)
+        self.assert_same_plan(solver._cached_plan(vp_linear, grid, config, 1), base)
+
+    def test_shared_plans_are_read_only(self, vp_linear, rng):
+        model = SyntheticModel.linear_in_x(0.3, 4).evaluator(vp_linear)
+        grid, config, x0 = make_time_grid(vp_linear, 6), SolverConfig(order=2), rng.standard_normal(4)
+        first = sample(model, vp_linear, grid, config, x0)
+        kept = list(first.trace)
+        first.trace.clear()
+        second = sample(model, vp_linear, grid, config, x0)  # kept in the cache from here
+        second.trace[0] = second.trace[-1]
+        second.trace.append(second.trace[0])
+        (plan,) = solver._cache.values()
+        for arr in (plan.rows, plan.corrector, plan.call, plan.bounds):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        third = sample(model, vp_linear, grid, config, x0)
+        assert third.trace == kept and third.trace is not second.trace
+        assert third.final.tobytes() == first.final.tobytes()
+
+    def test_bounded_in_steps(self, vp_linear, monkeypatch):
+        monkeypatch.setattr(solver, "_CACHE_STEPS", 25)
+        config = SolverConfig(order=2)
+        grids = [make_time_grid(vp_linear, M) for M in (10, 7, 8, 9, 3)]
+        for grid in grids:
+            for _ in range(2):
+                solver._cached_plan(vp_linear, grid, config, 1)
+            held = [len(plan.trace) for plan in solver._cache.values()]
+            assert solver._cache_steps == sum(held) <= 25
+        assert sorted(held) == [3, 8, 9]  # the oldest dropped first
+        big = make_time_grid(vp_linear, 26)
+        for _ in range(3):
+            assert len(solver._cached_plan(vp_linear, big, config, 1).trace) == 26
+        assert len(solver._cache) == 3 and solver._cache_steps == 20
+
+    def test_unhashable_schedule_is_built_per_call(self, rng):
+        sched = NoiseSchedule(beta_min=np.array(0.1))  # accepted, but cannot key a cache
+        model = SyntheticModel.linear_in_x(0.3, 4).evaluator(sched)
+        grid, x0 = make_time_grid(sched, 5), rng.standard_normal(4)
+        runs = [sample(model, sched, grid, SolverConfig(order=2), x0) for _ in range(3)]
+        assert runs[2].final.tobytes() == runs[0].final.tobytes() and not solver._cache
+
+    def test_first_use_keeps_nothing(self, vp_linear):
+        grid, config = make_time_grid(vp_linear, 5), SolverConfig(order=3)
+        solver._cached_plan(vp_linear, grid, config, 1)
+        assert not solver._cache and solver._cache_steps == 0
