@@ -37,6 +37,7 @@ from .errors import DomainError, ValidationError, typed
 
 SCHEDULE_KINDS = ("vp-linear", "vp-cosine")
 SKIP_KINDS = ("uniform-lambda", "uniform-time", "quadratic-time")
+_NUMBER_FIELDS = ("beta_min", "beta_max", "cosine_s", "t_start", "t_end")
 
 # Slack for range checks: round-tripped times may land a few ulp outside.
 _EDGE_TOL = 1e-9
@@ -52,7 +53,11 @@ def _check_range(x: np.ndarray, lo: float, hi: float, name: str, what: str) -> N
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Immutable VP noise schedule over [t_end, t_start]."""
+    """Immutable VP noise schedule over [t_end, t_start].
+
+    Every field but kind must be a finite real number (not a bool), kept as
+    given, so a schedule is a hashable value that can key sample()'s plan cache.
+    """
 
     kind: str = "vp-linear"
     beta_min: float = 0.1
@@ -64,6 +69,8 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValidationError(f"unknown schedule kind {self.kind!r}")
+        for name in _NUMBER_FIELDS:
+            typed(getattr(self, name), "number", f"schedule field {name!r}")
         if not 0.0 < self.t_end < self.t_start:
             raise ValidationError("need 0 < t_end < t_start")
         if self.kind == "vp-linear" and not 0.0 < self.beta_min < self.beta_max:
@@ -86,12 +93,9 @@ class NoiseSchedule:
         kind = spec.pop("kind", "vp-linear")
         if kind == "vp-cosine":
             spec.setdefault("t_start", 0.9946)
-        known = {"beta_min", "beta_max", "cosine_s", "t_start", "t_end"}
-        extra = set(spec) - known
+        extra = set(spec) - set(_NUMBER_FIELDS)
         if extra:
             raise ValidationError(f"unknown schedule fields {sorted(extra)}")
-        for key, value in spec.items():
-            typed(value, "number", f"schedule field {key!r}")
         spec["cosine_s"] = spec.pop("cosine_s", 0.008)
         return cls(kind=kind, **spec)
 

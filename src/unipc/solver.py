@@ -157,6 +157,8 @@ class SolverConfig:
             worst = max(int(d) for d in self.order_schedule)
             if worst > limit:
                 raise ValidationError(f"order schedule entry {worst} exceeds limit {limit}")
+        if self.thresholding is not None and not isinstance(self.thresholding, Thresholding):
+            raise ValidationError(f"thresholding must be a Thresholding, got {self.thresholding!r}")
         if self.thresholding is not None and self.prediction != "data":
             raise ValidationError("thresholding applies to data prediction only")
 
@@ -476,20 +478,17 @@ def _cached_plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, fir
     """
     global _cache_steps
     key = (sched, config, first, grid.times.tobytes())
-    try:
-        with _cache_lock:
-            plan = _cache.get(key)
-            if plan is not None:
-                _cache.move_to_end(key)
-                return plan
-            mark = hash(key)  # a collision only keeps a plan one use early
-            again = mark in _seen
-            if not again:
-                if len(_seen) >= _CACHE_STEPS:  # as many keys as the cache can hold plans
-                    _seen.clear()
-                _seen.add(mark)
-    except TypeError:  # a schedule built with an unhashable field, such as a 0-d array
-        return _plan(sched, grid, config, first)
+    with _cache_lock:
+        plan = _cache.get(key)
+        if plan is not None:
+            _cache.move_to_end(key)
+            return plan
+        mark = hash(key)  # a collision only keeps a plan one use early
+        again = mark in _seen
+        if not again:
+            if len(_seen) >= _CACHE_STEPS:  # as many keys as the cache can hold plans
+                _seen.clear()
+            _seen.add(mark)
     plan = _plan(sched, grid, config, first)
     steps = len(plan.trace)
     if again and steps <= _CACHE_STEPS:

@@ -36,9 +36,8 @@ WINDOW_CAP = 1.0
 WINDOW_FLOOR = 1e-12
 
 RK4_STEPS = 20_000
-#: Steps of the fine-rk4 reference whose schedule coefficients are computed together.
+#: Steps of the fine-rk4 reference whose stage rows are built together.
 _RK4_BLOCK = 1024
-_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 
 
 def reference_solution(
@@ -52,18 +51,36 @@ def reference_solution(
 ) -> np.ndarray:
     """High-accuracy final state used as the study's ground truth.
 
-    closed-form delegates to the exact x-free trajectory; fine-rk4 runs
-    classical RK4 on dx/dlambda = sigma^2(lambda) x - sigma(lambda) eps(x, t)
-    over `steps` uniform-lambda steps and insists that doubling the step
-    count moves the answer by less than 1e-9 relative; the two passes make
-    4 model calls a step, 12 * steps in all.  No RK4 coefficient depends on
-    x, so each pass walks the lambda grid in blocks of _RK4_BLOCK steps and
-    computes a block's node and midpoint times (one t_of_lambda call each)
-    and sigma, sigma^2 as whole arrays before it steps through the block.
+    x_T must be a 1-d array of length model.dim (else ValidationError) and
+    t_start must lie above t_end (else DomainError); both are checked before
+    any model call.  closed-form delegates to the exact x-free trajectory;
+    fine-rk4 runs classical RK4 on dx/dlambda = sigma^2(lambda) x -
+    sigma(lambda) eps(x, t) over `steps` uniform-lambda steps and insists
+    that doubling the step count moves the answer by less than 1e-9
+    relative; the two passes make 4 model calls a step, 12 * steps in all.
+
+    No RK4 coefficient depends on x, so a pass walks the lambda grid in
+    blocks of _RK4_BLOCK steps and builds each block's stage rows with
+    whole-array ops, from its node and midpoint times (one t_of_lambda call
+    each) and sigma, sigma^2 there.  A pass holds one work array
+    W = [x, f0, f1, f2, f3] (the state and the step's four model outputs):
+    the model input of stage i = 1, 2, 3 is x + D_i @ W[:i + 1], and the
+    step ends with x += D_4 @ W, one gemv and one add a stage.  The rows
+    hold increments only, so x enters every sum with coefficient exactly 1;
+    a row that folded x in as 1 + delta would round away the low bits of
+    delta at every stage, an error that accumulates over the pass.  The
+    model is called with reused buffers (the state and one stage-input
+    array), so, as with sample(), it must not keep the arrays it is given.
     """
     if mode not in REFERENCE_MODES:
         raise ValidationError(f"unknown reference mode {mode!r}")
     x_T = np.asarray(x_T, dtype=float)
+    if x_T.shape != (model.dim,):
+        raise ValidationError(
+            f"x_T must be a 1-d array of length {model.dim}, got shape {x_T.shape}"
+        )
+    if not t_start > t_end:
+        raise DomainError(f"need t_end < t_start, got t_start={t_start}, t_end={t_end}")
     if mode == "closed-form":
         exact = exact_solution_xfree(model, sched, x_T, t_start, t_end)
         if not np.all(np.isfinite(exact)):
@@ -74,31 +91,66 @@ def reference_solution(
     evaluator = model.evaluator(sched)
     lam_start, lam_end = sched.lam(t_start), sched.lam(t_end)
 
-    def coefficients(lams: np.ndarray) -> tuple[list, list, list]:
-        # t, sigma and sigma^2 at lams; sigma^2 = 1/(1 + e^{2 lambda}) for any VP schedule.
+    def sigmas(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # sigma^2 = 1/(1 + e^{2 lambda}) for any VP schedule
         sig = np.sqrt(1.0 / (1.0 + np.exp(2.0 * lams)))
-        return sched.t_of_lambda(lams).tolist(), sig.tolist(), (sig * sig).tolist()
+        return sig, sig * sig
+
+    def stage_rows(lams: np.ndarray, mids: np.ndarray, R: np.ndarray) -> list[np.ndarray]:
+        # Fill R (steps, 14) with the block's increment rows, packed stage by stage, and
+        # return them as views: D_1..D_3 (steps, 2..4) and the step's D_4 (steps, 5).
+        # Stage i's slope is k_i = a (x + D_i @ W) - b f_i in W coordinates (D_0 = 0,
+        # a = sigma^2 and b = sigma at the stage's time), and D_{i+1} = c h k_i with
+        # c = 1/2, 1/2, 1.
+        s, s2 = sigmas(lams)
+        sm, sm2 = sigmas(mids)
+        h = np.diff(lams)[:, None]
+        D = np.split(R, [2, 5, 9], axis=1)
+        D4 = D[3]  # sums h/6 (k_0 + 2 k_1 + 2 k_2 + k_3)
+        D4[:, 0], D4[:, 1], D4[:, 2:] = s2[:-1], -s[:-1], 0.0  # k_0, at the step's node
+        np.multiply(0.5 * h, D4[:, :2], out=D[0])
+        for i, c in ((1, 0.5), (2, 1.0)):  # k_1 and k_2, at the midpoint, built in D_{i+1}
+            k = D[i]
+            np.multiply(sm2[:, None], D[i - 1], out=k[:, :i + 1])
+            k[:, 0] += sm2
+            k[:, i + 1] = -sm
+            D4[:, :i + 2] += 2.0 * k
+            k *= c * h
+        D4[:, :4] += s2[1:, None] * D[2]  # k_3, at the next node
+        D4[:, 0] += s2[1:]
+        D4[:, 4] -= s[1:]
+        D4 *= h / 6.0
+        return D
 
     def integrate(n: int) -> np.ndarray:
         dl_nominal = (lam_end - lam_start) / n
-        x, K = x_T.copy(), np.empty((4, x_T.size))  # K: the stage slopes of one step
+        W, y = np.empty((5, x_T.size)), np.empty(x_T.size)
+        x, f0, f1, f2, f3 = W  # row views: assigning into one is cheaper than into W[i]
+        x[...] = x_T
+        W1, W2, W3 = W[:2], W[:3], W[:4]
+        R = np.empty((min(n, _RK4_BLOCK), 14))  # one block's rows, reused block after block
         for j0 in range(0, n, _RK4_BLOCK):
             j1 = min(j0 + _RK4_BLOCK, n)
             lams = np.arange(j0, j1 + 1) * dl_nominal + lam_start  # np.linspace's nodes
             if j1 == n:
                 lams[-1] = lam_end
-            t, s, s2 = coefficients(lams)
-            tm, sm, sm2 = coefficients(0.5 * (lams[:-1] + lams[1:]))
-            for j, dl in enumerate(np.diff(lams).tolist()):
-                K[0] = s2[j] * x - s[j] * evaluator(x, t[j])
-                y = x + 0.5 * dl * K[0]
-                K[1] = sm2[j] * y - sm[j] * evaluator(y, tm[j])
-                y = x + 0.5 * dl * K[1]
-                K[2] = sm2[j] * y - sm[j] * evaluator(y, tm[j])
-                y = x + dl * K[2]
-                K[3] = s2[j + 1] * y - s[j + 1] * evaluator(y, t[j + 1])
-                x = x + dl * (_RK4_WEIGHTS @ K)
-        return x
+            mids = 0.5 * (lams[:-1] + lams[1:])
+            t, tm = sched.t_of_lambda(lams), sched.t_of_lambda(mids)
+            rows = stage_rows(lams, mids, R[:j1 - j0])
+            for d1, d2, d3, d4, t0, th, t1 in zip(*rows, t[:-1], tm, t[1:]):
+                f0[...] = evaluator(x, t0)
+                np.dot(d1, W1, out=y)
+                y += x
+                f1[...] = evaluator(y, th)
+                np.dot(d2, W2, out=y)
+                y += x
+                f2[...] = evaluator(y, th)
+                np.dot(d3, W3, out=y)
+                y += x
+                f3[...] = evaluator(y, t1)
+                np.dot(d4, W, out=y)
+                x += y
+        return x.copy()
 
     coarse = integrate(steps)
     if not np.all(np.isfinite(coarse)):

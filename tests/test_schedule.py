@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -241,6 +242,26 @@ class TestConstruction:
             NoiseSchedule.from_json({"kind": "vp-linear", "gamma": 2.0})
         with pytest.raises(ValidationError):
             NoiseSchedule.from_json({"kind": "edm"})
+
+    @pytest.mark.parametrize("name, fields", [
+        ("beta_min", {"kind": "vp-cosine", "t_start": 0.9, "beta_min": "x", "beta_max": None}),
+        ("beta_min", {"beta_min": np.array(0.1)}),
+        ("beta_max", {"beta_max": [20.0]}),
+        ("t_start", {"t_start": True}),
+        ("t_end", {"t_end": float("nan")}),
+        ("cosine_s", {"kind": "vp-cosine", "t_start": 0.9, "cosine_s": math.inf}),
+    ])
+    def test_number_fields_type_checked(self, name, fields):
+        with pytest.raises(ValidationError, match=f"schedule field '{name}'"):
+            NoiseSchedule(**fields)
+
+    def test_numbers_kept_as_given(self):
+        # No float conversion, so a config's ints (and numpy scalars) round-trip as written.
+        spec = {"kind": "vp-linear", "beta_min": 1, "beta_max": 20, "t_start": 1, "t_end": 0.001}
+        sched = NoiseSchedule.from_json(spec)
+        assert json.dumps(sched.to_json()) == json.dumps(spec)
+        scalar = NoiseSchedule(beta_min=np.float64(0.1))
+        assert scalar == NoiseSchedule() and hash(scalar) == hash(NoiseSchedule())
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValidationError):

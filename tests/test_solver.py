@@ -776,6 +776,11 @@ class TestThresholding:
         with pytest.raises(ValidationError):
             SolverConfig(order=2, prediction="noise", thresholding=Thresholding())
 
+    @pytest.mark.parametrize("th", [{"ratio": 0.995, "floor": 1.0}, [0.995, 1.0], 0.995])
+    def test_thresholding_must_be_a_thresholding(self, th):
+        with pytest.raises(ValidationError, match="must be a Thresholding"):
+            SolverConfig(order=2, prediction="data", thresholding=th)
+
     @pytest.mark.parametrize("ratio", [0.5, 0.2, 1.0 + 1e-12, 2.0, -1.0])
     def test_ratio_outside_half_to_one_rejected(self, ratio):
         with pytest.raises(ValidationError, match="ratio"):
@@ -954,12 +959,19 @@ class TestPlanCache:
             assert len(solver._cached_plan(vp_linear, big, config, 1).trace) == 26
         assert len(solver._cache) == 3 and solver._cache_steps == 20
 
-    def test_unhashable_schedule_is_built_per_call(self, rng):
-        sched = NoiseSchedule(beta_min=np.array(0.1))  # accepted, but cannot key a cache
+    def test_numpy_scalar_schedule_is_cached(self, rng):
+        # A 0-d array field, which could not key the cache, is now refused at construction;
+        # a numpy scalar is a number, hashes like the float it equals, and keys one plan.
+        with pytest.raises(ValidationError, match="beta_min"):
+            NoiseSchedule(beta_min=np.array(0.1))
+        sched = NoiseSchedule(beta_min=np.float64(0.1))
         model = SyntheticModel.linear_in_x(0.3, 4).evaluator(sched)
         grid, x0 = make_time_grid(sched, 5), rng.standard_normal(4)
         runs = [sample(model, sched, grid, SolverConfig(order=2), x0) for _ in range(3)]
-        assert runs[2].final.tobytes() == runs[0].final.tobytes() and not solver._cache
+        assert runs[2].final.tobytes() == runs[0].final.tobytes()
+        (kept,) = solver._cache.values()  # kept at the second use, read at the third
+        # the plain-float schedule it equals finds the same plan
+        assert solver._cached_plan(NoiseSchedule(), grid, SolverConfig(order=2), 1) is kept
 
     def test_first_use_keeps_nothing(self, vp_linear):
         grid, config = make_time_grid(vp_linear, 5), SolverConfig(order=3)

@@ -7,7 +7,9 @@ import pytest
 from oracles import rk4_reference
 from unipc import (
     ConvergenceStudy,
+    DomainError,
     FitError,
+    ModelEvaluator,
     NoiseSchedule,
     ReferenceAccuracyError,
     SolverConfig,
@@ -73,7 +75,7 @@ class _CountedModel:
     """A SyntheticModel that keeps the evaluators it hands out, to count their calls."""
 
     def __init__(self, model):
-        self.model, self.evaluators = model, []
+        self.model, self.dim, self.evaluators = model, model.dim, []
 
     def evaluator(self, sched):
         self.evaluators.append(self.model.evaluator(sched))
@@ -110,6 +112,88 @@ class TestReferenceAgainstOracle:
         with pytest.raises(ValidationError, match="steps"):
             reference_solution(SyntheticModel.linear_in_x(0.5, 2), vp_linear, np.ones(2),
                                1.0, 1e-3, "fine-rk4", steps=steps)
+
+
+class _RecordingModel:
+    """A SyntheticModel whose evaluators record every call: the time, a copy of the
+    input, and the input array itself (which the reference may reuse)."""
+
+    def __init__(self, model):
+        self.model, self.dim, self.calls, self.inputs = model, model.dim, [], []
+
+    def evaluator(self, sched):
+        inner = self.model.evaluator(sched)
+
+        def fn(x, t):
+            self.calls.append((t, x.copy()))
+            self.inputs.append(x)
+            return inner(x, t)
+
+        return ModelEvaluator(fn, "noise", self.dim)
+
+
+class TestReferenceStages:
+    STEPS = 1500  # the first pass's steps 1023 and 1024 lie on either side of a block seam
+
+    @pytest.fixture
+    def case(self, vp_cosine, rng):
+        return SyntheticModel.linear_in_x([0.3, -0.5, 0.8], 3), vp_cosine, rng.standard_normal(3)
+
+    def reference(self, model, sched, x):
+        return reference_solution(model, sched, x, sched.t_start, sched.t_end, "fine-rk4",
+                                  steps=self.STEPS)
+
+    def test_stages_match_stagewise_oracle(self, case):
+        model, sched, x = case
+        recorder = _RecordingModel(model)
+        self.reference(recorder, sched, x)
+        oracle_calls = []
+        inner = model.evaluator(sched)
+
+        def oracle_model(y, t):
+            oracle_calls.append((t, y.copy()))
+            return inner(y, t)
+
+        rk4_reference(oracle_model, sched, x, sched.t_start, sched.t_end, self.STEPS)
+        assert len(oracle_calls) == 4 * self.STEPS
+        scale = max(float(np.max(np.abs(y))) for _, y in oracle_calls)
+        for step in (0, 1023, 1024):
+            for stage in range(4):
+                k = 4 * step + stage  # the first pass's calls come first
+                (t_got, y_got), (t_want, y_want) = recorder.calls[k], oracle_calls[k]
+                assert t_got == t_want, (step, stage)
+                assert np.max(np.abs(y_got - y_want)) <= 1e-14 * scale, (step, stage)
+
+    def test_input_untouched_and_result_owns_its_memory(self, case):
+        model, sched, x = case
+        kept = x.copy()
+        recorder = _RecordingModel(model)
+        out = self.reference(recorder, sched, x)
+        assert x.tobytes() == kept.tobytes()
+        assert not any(np.shares_memory(out, seen) for seen in recorder.inputs)
+        assert out.flags.owndata
+
+    def test_repeat_calls_are_bitwise_equal(self, case):
+        model, sched, x = case
+        assert self.reference(model, sched, x).tobytes() == self.reference(model, sched, x).tobytes()
+
+    @pytest.mark.parametrize("mode", ["closed-form", "fine-rk4"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (1,), ()])
+    def test_x_T_must_be_one_state(self, vp_linear, mode, shape):
+        recorder = _RecordingModel(SyntheticModel.x_free_poly([0.3], 2))
+        model = recorder if mode == "fine-rk4" else recorder.model
+        with pytest.raises(ValidationError, match="x_T must be a 1-d array of length 2"):
+            reference_solution(model, vp_linear, np.ones(shape), 1.0, 1e-3, mode)
+        assert not recorder.calls
+
+    @pytest.mark.parametrize("mode", ["closed-form", "fine-rk4"])
+    @pytest.mark.parametrize("t_start, t_end", [(1e-3, 1.0), (0.5, 0.5)])
+    def test_times_must_run_backwards(self, vp_linear, mode, t_start, t_end):
+        recorder = _RecordingModel(SyntheticModel.x_free_poly([0.3], 2))
+        model = recorder if mode == "fine-rk4" else recorder.model
+        with pytest.raises(DomainError, match="need t_end < t_start"):
+            reference_solution(model, vp_linear, np.ones(2), t_start, t_end, mode)
+        assert not recorder.calls
 
 
 class TestFitOrder:
