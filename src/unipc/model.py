@@ -1,10 +1,11 @@
 """Model-evaluation contract, synthetic analytic models, and thresholding.
 
 States are flat 1-d float64 arrays; the solver math is dimension-wise so no
-richer shape is needed.  A ModelEvaluator wraps any callable (x, t) -> array
+richer shape is needed.  A ModelEvaluator wraps any callable (x, t) -> state
 together with its parameterization kind ("noise" predicts the noise
 component eps, "data" predicts the clean signal x0) and an invocation
-counter used for NFE accounting.  The two parameterizations are linked by
+counter used for NFE accounting, and rejects a result of any other shape.
+The two parameterizations are linked by
 
     x = alpha_t * x0_pred + sigma_t * eps_pred.
 
@@ -50,6 +51,18 @@ PREDICTION_KINDS = ("noise", "data")
 MODEL_FAMILIES = ("x-free-poly", "linear-in-x")
 
 
+def _state(value, dim: int | None, what: str) -> np.ndarray:
+    """value as a float array: ValidationError unless it is 1-d, of length dim if one is given."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
+    if x.ndim != 1 or dim is not None and x.size != dim:
+        length = "" if dim is None else f" of length {dim}"
+        raise ValidationError(f"{what} must be a 1-d array{length}, got shape {x.shape}")
+    return x
+
+
 class ModelEvaluator:
     """Deterministic, reentrant model callable with NFE accounting."""
 
@@ -63,9 +76,14 @@ class ModelEvaluator:
         self._lock = threading.Lock()
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+        """fn(x, t) as a float array, which must be a state: the call is counted, then
+        ValidationError unless the result has shape (dim,)."""
         with self._lock:
             self._count += 1
-        return np.asarray(self._fn(np.asarray(x, dtype=float), float(t)), dtype=float)
+        f = np.asarray(self._fn(np.asarray(x, dtype=float), float(t)), dtype=float)
+        if f.shape != (self.dim,):
+            raise ValidationError(f"model output must have shape ({self.dim},), got {f.shape}")
+        return f
 
     @property
     def eval_count(self) -> int:
@@ -204,10 +222,12 @@ def exact_solution_xfree(
     closed-form antiderivative of lambda^k e^{-lambda}:
 
         integral lambda^k e^{-lambda} dlambda = -e^{-lambda} sum_{j<=k} (k!/j!) lambda^j.
+
+    x_s must be a 1-d array of length model.dim (ValidationError).
     """
     if model.family != "x-free-poly":
         raise DomainError("exact solution requires an x-free polynomial model")
-    x_s = np.asarray(x_s, dtype=float)
+    x_s = _state(x_s, model.dim, "x_s")
     la_s, la_t = sched.log_alpha(s), sched.log_alpha(t)
     lam_s, lam_t = sched.lam(s), sched.lam(t)
     if not lam_t > lam_s:

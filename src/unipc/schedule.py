@@ -211,22 +211,6 @@ class NoiseSchedule:
         sig2 = -np.expm1(2.0 * la)
         return la, la - 0.5 * np.log(sig2), np.sqrt(sig2)
 
-    # -- ODE coefficients --------------------------------------------------
-
-    def drift_diffusion(self, t: float) -> tuple[float, float]:
-        """Drift f(t) = d log alpha/dt and squared diffusion g^2(t).
-
-        g^2 = d sigma^2/dt - 2 f sigma^2, which collapses to -2 f for VP
-        schedules since alpha^2 + sigma^2 = 1.
-        """
-        t = self._check_t(t)
-        if self.kind == "vp-linear":
-            f = -0.5 * (self.beta_min + (self.beta_max - self.beta_min) * t)
-        else:
-            s = self.cosine_s
-            f = -0.5 * math.pi / (1.0 + s) * math.tan(0.5 * math.pi * (t + s) / (1.0 + s))
-        return f, -2.0 * f
-
 
 @dataclass(frozen=True)
 class TimeGrid:

@@ -49,10 +49,11 @@ slots it does not read), then a, so an update is one gemv,
 row @ work[:K + 1] into work[K + 1], with no temporary; y is copied into
 x's row once a step, and the last step writes into a fresh array that the
 result owns.  correct and ddim_step, the one-step API for plugging UniC
-into another sampler, apply a row [c..., a] over np.stack(outputs + [x]).
-BLAS rounds a gemv by row width and column order, so they match the driver
-bit for bit only because both use that one column order, x last, and the
-ring is no wider than the widest row.
+into another sampler, apply a row [c..., a] over np.stack(outputs + [x]),
+x last as in the driver, and build it alone.  They agree with the driver
+to round-off, not always bit for bit: BLAS rounds a gemv by row width and
+column order, and a solved row's basis series takes as many terms as the
+largest h of its plan batch needs.
 
 The multistep plan follows the warm-up discipline p_i = min(p, i), pushes
 the model output evaluated at the *uncorrected* predictor result into the
@@ -79,7 +80,7 @@ from .errors import (
     ValidationError,
     typed,
 )
-from .model import ModelEvaluator, _threshold
+from .model import ModelEvaluator, _state, _threshold
 from .schedule import NoiseSchedule, TimeGrid
 
 VARIANTS = ("multistep", "singlestep")
@@ -207,29 +208,30 @@ class SolverConfig:
         return cls(thresholding=th, **spec)
 
 
-@dataclass
-class BufferEntry:
-    """A model output buffered at time t."""
-
-    t: float
-    output: np.ndarray
+BufferEntry = namedtuple("BufferEntry", "t output")  # a model output buffered at time t
 
 
 @dataclass
 class SolverState:
-    """Running iterate plus the history buffer of model outputs."""
+    """Running iterate plus the history buffer of model outputs, at most capacity of them
+    (an int >= 1, else ValidationError)."""
 
     x: np.ndarray
     buffer: list[BufferEntry] = field(default_factory=list)
     step_index: int = 0
     capacity: int = coeffs.MAX_ORDER
 
-    def push(self, entry: BufferEntry) -> None:
-        if self.buffer and not entry.t < self.buffer[-1].t:
+    def __post_init__(self):
+        if not typed(self.capacity, "int", "capacity") >= 1:
+            raise ValidationError(f"capacity must be >= 1, got {self.capacity}")
+
+    def push(self, t: float, output: np.ndarray) -> None:
+        """Buffer the model output at time t, which must lie below the last buffered time
+        (ValidationError), and drop the oldest entries beyond capacity."""
+        if self.buffer and not t < self.buffer[-1].t:
             raise ValidationError("buffer timesteps must be strictly decreasing in t")
-        self.buffer.append(entry)
-        while len(self.buffer) > self.capacity:
-            self.buffer.pop(0)
+        self.buffer.append(BufferEntry(t, output))
+        del self.buffer[:-self.capacity]
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,24 +255,10 @@ class SampleResult:
 # -- coefficient rows ----------------------------------------------------------
 
 
-def _evaluate(model: ModelEvaluator, x: np.ndarray, t: float) -> np.ndarray:
-    """model(x, t), which must be a state: ValidationError unless its shape is (model.dim,)."""
-    f = model(x, t)
-    if f.shape != (model.dim,):
-        raise ValidationError(f"model output must have shape ({model.dim},), got {f.shape}")
-    return f
-
-
-def _state(value, dim: int | None, what: str) -> np.ndarray:
-    """value as a float array: ValidationError unless it is 1-d, of length dim if one is given."""
-    try:
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
-    if x.ndim != 1 or dim is not None and x.size != dim:
-        length = "" if dim is None else f" of length {dim}"
-        raise ValidationError(f"{what} must be a 1-d array{length}, got shape {x.shape}")
-    return x
+def _row_options(config: SolverConfig) -> dict:
+    """coeffs.update_rows' options for a config: half_a1 does not apply to varying weights."""
+    return dict(bh=config.bh, prediction=config.prediction,
+                half_a1=config.half_a1 and not config.varying_coefficients)
 
 
 def _guard(arr: np.ndarray, step: int) -> None:
@@ -296,8 +284,11 @@ def ddim_step(sched: NoiseSchedule, x: np.ndarray, eps_prev: np.ndarray, t_prev:
               t_next: float) -> np.ndarray:
     """First-order noise-prediction update (standalone DDIM).
 
-    x and eps_prev must be 1-d arrays of one length (ValidationError otherwise).
+    x and eps_prev must be 1-d arrays of one length (ValidationError otherwise),
+    and t_next must lie below t_prev (DomainError), checked before any arithmetic.
     """
+    if not t_next < t_prev:
+        raise DomainError(f"t_next={t_next} is not below t_prev={t_prev}")
     x = _state(x, None, "x")
     eps_prev = _state(eps_prev, x.size, "eps_prev")
     return _update(sched, x, [t_prev, t_next], [eps_prev], {})
@@ -320,34 +311,41 @@ class CorrectResult:
 
 
 def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.ndarray,
-            p: int, model: ModelEvaluator, *, bh: str = "b2", prediction: str = "noise",
-            varying: bool = False, half_a1: bool = True, oracle: bool = False) -> CorrectResult:
+            p: int, model: ModelEvaluator, config: SolverConfig = SolverConfig()) -> CorrectResult:
     """Refine any p-th order estimate x_pred at t_next (plug-and-play UniC).
 
-    Evaluates the model once at (x_pred, t_next); that output both enters the
-    correction difference and is what the caller should buffer for the next
-    step, so the corrector adds no model evaluations to a run.  In oracle
-    mode the model is re-evaluated at the corrected state (one extra call)
-    and that output is returned for buffering instead.  The history is the
-    p latest buffered outputs; state.x, x_pred and each of those must be 1-d
-    arrays of length model.dim (ValidationError otherwise).  p must be an int
-    in 1..MAX_ORDER (1..MAX_VARYING_ORDER when varying) and model must make
-    `prediction`s (ValidationError otherwise), and t_next must lie below the
-    last buffered time (DomainError); all of this is checked before the model
-    is called.
+    Evaluates the model once at (x_pred, t_next); that output enters the
+    correction and is what the caller buffers for the next step,
+    state.push(t_next, result.push_output), so the corrector adds no model
+    evaluations to a run.  With config.corrector "oracle" the model is
+    re-evaluated at the corrected state (one extra call) and that output is
+    returned instead.  config's bh, prediction, varying_coefficients and
+    half_a1 shape the update as in sample(); config.order, variant and
+    order_schedule describe a whole run and are not read: p is this step's
+    order.  Checked before the model is called: config must be a SolverConfig
+    with a corrector and no thresholding, p an int in 1..MAX_ORDER
+    (1..MAX_VARYING_ORDER with varying coefficients), model must make
+    config.prediction's kind, and state.x, x_pred and the p latest buffered
+    outputs must be 1-d arrays of length model.dim (ValidationError), and
+    t_next must lie below the last buffered time (DomainError).
     """
-    _check_order(p, varying)
-    _check_prediction(model, prediction)
-    opts = dict(bh=bh, prediction=prediction, half_a1=half_a1 and not varying)
+    if (not isinstance(config, SolverConfig) or config.corrector == "off"
+            or config.thresholding is not None):
+        raise ValidationError(
+            f"correct() needs a SolverConfig with a corrector and no thresholding, got {config!r}")
+    _check_order(p, config.varying_coefficients)
+    _check_prediction(model, config.prediction)
     entries = _history(state, p)
     if not t_next < entries[-1].t:
         raise DomainError(f"t_next={t_next} is not below the last buffered t={entries[-1].t}")
     x = _state(state.x, model.dim, "state.x")
     outputs = [_state(e.output, model.dim, f"buffered output at t={e.t}") for e in entries]
-    f_pred = _evaluate(model, _state(x_pred, model.dim, "x_pred"), t_next)
+    f_pred = model(_state(x_pred, model.dim, "x_pred"), t_next)
     _guard(f_pred, state.step_index + 1)
-    corrected = _update(sched, x, [e.t for e in entries] + [t_next], outputs + [f_pred], opts)
-    push = _evaluate(model, corrected, t_next) if oracle else f_pred
+    corrected = _update(sched, x, [e.t for e in entries] + [t_next], outputs + [f_pred],
+                        _row_options(config))
+    oracle = config.corrector == "oracle"
+    push = model(corrected, t_next) if oracle else f_pred
     _guard(push, state.step_index + 1)
     return CorrectResult(corrected, push, 1 + oracle)
 
@@ -377,9 +375,7 @@ _BATCH = 32
 
 def _coefficients(nodes, src, dst, low, corrector, config: SolverConfig, K: int):
     """The rows that _plan lays out, [c in ring slot order, a], built _BATCH rows at a time."""
-    lam, single = nodes[1], config.variant == "singlestep"
-    opts = dict(bh=config.bh, prediction=config.prediction,
-                half_a1=config.half_a1 and not config.varying_coefficients)
+    lam, single, opts = nodes[1], config.variant == "singlestep", _row_options(config)
     rows = np.zeros((len(src), K + 1))
     for j in range(0, len(src), _BATCH):
         batch = slice(j, j + _BATCH)
@@ -542,7 +538,7 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
         # is freed before thresholding, which then works in the slot.
         nonlocal nfe
         out = work[node % K]
-        out[...] = _evaluate(model, x_at, plan.ts[node])
+        out[...] = model(x_at, plan.ts[node])
         nfe += 1
         if th is not None:
             _threshold(out, th.ratio, th.floor)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (
     DomainError, FitError, NumericError, ReferenceAccuracyError, ValidationError, typed,
 )
-from .model import SyntheticModel, exact_solution_xfree
+from .model import SyntheticModel, _state, exact_solution_xfree
 from .schedule import NoiseSchedule, TimeGrid, make_time_grid
 from .solver import SolverConfig, sample
 
@@ -74,11 +74,7 @@ def reference_solution(
     """
     if mode not in REFERENCE_MODES:
         raise ValidationError(f"unknown reference mode {mode!r}")
-    x_T = np.asarray(x_T, dtype=float)
-    if x_T.shape != (model.dim,):
-        raise ValidationError(
-            f"x_T must be a 1-d array of length {model.dim}, got shape {x_T.shape}"
-        )
+    x_T = _state(x_T, model.dim, "x_T")
     if not t_start > t_end:
         raise DomainError(f"need t_end < t_start, got t_start={t_start}, t_end={t_end}")
     if mode == "closed-form":

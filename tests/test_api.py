@@ -1,5 +1,7 @@
 """The public API is pinned: growing or shrinking it takes a deliberate edit here."""
 
+import inspect
+
 import unipc
 
 PUBLIC_NAMES = [
@@ -43,3 +45,11 @@ def test_public_api_is_pinned():
     assert sorted(unipc.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(unipc, name) is not None
+
+
+def test_one_step_signatures_are_pinned():
+    # per-run options come from a SolverConfig, not from keyword knobs
+    assert list(inspect.signature(unipc.correct).parameters) == [
+        "sched", "state", "t_next", "x_pred", "p", "model", "config"]
+    assert inspect.signature(unipc.correct).parameters["config"].default == unipc.SolverConfig()
+    assert list(inspect.signature(unipc.SolverState.push).parameters) == ["self", "t", "output"]

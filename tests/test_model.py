@@ -119,6 +119,13 @@ class TestExactSolution:
         with pytest.raises(DomainError):
             exact_solution_xfree(poly, vp_linear, np.ones(2), 0.1, 0.9)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3,), (5,), (1,), ()])
+    def test_x_s_must_be_one_state(self, vp_linear, shape):
+        # a (4, 4) x_s with a dim-4 model returned a (4, 4) array
+        model = SyntheticModel.x_free_poly([0.3, -1.2, 0.5], 4)
+        with pytest.raises(ValidationError, match="x_s must be a 1-d array of length 4"):
+            exact_solution_xfree(model, vp_linear, np.ones(shape), 0.9, 0.1)
+
 
 class TestDynamicThreshold:
     def test_identity_inside_unit_box(self, rng):
@@ -269,6 +276,14 @@ class TestModelEvaluator:
         for th in threads:
             th.join()
         assert ev.eval_count == 1600
+
+    @pytest.mark.parametrize("output", [0.1, [0.1], [0.1] * 3, [[0.1, 0.1]], [[0.1], [0.1]]],
+                             ids=["scalar", "length-1", "length-3", "1x2", "2x1"])
+    def test_output_must_be_a_state(self, output):
+        ev = ModelEvaluator(lambda x, t: output, "noise", 2)
+        with pytest.raises(ValidationError, match=r"model output must have shape \(2,\), got"):
+            ev(np.ones(2), 0.5)
+        assert ev.eval_count == 1  # the call is counted before its result is checked
 
 
 class TestSyntheticModelConstruction:

@@ -151,33 +151,6 @@ class TestArrayMaps:
         assert t == vp_cosine.t_of_lambda(np.array([lam], dtype=float))[0]
 
 
-class TestDriftDiffusion:
-    def test_f_at_t1(self, vp_linear):
-        f, g2 = vp_linear.drift_diffusion(1.0)
-        assert f == pytest.approx(-10.0, abs=1e-12)
-        assert g2 == pytest.approx(20.0, abs=1e-12)
-
-    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
-    def test_f_matches_finite_difference(self, kind):
-        sched = NoiseSchedule.from_json({"kind": kind})
-        eps = 1e-6
-        for t in np.linspace(0.05, sched.t_start - 0.05, 9):
-            f, _ = sched.drift_diffusion(float(t))
-            fd = (sched.log_alpha(float(t) + eps) - sched.log_alpha(float(t) - eps)) / (2 * eps)
-            assert f == pytest.approx(fd, rel=1e-5)
-
-    def test_g2_matches_finite_difference(self, vp_linear):
-        t, eps = 0.5, 1e-6
-        f, g2 = vp_linear.drift_diffusion(t)
-        sig2 = lambda u: vp_linear.sigma(u) ** 2
-        dsig2 = (sig2(t + eps) - sig2(t - eps)) / (2 * eps)
-        assert g2 == pytest.approx(dsig2 - 2 * f * sig2(t), rel=1e-6)
-
-    def test_finite_at_t_end(self, vp_linear):
-        f, g2 = vp_linear.drift_diffusion(vp_linear.t_end)
-        assert math.isfinite(f) and math.isfinite(g2)
-
-
 class TestTimeGrid:
     def test_single_step(self, vp_linear):
         grid = make_time_grid(vp_linear, 1)

@@ -28,7 +28,7 @@ from unipc import (
 from unipc import solver
 from unipc.coeffs import bh_value
 from unipc.schedule import TimeGrid
-from unipc.solver import BufferEntry, SolverState, _guard
+from unipc.solver import SolverState, _guard
 
 
 def zero_model(dim=4):
@@ -41,7 +41,7 @@ def const_model(value, dim=4):
 
 def fresh_state(sched, model, x, t0):
     state = SolverState(x=np.asarray(x, float), capacity=4)
-    state.push(BufferEntry(t0, model(x, t0)))
+    state.push(t0, model(x, t0))
     return state
 
 
@@ -214,8 +214,8 @@ class TestLocalOrders:
         t_a = sched.t_of_lambda(lam_base - h)
         t_b = sched.t_of_lambda(lam_base)
         state = SolverState(x=x_base, capacity=4)
-        state.push(BufferEntry(t_a, evaluator(x_base, t_a)))
-        state.push(BufferEntry(t_b, evaluator(x_base, t_b)))
+        state.push(t_a, evaluator(x_base, t_a))
+        state.push(t_b, evaluator(x_base, t_b))
         return state, t_b
 
     def test_unip2_local_error_order(self, vp_linear, poly_model):
@@ -273,7 +273,7 @@ class TestCorrectChecks:
     def _state(self, evaluator, ts):
         state = SolverState(x=np.ones(4), capacity=len(ts))
         for t in ts:
-            state.push(BufferEntry(t, evaluator(np.ones(4), t)))
+            state.push(t, evaluator(np.ones(4), t))
         return state
 
     @pytest.mark.parametrize("p,varying", [
@@ -287,7 +287,8 @@ class TestCorrectChecks:
         state = self._state(evaluator, [0.9 - 0.05 * k for k in range(10)])
         calls = evaluator.eval_count
         with pytest.raises(ValidationError, match="order"):
-            correct(vp_linear, state, 0.4, np.ones(4), p, evaluator, varying=varying)
+            correct(vp_linear, state, 0.4, np.ones(4), p, evaluator,
+                    SolverConfig(varying_coefficients=varying))
         assert evaluator.eval_count == calls
 
     def test_numpy_int_order_accepted(self, vp_linear, poly_model):
@@ -307,7 +308,7 @@ class TestCorrectChecks:
         calls = evaluator.eval_count
         with pytest.raises(ValidationError,
                            match=f"model predicts '{model_prediction}' but config expects '{other}'"):
-            correct(vp_linear, state, 0.7, np.ones(4), 2, evaluator, prediction=other)
+            correct(vp_linear, state, 0.7, np.ones(4), 2, evaluator, SolverConfig(prediction=other))
         assert evaluator.eval_count == calls
 
     @pytest.mark.parametrize("t_next", [0.95, 0.7, math.nan])
@@ -317,6 +318,22 @@ class TestCorrectChecks:
         calls = evaluator.eval_count
         with pytest.raises(DomainError, match="t_next"):
             correct(vp_linear, state, t_next, np.ones(4), 2, evaluator)
+        assert evaluator.eval_count == calls
+
+    @pytest.mark.parametrize("config", [
+        SolverConfig(corrector="off"),
+        SolverConfig(prediction="data", thresholding=Thresholding()),
+        {"bh": "b2"},
+        None,
+    ], ids=["corrector-off", "thresholding", "dict", "none"])
+    def test_config_needs_a_corrector_and_no_thresholding(self, vp_linear, poly_model, config):
+        evaluator = poly_model.evaluator(vp_linear)
+        if isinstance(config, SolverConfig) and config.prediction == "data":
+            evaluator = convert_parameterization(evaluator, vp_linear)
+        state = self._state(evaluator, [0.9, 0.8])
+        calls = evaluator.eval_count
+        with pytest.raises(ValidationError, match="needs a SolverConfig with a corrector"):
+            correct(vp_linear, state, 0.7, np.ones(4), 2, evaluator, config)
         assert evaluator.eval_count == calls
 
 
@@ -442,6 +459,27 @@ class TestBufferDiscipline:
         res_std, res_oracle = run("standard"), run("oracle")
         assert res_oracle.nfe == 2 * M - 1
         assert np.max(np.abs(res_std.final - res_oracle.final)) > 0
+
+    def test_push_keeps_the_latest_outputs(self):
+        state = SolverState(x=np.ones(2), capacity=2)
+        for t in (0.9, 0.8, 0.7):
+            state.push(t, np.full(2, t))
+        assert [e.t for e in state.buffer] == [0.8, 0.7]
+        assert np.array_equal(state.buffer[-1].output, np.full(2, 0.7))
+
+    @pytest.mark.parametrize("t", [0.8, 0.9, math.nan])
+    def test_push_time_must_lie_below_the_last(self, t):
+        state = SolverState(x=np.ones(2))
+        state.push(0.8, np.ones(2))
+        with pytest.raises(ValidationError, match="strictly decreasing"):
+            state.push(t, np.ones(2))
+        assert len(state.buffer) == 1
+
+    @pytest.mark.parametrize("capacity", [-1, 0, 1.5, 2.0, True, "2", None])
+    def test_capacity_must_be_a_positive_int(self, capacity):
+        # -1 made push raise IndexError and 0 emptied the buffer on every push
+        with pytest.raises(ValidationError, match="capacity"):
+            SolverState(x=np.ones(2), capacity=capacity)
 
 
 class TestOrderSchedules:
@@ -622,8 +660,8 @@ class TestGuards:
         dim, t0, t1 = 4, 0.9, 0.8
         state = fresh_state(vp_linear, zero_model(dim), rng.standard_normal(dim), t0)
         with pytest.raises(ValidationError, match="model output must have shape"):
-            correct(vp_linear, state, t1, state.x.copy(), 1,
-                    ModelEvaluator(model_fn, "noise", dim), oracle=oracle)
+            correct(vp_linear, state, t1, state.x.copy(), 1, ModelEvaluator(model_fn, "noise", dim),
+                    SolverConfig(corrector="oracle" if oracle else "standard"))
 
     @pytest.mark.parametrize("x,eps", [
         (np.array(1.0), np.ones(4)),     # a scalar state was broadcast to a constant state
@@ -636,6 +674,15 @@ class TestGuards:
     def test_ddim_step_shape_rejected(self, vp_linear, x, eps):
         with pytest.raises(ValidationError, match="1-d array|not a numeric array"):
             ddim_step(vp_linear, x, eps, 0.8, 0.6)
+
+    @pytest.mark.parametrize("t_prev,t_next", [(0.5, 0.9), (0.6, 0.6), (0.8, math.nan)],
+                             ids=["backwards", "equal", "nan"])
+    def test_ddim_step_must_step_forward(self, vp_linear, t_prev, t_next):
+        # backwards stepped silently; equal times warned 0/0 before the DomainError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="t_next=.* is not below t_prev"):
+                ddim_step(vp_linear, np.ones(4), np.ones(4), t_prev, t_next)
 
     @pytest.mark.parametrize("where,value", [
         ("x", np.array(1.0)),            # a scalar state.x returned a broadcast state
@@ -651,8 +698,8 @@ class TestGuards:
     def test_correct_shape_rejected(self, vp_linear, poly_model, where, value):
         evaluator = poly_model.evaluator(vp_linear)
         state = SolverState(x=np.ones(4), capacity=4)
-        state.push(BufferEntry(0.9, evaluator(np.ones(4), 0.9)))
-        state.push(BufferEntry(0.8, value if where == "output" else evaluator(np.ones(4), 0.8)))
+        state.push(0.9, evaluator(np.ones(4), 0.9))
+        state.push(0.8, value if where == "output" else evaluator(np.ones(4), 0.8))
         if where == "x":
             state.x = value
         x_pred = value if where == "x_pred" else np.ones(4)
@@ -802,29 +849,54 @@ class TestThresholding:
 
 
 class TestPlugAndPlayCorrector:
-    def test_unic_on_manual_ddim_equals_driver(self, vp_linear, poly_model, rng):
-        M = 7
-        grid = make_time_grid(vp_linear, M)
-        x0 = rng.standard_normal(4)
-        driver = sample(poly_model.evaluator(vp_linear), vp_linear, grid,
-                        SolverConfig(order=1, corrector="standard"), x0, trajectory=True)
-
-        evaluator = poly_model.evaluator(vp_linear)
+    @staticmethod
+    def manual_run(sched, grid, evaluator, x0, config):
+        """DDIM steps, each but the last refined by correct() and its output pushed, as
+        sample() runs UniPC-1; the trajectory and the model calls it made."""
+        t = [float(v) for v in grid.times]
         state = SolverState(x=x0.copy(), capacity=1)
-        state.push(BufferEntry(float(grid.times[0]), evaluator(x0, float(grid.times[0]))))
+        state.push(t[0], evaluator(x0, t[0]))
         traj = [x0.copy()]
-        for i in range(1, M + 1):
-            t_prev, t_next = float(grid.times[i - 1]), float(grid.times[i])
-            x_pred = ddim_step(vp_linear, state.x, state.buffer[-1].output, t_prev, t_next)
-            if i < M:
-                res = correct(vp_linear, state, t_next, x_pred, 1, evaluator)
-                state.push(BufferEntry(t_next, res.push_output))
-                state.x = res.corrected
-            else:
-                state.x = x_pred
+        for t_prev, t_next in zip(t[:-1], t[1:]):
+            x_pred = ddim_step(sched, state.x, state.buffer[-1].output, t_prev, t_next)
+            if t_next != t[-1]:
+                res = correct(sched, state, t_next, x_pred, 1, evaluator, config)
+                state.push(t_next, res.push_output)
+                x_pred = res.corrected
+            state.x = x_pred
             traj.append(state.x.copy())
+        return traj, evaluator.eval_count
+
+    def test_unic_on_manual_ddim_equals_driver(self, vp_linear, poly_model, rng):
+        grid = make_time_grid(vp_linear, 7)
+        x0 = rng.standard_normal(4)
+        config = SolverConfig(order=1, corrector="standard")
+        driver = sample(poly_model.evaluator(vp_linear), vp_linear, grid, config, x0,
+                        trajectory=True)
+        traj, _ = self.manual_run(vp_linear, grid, poly_model.evaluator(vp_linear), x0, config)
         for a, b in zip(driver.trajectory, traj):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("corrector", ["standard", "oracle"])
+    @pytest.mark.parametrize("weights", ["half_a1", "solved", "varying"])
+    @pytest.mark.parametrize("bh", ["b1", "b2"])
+    def test_every_option_equals_driver(self, vp_linear, poly_model, rng, bh, weights, corrector):
+        grid = make_time_grid(vp_linear, 7)
+        x0 = rng.standard_normal(4)
+        config = SolverConfig(order=1, bh=bh, corrector=corrector, half_a1=weights == "half_a1",
+                              varying_coefficients=weights == "varying")
+        driver = sample(poly_model.evaluator(vp_linear), vp_linear, grid, config, x0,
+                        trajectory=True)
+        traj, nfe = self.manual_run(vp_linear, grid, poly_model.evaluator(vp_linear), x0, config)
+        assert nfe == driver.nfe == (13 if corrector == "oracle" else 7)
+        if weights == "half_a1":
+            assert all(np.array_equal(a, b) for a, b in zip(driver.trajectory, traj))
+        else:
+            # Solved weights come from a batch of plan rows, whose basis series takes as
+            # many terms as the batch's largest h needs, so they agree to round-off only.
+            scale = max(float(np.max(np.abs(a))) for a in driver.trajectory)
+            for a, b in zip(driver.trajectory, traj):
+                assert np.max(np.abs(a - b)) <= 8 * np.finfo(float).eps * scale
 
 
 class TestConfigJSON:

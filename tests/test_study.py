@@ -132,6 +132,22 @@ class _RecordingModel:
         return ModelEvaluator(fn, "noise", self.dim)
 
 
+class _MisshapenModel:
+    """A dim-2 model whose evaluator returns `output` whatever the state."""
+
+    dim = 2
+
+    def __init__(self, output):
+        self.output, self.calls = output, 0
+
+    def evaluator(self, sched):
+        def fn(x, t):
+            self.calls += 1
+            return self.output
+
+        return ModelEvaluator(fn, "noise", self.dim)
+
+
 class TestReferenceStages:
     STEPS = 1500  # the first pass's steps 1023 and 1024 lie on either side of a block seam
 
@@ -185,6 +201,15 @@ class TestReferenceStages:
         with pytest.raises(ValidationError, match="x_T must be a 1-d array of length 2"):
             reference_solution(model, vp_linear, np.ones(shape), 1.0, 1e-3, mode)
         assert not recorder.calls
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
+    def test_fine_rk4_rejects_misshapen_model_output(self, vp_linear, shape):
+        # (1,) was broadcast over the state and ended in a ReferenceAccuracyError;
+        # (3,) and (2, 1) raised a bare numpy ValueError
+        model = _MisshapenModel(np.full(shape, 0.1))
+        with pytest.raises(ValidationError, match=r"model output must have shape \(2,\)"):
+            reference_solution(model, vp_linear, np.ones(2), 1.0, 1e-3, "fine-rk4", steps=10)
+        assert model.calls == 1
 
     @pytest.mark.parametrize("mode", ["closed-form", "fine-rk4"])
     @pytest.mark.parametrize("t_start, t_end", [(1e-3, 1.0), (0.5, 0.5)])
