@@ -55,20 +55,30 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _cell(row: dict, where: str, column: str, kind: type):
+    """row[column] as an int or float; ValidationError naming the row and the column."""
+    try:
+        return kind(row[column])
+    except (TypeError, ValueError):  # TypeError: a short row's missing cell is None
+        raise ValidationError(f"{where}, column {column!r}: {row[column]!r} is not "
+                              f"{'an int' if kind is int else 'a number'}") from None
+
+
 def _cmd_fit(args) -> int:
+    groups: dict[tuple, list[tuple[int, float]]] = {}  # per solver, its (M, error) points
     with open(args.infile) as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{args.infile} line {reader.line_num}"
+            key = tuple(row[k] for k in CSV_COLUMNS[:6])
+            groups.setdefault(key, []).append(
+                (_cell(row, where, "M", int), _cell(row, where, "error", float)))
+    if not groups:
         raise ValidationError(f"no data rows in {args.infile}")
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        key = tuple(row[k] for k in CSV_COLUMNS[:6])
-        groups.setdefault(key, []).append(row)
     failures = 0
-    for key, members in groups.items():
-        members.sort(key=lambda r: int(r["M"]))
-        Ms = [int(r["M"]) for r in members]
-        errs = [float(r["error"]) for r in members]
+    for key, points in groups.items():
+        points.sort(key=lambda point: point[0])
+        Ms, errs = zip(*points)
         label = f"{key[0]} ({key[2]}, {key[3]}, {key[4]}, corrector={key[5]})"
         try:
             fit = fit_order(Ms, errs)
@@ -115,7 +125,7 @@ def _plan_row_residual(sched, times, nodes, P: int, N: int, a, c, prediction: st
     and alpha_N for data prediction).  Each condition's error is taken
     relative to the size of its terms, which reach |r|^n.  With one offset
     r_1 besides 0 the row has the one weight w1 = u_1 r_1 / B(h), which
-    stays near the 1/2 that half_a1 pins it to.
+    stays near the 1/2 that a config without varying coefficients pins it to.
     """
     alpha_p, sigma_p, lam_p = sched.alpha_sigma_lambda(times[P])
     alpha_n, sigma_n, lam_n = sched.alpha_sigma_lambda(times[N])
@@ -142,7 +152,7 @@ def _selftest_plan() -> tuple[bool, str]:
     for variant, order, bh, prediction in itertools.product(
             solver.VARIANTS, range(1, 6), coeffs.BH_KINDS, ("noise", "data")):
         config = SolverConfig(order=order, variant=variant, bh=bh, prediction=prediction,
-                              half_a1=False)
+                              varying_coefficients=True)
         plan = solver._plan(sched, grid, config, 1)
         K = plan.rows.shape[1] - 1  # a row is [c in ring slot order, a]
         for row, P, N, low, corr in zip(plan.rows, plan.src, plan.dst, plan.low, plan.corrector):
@@ -224,7 +234,7 @@ def main(argv=None) -> int:
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ReferenceAccuracyError, FitError, SingularSystemError, OverflowError) as exc:

@@ -33,8 +33,8 @@ depends only on the spacing of r.  On the differences D_m = F_m - F_P the
 same update reads sum_m (w_m B(h) / r_m) D_m over the k nonzero offsets,
 with the paper's weights w solving sum_m (r_m h)^{n-1} w_m B(h) =
 h^n n! varphi_{n+1}(h), n = 1..k.  So B(h) cancels from u, and the
-varying-coefficients weights w = C^{-1} v give the same u.  Only half_a1, which pins the one weight of
-a single-offset update to 1/2, depends on B.
+varying-coefficients weights w = C^{-1} v give the same u.  Only update_rows'
+half_a1 (a single offset's weight pinned to 1/2) depends on B.
 
 basis_table and moment_rows evaluate the basis and solve these systems for
 many step sizes at once, update_rows turns them into the rows of a step

@@ -247,8 +247,11 @@ class TimeGrid:
 
 
 def make_time_grid(sched: NoiseSchedule, M: int, skip_kind: str = "uniform-lambda") -> TimeGrid:
-    """Discretize [t_end, t_start] into M steps (M+1 nodes), descending in t."""
-    if M < 1:
+    """Discretize [t_end, t_start] into M steps (M+1 nodes), descending in t.
+
+    M must be an int (not a bool; ValidationError) >= 1 (DomainError).
+    """
+    if typed(M, "int", "M") < 1:
         raise DomainError(f"need M >= 1 steps, got {M}")
     if skip_kind not in SKIP_KINDS:
         raise ValidationError(f"unknown skip kind {skip_kind!r}")

@@ -26,8 +26,8 @@ c is the unique solution of sum_j c_j r_j^n = s h n! varphi_{n+1}(h),
 n = 0..k, over the k + 1 nodes (r = 0 for x_prev's node; s = -sigma_next;
 psi and s = alpha_next for data prediction): B(h) cancels, and the
 varying-coefficients weights w = A v, A = C^{-1}, C = diag(1/n!) V(r),
-are that same solution.  Only the half_a1 shortcut, which pins a single
-weight to 1/2 (accurate for both B variants), depends on B.
+are that same solution.  Only the pinned weight of a single-offset update
+(1/2 unless varying_coefficients; accurate for both B) depends on B.
 
 sample() takes the plan for (schedule, grid, config, warm-start length)
 from a bounded cache, keyed by the schedule and config (frozen, compared by
@@ -122,9 +122,9 @@ class SolverConfig:
     """Sampling configuration; round-trips through JSON with lowercase enums.
 
     varying_coefficients selects the paper's step-size-independent weights
-    w = C^{-1} v (UniPC_v): the plan solves the same moment system for them,
-    so a run is bitwise equal to one with half_a1=False.  It keeps its order
-    cap of MAX_VARYING_ORDER = 5 and the name unipc_v-p.
+    w = C^{-1} v (UniPC_v): every weight solved, orders up to
+    MAX_VARYING_ORDER = 5, named unipc_v-p.  Without it the weight of a
+    single-offset update is pinned to 1/2, as in DPM-Solver++(2M).
     """
 
     order: int = 3
@@ -135,7 +135,6 @@ class SolverConfig:
     varying_coefficients: bool = False
     order_schedule: str | None = None
     thresholding: Thresholding | None = None
-    half_a1: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -147,7 +146,6 @@ class SolverConfig:
         if self.corrector not in CORRECTORS:
             raise ValidationError(f"unknown corrector {self.corrector!r}")
         typed(self.varying_coefficients, "bool", "varying_coefficients")
-        typed(self.half_a1, "bool", "half_a1")
         limit = _check_order(self.order, self.varying_coefficients)
         if self.order_schedule is not None:
             digits = self.order_schedule
@@ -256,9 +254,9 @@ class SampleResult:
 
 
 def _row_options(config: SolverConfig) -> dict:
-    """coeffs.update_rows' options for a config: half_a1 does not apply to varying weights."""
+    """coeffs.update_rows' options for a config: only varying weights solve a single offset's."""
     return dict(bh=config.bh, prediction=config.prediction,
-                half_a1=config.half_a1 and not config.varying_coefficients)
+                half_a1=not config.varying_coefficients)
 
 
 def _guard(arr: np.ndarray, step: int) -> None:
@@ -319,8 +317,8 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     state.push(t_next, result.push_output), so the corrector adds no model
     evaluations to a run.  With config.corrector "oracle" the model is
     re-evaluated at the corrected state (one extra call) and that output is
-    returned instead.  config's bh, prediction, varying_coefficients and
-    half_a1 shape the update as in sample(); config.order, variant and
+    returned instead.  config's bh, prediction and varying_coefficients
+    shape the update as in sample(); config.order, variant and
     order_schedule describe a whole run and are not read: p is this step's
     order.  Checked before the model is called: config must be a SolverConfig
     with a corrector and no thresholding, p an int in 1..MAX_ORDER

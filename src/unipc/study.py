@@ -172,17 +172,25 @@ class OrderFit:
 
 
 def fit_order(step_counts, errors) -> OrderFit:
-    """Fit the empirical convergence order over the asymptotic window."""
+    """Fit the empirical convergence order over the asymptotic window.
+
+    Every step count must be finite and > 0 (DomainError); FitError unless the
+    usable points number 3 or more over at least 2 distinct step counts.
+    """
     Ms = np.asarray(step_counts, dtype=float)
     errs = np.asarray(errors, dtype=float)
     if Ms.shape != errs.shape:
         raise DomainError("step_counts and errors must have equal length")
+    if not (np.isfinite(Ms) & (Ms > 0)).all():
+        raise DomainError(f"step counts must be finite and > 0, got {Ms.tolist()}")
     usable = np.isfinite(errs) & (errs > WINDOW_FLOOR) & (errs < WINDOW_CAP)
     if int(usable.sum()) < 3:
         excluded = [(int(m), float(e)) for m, e in zip(Ms[~usable], errs[~usable])]
         raise FitError(
             f"only {int(usable.sum())} usable points (need >= 3); excluded {excluded}"
         )
+    if len(set(Ms[usable].tolist())) < 2:
+        raise FitError(f"all usable points have M = {Ms[usable][0]:g}; need >= 2 distinct step counts")
     x = np.log2(Ms[usable])
     y = np.log2(errs[usable])
     A = np.vstack([x, np.ones_like(x)]).T

@@ -126,7 +126,7 @@ def reference_update(sched, config, x, t_prev, t_next, f_prev, rs, Ds):
         w, B = np.linalg.inv(C) @ v, h
     else:
         B = h if config.bh == "b1" else math.expm1(h)
-        if k == 1 and config.half_a1:
+        if k == 1:
             w = np.array([0.5])
         else:
             V = np.array([[r ** (n - 1) for r in rs] for n in range(1, k + 1)])

@@ -1,5 +1,6 @@
 """The public API is pinned: growing or shrinking it takes a deliberate edit here."""
 
+import dataclasses
 import inspect
 
 import unipc
@@ -53,3 +54,10 @@ def test_one_step_signatures_are_pinned():
         "sched", "state", "t_next", "x_pred", "p", "model", "config"]
     assert inspect.signature(unipc.correct).parameters["config"].default == unipc.SolverConfig()
     assert list(inspect.signature(unipc.SolverState.push).parameters) == ["self", "t", "output"]
+
+
+def test_solver_config_fields_are_pinned():
+    # one knob per choice: varying_coefficients alone decides whether every weight is solved
+    assert [f.name for f in dataclasses.fields(unipc.SolverConfig)] == [
+        "order", "variant", "bh", "prediction", "corrector", "varying_coefficients",
+        "order_schedule", "thresholding"]

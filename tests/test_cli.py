@@ -129,7 +129,6 @@ class TestRun:
         pytest.param(("step_counts",), ["a", 20, 40, 80], id="step_counts-str"),
         pytest.param(("solvers",), 5, id="solvers-int"),
         pytest.param(("solvers", 0, "thresholding"), {"ratio": "x", "floor": 1.0}, id="ratio-str"),
-        pytest.param(("solvers", 0, "half_a1"), "yes", id="half_a1-str"),
         pytest.param(("solvers", 0, "varying_coefficients"), 1, id="varying-int"),
         pytest.param(("oracle_starts",), "false", id="oracle_starts-str"),
         pytest.param(("model", "coeffs"), [], id="coeffs-empty"),
@@ -144,6 +143,15 @@ class TestRun:
         config.write_text(json.dumps(with_field(base, path, value)))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, False, "yes"])
+    def test_removed_half_a1_field_exits_2(self, tmp_path, capsys, value):
+        # varying_coefficients is the one knob for solved weights; half_a1 is not a field
+        config = tmp_path / "half_a1.json"
+        config.write_text(json.dumps(with_field(CONFIG, ("solvers", 0, "half_a1"), value)))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown solver fields ['half_a1']" in err and "Traceback" not in err
 
     def test_bad_thresholding_exits_2_before_any_cell(self, tmp_path, monkeypatch):
         import unipc.study
@@ -193,8 +201,8 @@ FUZZ_BASE = {**CONFIG, "step_counts": [2, 3, 4, 6],
              "model": {**CONFIG["model"], "dim": 2}, "oracle_starts": False,
              "solvers": [{"order": 2, "variant": "multistep", "bh": "b2", "prediction": "data",
                           "corrector": "standard", "varying_coefficients": False,
-                          "order_schedule": None, "thresholding": {"ratio": 0.995, "floor": 1.0},
-                          "half_a1": True}]}
+                          "order_schedule": None,
+                          "thresholding": {"ratio": 0.995, "floor": 1.0}}]}
 FUZZ_PATHS = (
     [(key,) for key in FUZZ_BASE]
     + [("model", key) for key in FUZZ_BASE["model"]]
@@ -244,6 +252,41 @@ class TestFit:
                 fh.write(f"unip-1,1,multistep,b2,noise,off,{M},{M},{err},0.1\n")
         assert main(["fit", "--in", str(path)]) == 3
         assert "unfittable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("M, err, message", [
+        ("ten", "0.1", "line 3, column 'M': 'ten' is not an int"),
+        ("20", "small", "line 3, column 'error': 'small' is not a number"),
+        ("20", None, "line 3, column 'error': None is not a number"),  # a short row
+    ], ids=["M-text", "error-text", "short-row"])
+    def test_non_numeric_cell_exits_2(self, tmp_path, capsys, M, err, message):
+        # int() and float() raised a ValueError traceback and exit 1
+        path = tmp_path / "cells.csv"
+        row = f"unip-1,1,multistep,b2,noise,off,{M},{M}" + ("" if err is None else f",{err},0.1")
+        path.write_text("solver,order,variant,bh,prediction,corrector,M,nfe,error,seconds\n"
+                        f"unip-1,1,multistep,b2,noise,off,10,10,0.2,0.1\n{row}\n")
+        assert main(["fit", "--in", str(path)]) == 2
+        err_text = capsys.readouterr().err
+        assert message in err_text and "Traceback" not in err_text
+
+    @pytest.mark.parametrize("command", ["fit", "run"])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, command):
+        # a UTF-16 byte-order mark raised UnicodeDecodeError: a traceback and exit 1
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + "solver,M,error\n".encode("utf-16-le"))
+        args = ["--in", str(path)] if command == "fit" else [
+            "--config", str(path), "--out", str(tmp_path / "x.csv")]
+        assert main([command] + args) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_positive_step_count_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        with open(path, "w") as fh:
+            fh.write("solver,order,variant,bh,prediction,corrector,M,nfe,error,seconds\n")
+            for M, err in [(0, 0.1), (-5, 0.01), (20, 0.001)]:
+                fh.write(f"unip-1,1,multistep,b2,noise,off,{M},{M},{err},0.1\n")
+        assert main(["fit", "--in", str(path)]) == 2
+        err_text = capsys.readouterr().err
+        assert "step counts must be finite and > 0" in err_text and "Traceback" not in err_text
 
     def test_empty_csv_exits_2(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -40,7 +40,6 @@ def runs(draw):
         corrector=draw(st.sampled_from(["off", "standard", "oracle"])),
         varying_coefficients=draw(st.booleans()),
         order_schedule=schedule,
-        half_a1=draw(st.booleans()),
     )
     sched = NoiseSchedule.from_json({"kind": draw(st.sampled_from(["vp-linear", "vp-cosine"]))})
     grid = make_time_grid(sched, M, draw(st.sampled_from(
@@ -57,7 +56,8 @@ VP_LINEAR = NoiseSchedule.from_json({"kind": "vp-linear"})
 @settings(max_examples=150, deadline=None)
 @given(runs())
 @example((  # its round-off once read 1.5e-12 of max(1, |x|), past the flat bound this replaced
-    SolverConfig(order=5, bh="b1", prediction="data", corrector="oracle", half_a1=False),
+    SolverConfig(order=5, bh="b1", prediction="data", corrector="oracle",
+                 varying_coefficients=True),
     VP_LINEAR, make_time_grid(VP_LINEAR, 12, "uniform-time"), 2, 0.125, 0))
 def test_plan_matches_per_step_reference(run):
     config, sched, grid, warm, kappa, seed = run

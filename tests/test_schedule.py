@@ -181,6 +181,15 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             make_time_grid(vp_linear, 0)
 
+    @pytest.mark.parametrize("M", [2.5, "3", True, None, 3.0], ids=repr)
+    def test_non_int_steps_rejected(self, vp_linear, M):
+        # 2.5 and "3" raised a bare TypeError; True made a 1-step grid
+        with pytest.raises(ValidationError, match="M must be an int"):
+            make_time_grid(vp_linear, M)
+
+    def test_numpy_int_steps_accepted(self, vp_linear):
+        assert make_time_grid(vp_linear, np.int64(3)).num_steps == 3
+
     def test_keeps_its_own_copy(self, vp_linear):
         # The grid once aliased the caller's arrays and flipped them read-only; the
         # caller could flip them back and change a validated grid.

@@ -189,24 +189,6 @@ class TestUpdateFormulas:
         expected = x_pred - vp_linear.sigma(t1) * bh_value("b2", h) * 0.5 * d1
         assert np.allclose(res.trajectory[1], expected, rtol=1e-14)
 
-    @pytest.mark.parametrize("variant", ["multistep", "singlestep"])
-    @pytest.mark.parametrize("prediction", ["noise", "data"])
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-    def test_varying_equals_half_a1_off_bitwise(self, vp_linear, rng, order, prediction, variant):
-        # The plan solves the same moment system for both, so the runs agree bit for bit.
-        grid = make_time_grid(vp_linear, 12)
-        x0 = rng.standard_normal(3)
-
-        def run(**kwargs):
-            model = SyntheticModel.linear_in_x(0.3, 3).evaluator(vp_linear)
-            if prediction == "data":
-                model = convert_parameterization(model, vp_linear)
-            config = SolverConfig(order=order, variant=variant, prediction=prediction, **kwargs)
-            return sample(model, vp_linear, grid, config, x0, trajectory=True).trajectory
-
-        for a, b in zip(run(varying_coefficients=True), run(half_a1=False)):
-            assert np.array_equal(a, b)
-
 
 class TestLocalOrders:
     def _matched_state(self, sched, model, lam_base, h, x_base):
@@ -878,18 +860,18 @@ class TestPlugAndPlayCorrector:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("corrector", ["standard", "oracle"])
-    @pytest.mark.parametrize("weights", ["half_a1", "solved", "varying"])
+    @pytest.mark.parametrize("weights", ["pinned", "varying"])
     @pytest.mark.parametrize("bh", ["b1", "b2"])
     def test_every_option_equals_driver(self, vp_linear, poly_model, rng, bh, weights, corrector):
         grid = make_time_grid(vp_linear, 7)
         x0 = rng.standard_normal(4)
-        config = SolverConfig(order=1, bh=bh, corrector=corrector, half_a1=weights == "half_a1",
+        config = SolverConfig(order=1, bh=bh, corrector=corrector,
                               varying_coefficients=weights == "varying")
         driver = sample(poly_model.evaluator(vp_linear), vp_linear, grid, config, x0,
                         trajectory=True)
         traj, nfe = self.manual_run(vp_linear, grid, poly_model.evaluator(vp_linear), x0, config)
         assert nfe == driver.nfe == (13 if corrector == "oracle" else 7)
-        if weights == "half_a1":
+        if weights == "pinned":
             assert all(np.array_equal(a, b) for a, b in zip(driver.trajectory, traj))
         else:
             # Solved weights come from a batch of plan rows, whose basis series takes as
@@ -903,7 +885,7 @@ class TestConfigJSON:
     def test_round_trip(self):
         config = SolverConfig(order=4, variant="singlestep", bh="b1", prediction="data",
                               corrector="oracle", order_schedule=None,
-                              thresholding=Thresholding(0.99, 1.5), half_a1=False)
+                              thresholding=Thresholding(0.99, 1.5), varying_coefficients=True)
         assert SolverConfig.from_json(config.to_json()) == config
 
     def test_lowercase_enums(self):
@@ -984,7 +966,7 @@ class TestPlanCache:
             "warm start": (vp_linear, grid, config, 2),
             "schedule": (other, regrid, config, 1),
         }
-        for name, value in [("bh", "b1"), ("half_a1", False), ("order_schedule", "12312312"),
+        for name, value in [("bh", "b1"), ("order_schedule", "12312312"),
                             ("variant", "singlestep"), ("prediction", "data"),
                             ("corrector", "off"), ("order", 2), ("varying_coefficients", True)]:
             variants[name] = (vp_linear, grid, replace(config, **{name: value}), 1)

@@ -242,6 +242,18 @@ class TestFitOrder:
         message = str(excinfo.value)
         assert "excluded" in message and "80" in message
 
+    @pytest.mark.parametrize("Ms", [[0, -5, 20], [10, float("inf"), 40], [10, float("nan"), 40]],
+                             ids=["non-positive", "inf", "nan"])
+    def test_bad_step_counts_rejected(self, Ms):
+        # [0, -5, 20] reached the log and raised numpy's LinAlgError
+        with pytest.raises(DomainError, match="step counts must be finite and > 0"):
+            fit_order(Ms, [0.1, 0.01, 0.001])
+
+    def test_one_distinct_step_count_unfittable(self):
+        # once fitted an order of 1.834 with r2 = 0 through three points at one M
+        with pytest.raises(FitError, match="M = 10; need >= 2 distinct step counts"):
+            fit_order([10, 10, 10], [0.1, 0.01, 0.001])
+
     def test_window_bounds(self):
         # errors above 1 or at round-off are dropped
         Ms = [10, 20, 40, 80, 160, 320]
@@ -304,7 +316,7 @@ class TestRunStudy:
         study = ConvergenceStudy(
             model=SyntheticModel.x_free_poly([30.0, -120.0, 50.0], 2),
             schedule=NoiseSchedule(),
-            solver_configs=[SolverConfig(order=5, corrector="off", half_a1=False)],
+            solver_configs=[SolverConfig(order=5, corrector="off", varying_coefficients=True)],
             step_counts=[4, 5, 6, 7],
             seed=0,
         )
