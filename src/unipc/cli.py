@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -40,6 +41,9 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     study = ConvergenceStudy.from_json(cfg)
+    if not os.path.isdir(os.path.dirname(args.out) or ".") or os.path.isdir(args.out):
+        # checked before the study runs, not after
+        raise ValidationError(f"--out {args.out!r} is not a file in an existing directory")
     run_study(study)
     emit(study, args.out, fmt=args.format)
     print(f"wrote {len(study.results)} rows to {args.out}")

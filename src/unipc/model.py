@@ -249,27 +249,20 @@ def convert_parameterization(m: ModelEvaluator, sched: NoiseSchedule) -> ModelEv
 
     Outputs satisfy x = alpha_t * x0 + sigma_t * eps identically.
     """
-    # (x - s f) / d as (f * -s + x) / d, bitwise the same (a - b == a + (-b)) with
-    # one state-sized temporary; the wrapped model's array is never written.
-    if m.prediction == "noise":
-
-        def fn(x, t):
-            alpha, sig, _ = sched.alpha_sigma_lambda(t)
-            y = m(x, t) * -sig
-            y += x
-            y /= alpha
-            return y
-
-        return ModelEvaluator(fn, "data", m.dim)
+    to_data = m.prediction == "noise"
 
     def fn(x, t):
+        # (x - a f) / b with (a, b) = (sigma, alpha) to data, (alpha, sigma) to noise, as
+        # (f * -a + x) / b: bitwise the same (u - v == u + (-v)) with one state-sized
+        # temporary; the wrapped model's array is never written.
         alpha, sig, _ = sched.alpha_sigma_lambda(t)
-        y = m(x, t) * -alpha
+        a, b = (sig, alpha) if to_data else (alpha, sig)
+        y = m(x, t) * -a
         y += x
-        y /= sig
+        y /= b
         return y
 
-    return ModelEvaluator(fn, "noise", m.dim)
+    return ModelEvaluator(fn, "data" if to_data else "noise", m.dim)
 
 
 def dynamic_threshold(x0: np.ndarray, ratio: float = 0.995, floor: float = 1.0) -> np.ndarray:

@@ -28,7 +28,7 @@ Two families are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -214,36 +214,26 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly decreasing times t_0 > ... > t_M with their lambdas."""
+    """Strictly decreasing times t_0 > ... > t_M, kept as a read-only copy.
+
+    A grid is its times alone: the schedule a run samples under maps them to
+    lambda, so the same grid serves any schedule whose range holds its times.
+    """
 
     times: np.ndarray
-    lambdas: np.ndarray
-    skip_kind: str
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)  # own copies, so a caller cannot change them
-        lambdas = np.array(self.lambdas, dtype=float)
-        if times.ndim != 1 or times.shape != lambdas.shape or len(times) < 2:
-            raise ValidationError("times and lambdas must be equal-length 1-d arrays")
+        times = np.array(self.times, dtype=float)  # own copy, so a caller cannot change it
+        if times.ndim != 1 or len(times) < 2:
+            raise ValidationError("grid times must be a 1-d array of at least 2 times")
         if not np.all(np.diff(times) < 0):
             raise ValidationError("grid times must be strictly decreasing")
-        if not np.all(np.diff(lambdas) > 0):
-            raise ValidationError("grid lambdas must be strictly increasing")
         times.setflags(write=False)
-        lambdas.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "lambdas", lambdas)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     @property
     def num_steps(self) -> int:
         return len(self.times) - 1
-
-    def step_sizes(self) -> np.ndarray:
-        """h_i = lambda_{t_i} - lambda_{t_{i-1}}, all positive."""
-        return np.diff(self.lambdas)
 
 
 def make_time_grid(sched: NoiseSchedule, M: int, skip_kind: str = "uniform-lambda") -> TimeGrid:
@@ -256,13 +246,11 @@ def make_time_grid(sched: NoiseSchedule, M: int, skip_kind: str = "uniform-lambd
     if skip_kind not in SKIP_KINDS:
         raise ValidationError(f"unknown skip kind {skip_kind!r}")
     if skip_kind == "uniform-lambda":
-        lambdas = np.linspace(sched.lambda_start, sched.lambda_end, M + 1)
-        return TimeGrid(times=sched.t_of_lambda(lambdas), lambdas=lambdas, skip_kind=skip_kind)
+        return TimeGrid(sched.t_of_lambda(np.linspace(sched.lambda_start, sched.lambda_end, M + 1)))
     if skip_kind == "uniform-time":
-        times = np.linspace(sched.t_start, sched.t_end, M + 1)
-    else:  # quadratic-time: uniform in sqrt(t)
-        roots = np.linspace(math.sqrt(sched.t_start), math.sqrt(sched.t_end), M + 1)
-        times = roots**2
-        times[0], times[-1] = sched.t_start, sched.t_end
-    lambdas = sched._maps(times)[1]
-    return TimeGrid(times=times, lambdas=lambdas, skip_kind=skip_kind)
+        return TimeGrid(np.linspace(sched.t_start, sched.t_end, M + 1))
+    # quadratic-time: uniform in sqrt(t)
+    roots = np.linspace(math.sqrt(sched.t_start), math.sqrt(sched.t_end), M + 1)
+    times = roots**2
+    times[0], times[-1] = sched.t_start, sched.t_end
+    return TimeGrid(times)

@@ -35,9 +35,10 @@ value), the warm-start length and the grid times bit for bit.  A miss builds
 it for all steps at once (coeffs.basis_table and coeffs.moment_rows on
 batches of rows).  A plan is kept from its key's second use on, so repeated
 sampling with fixed settings builds it twice in all and a run made once
-keeps nothing.  Kept plans are shared: their arrays are read-only, and each
-result gets a fresh list of the frozen StepRecords.  The cache holds at
-most _CACHE_STEPS = 4,096 plan steps, under about 6 MB.
+keeps nothing.  _plan builds every plan in the form the cache shares, with
+read-only arrays and tuples, and each result gets a fresh list of the
+frozen StepRecords.  The cache holds at most _CACHE_STEPS = 4,096 plan
+steps, under about 6.5 MB.
 
 The plan owns the run layout: per update its a and c, the node it steps
 from and lands on, the nodes it reads and the model call after it;
@@ -412,7 +413,14 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     Rows take their offsets from the node lambdas (multistep: the grid nodes)
     or at the nominal fractions of a singlestep step from node b, which adds
     interior nodes b + m at lambda_b + (m/p) h, then its grid node b + p.
+    The grid's lambdas come from sched; ValidationError unless they strictly
+    increase.  The plan is returned in the form the plan cache shares: its
+    arrays read-only, ts and trace tuples.
     """
+    nodes = sched._maps(grid.times)  # (log alpha, lambda, sigma) at the grid times
+    if not np.all(np.diff(nodes[1]) > 0):
+        raise ValidationError("grid times do not map to strictly increasing lambdas "
+                              "under this schedule")
     M = grid.num_steps
     orders = config.resolved_orders(M)[first - 1:]
     p = np.array(orders, np.int32)  # node numbers are int32: the plan keeps several per row
@@ -421,7 +429,8 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     ts, base = grid.times, np.arange(first - 1, M, dtype=np.int32)  # each step's start node
     if single:
         base = first - 1 + p.cumsum(dtype=np.int32) - p
-        ts = _singlestep_times(sched, ts, sched._maps(ts)[1], p, first)
+        ts = _singlestep_times(sched, ts, nodes[1], p, first)
+        nodes = sched._maps(ts)
     count = 1 + corr + (p - 1 if single else 0)  # rows per step
     bounds = np.zeros(len(p) + 1, int)  # step k is rows bounds[k]:bounds[k + 1]
     bounds[1:] = count.cumsum()
@@ -431,34 +440,30 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     dst = first - 1 + (~corrector).cumsum(dtype=np.int32)  # only correctors reuse a node
     low = src if single else dst - p.repeat(count)
     K = int((dst - low + corrector).max())  # the widest row: more slots would add zero terms
-    rows = _coefficients(sched._maps(ts), src, dst, low, corrector, config, K)  # temporaries die here
+    rows = _coefficients(nodes, src, dst, low, corrector, config, K)  # temporaries die here
     call = np.where(corrector, -1, dst) if config.corrector == "standard" else dst.copy()
     call[-1] = -1
-    ts = ts.tolist()  # below: a step's used_ts lists the nodes after its start b first
-    trace = [StepRecord(i, q, ts[b], ts[n], tuple(ts[b + 1:n] + ts[lo:b + 1] + ts[n:n + cr]), cr)
-             for i, q, b, n, lo, cr in zip(range(first, M + 1), orders,
-                                           *map(memoryview, (base, dst[last], low[last], corr)))]
+    ts = tuple(ts.tolist())  # below: a step's used_ts lists the nodes after its start b first
+    trace = tuple(StepRecord(i, q, ts[b], ts[n], ts[b + 1:n] + ts[lo:b + 1] + ts[n:n + cr], cr)
+                  for i, q, b, n, lo, cr in zip(range(first, M + 1), orders,
+                                                *map(memoryview, (base, dst[last], low[last], corr))))
+    for arr in (rows, src, dst, low, corrector, call, bounds):
+        arr.flags.writeable = False
     return _Plan(rows, ts, src, dst, low, corrector, call, bounds, trace)
 
 
 # -- plan cache -----------------------------------------------------------------
 
 #: Plan steps the cache holds in all.  A study of the shipped shape (30 plans, 3,150
-#: steps) fits whole.  A kept plan costs 0.16-0.6 KB a step multistep, at most about
-#: 1.45 KB a step (singlestep order 9) and about 1.2 KB for a one-step plan, so the
-#: cache stays under about 6 MB, and the set of key hashes seen once under 0.3 MB.
+#: steps) fits whole.  A kept plan with its key costs 0.24-0.49 KB a step multistep,
+#: at most about 1.53 KB a step (singlestep order 9) and about 1.46 KB for a one-step
+#: plan (tracemalloc over a full cache), so the cache stays under about 6.5 MB, and
+#: the set of key hashes seen once under 0.3 MB.
 _CACHE_STEPS = 4096
 _cache: OrderedDict = OrderedDict()  # key -> read-only plan, least recently used first
 _cache_steps = 0  # steps of the plans in _cache
 _seen: set[int] = set()  # hashes of keys used once; a key used again keeps its plan
 _cache_lock = threading.Lock()
-
-
-def _shared(plan: _Plan) -> _Plan:
-    """What sample() reads of a plan, read-only: no src, dst or low; ts and trace as tuples."""
-    for arr in (plan.rows, plan.corrector, plan.call, plan.bounds):
-        arr.flags.writeable = False
-    return plan._replace(ts=tuple(plan.ts), src=None, dst=None, low=None, trace=tuple(plan.trace))
 
 
 def _cached_plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Plan:
@@ -486,7 +491,6 @@ def _cached_plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, fir
     plan = _plan(sched, grid, config, first)
     steps = len(plan.trace)
     if again and steps <= _CACHE_STEPS:
-        plan = _shared(plan)
         with _cache_lock:
             if key not in _cache:  # another thread may have built it meanwhile
                 _cache[key] = plan
@@ -511,13 +515,12 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     States are 1-d arrays of length model.dim; x_init and warm_start are
     never written, and the model must not keep the arrays it is given (the
     run reuses them).  trajectory=True also keeps a copy of every grid state.
-    The step plan comes from the module's bounded plan cache; result.trace is a
-    fresh list each call.
+    The grid's times must lie in the schedule's range (DomainError) and map to
+    strictly increasing lambdas under it (ValidationError), checked before any
+    model call.  The step plan comes from the module's bounded plan cache;
+    result.trace is a fresh list each call.
     """
     _check_prediction(model, config.prediction)
-    times, lambdas = grid.times, grid.lambdas
-    if abs(lambdas[0] - sched.lam(times[0])) > 1e-8 or abs(lambdas[-1] - sched.lam(times[-1])) > 1e-8:
-        raise ValidationError("grid does not belong to this schedule")
     x = _state(x_init, model.dim, "x_init")
     warm = [_state(xs, model.dim, f"warm_start[{j}]") for j, xs in enumerate(warm_start or [])]
     if len(warm) >= grid.num_steps:

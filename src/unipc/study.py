@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (
     DomainError, FitError, NumericError, ReferenceAccuracyError, ValidationError, typed,
 )
-from .model import SyntheticModel, _state, exact_solution_xfree
-from .schedule import NoiseSchedule, TimeGrid, make_time_grid
+from .model import SyntheticModel, _state, convert_parameterization, exact_solution_xfree
+from .schedule import SKIP_KINDS, NoiseSchedule, make_time_grid
 from .solver import SolverConfig, sample
 
 ERROR_NORMS = ("max-abs", "rms")
@@ -219,7 +219,11 @@ class StudyResult:
 
 @dataclass
 class ConvergenceStudy:
-    """One sweep: model x schedule x solver configs x step counts."""
+    """One sweep: model x schedule x solver configs x step counts.
+
+    The fields are checked here, so a study that could not finish fails
+    before run_study solves its reference.
+    """
 
     model: SyntheticModel
     schedule: NoiseSchedule
@@ -239,10 +243,19 @@ class ConvergenceStudy:
             raise ValidationError(f"unknown reference mode {self.reference!r}")
         if len(self.step_counts) < 4:
             raise ValidationError("need at least 4 step counts for a slope fit")
+        for M in self.step_counts:
+            if typed(M, "int", "step count") < 1:
+                raise ValidationError(f"step counts must be >= 1, got {M}")
         if any(b <= a for a, b in zip(self.step_counts, self.step_counts[1:])):
             raise ValidationError("step_counts must be strictly increasing")
         if not self.solver_configs:
             raise ValidationError("need at least one solver config")
+        for i, config in enumerate(self.solver_configs):
+            if config.order_schedule is not None:
+                raise ValidationError(f"solver {i} has an order_schedule, which fixes M; "
+                                      "a study varies M")
+        if self.skip_kind not in SKIP_KINDS:
+            raise ValidationError(f"unknown skip kind {self.skip_kind!r}")
         if not self.seed >= 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.oracle_starts and not self.model.closed_form:
@@ -263,8 +276,7 @@ class ConvergenceStudy:
                 schedule=NoiseSchedule.from_json(cfg["schedule"]),
                 solver_configs=[SolverConfig.from_json(s)
                                 for s in typed(cfg["solvers"], "list", "solvers")],
-                step_counts=[typed(m, "int", "step count")
-                             for m in typed(cfg["step_counts"], "list", "step_counts")],
+                step_counts=typed(cfg["step_counts"], "list", "step_counts"),
                 error_norm=cfg.get("error_norm", "max-abs"),
                 reference=cfg.get("reference", "closed-form"),
                 seed=typed(cfg.get("seed", 0), "int", "seed"),
@@ -310,8 +322,6 @@ def run_study(study: ConvergenceStudy) -> ConvergenceStudy:
         grid = make_time_grid(sched, M, study.skip_kind)
         evaluator = study.model.evaluator(sched)
         if config.prediction == "data":
-            from .model import convert_parameterization
-
             evaluator = convert_parameterization(evaluator, sched)
         warm = None
         if study.oracle_starts and config.order > 1:

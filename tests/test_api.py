@@ -61,3 +61,8 @@ def test_solver_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(unipc.SolverConfig)] == [
         "order", "variant", "bh", "prediction", "corrector", "varying_coefficients",
         "order_schedule", "thresholding"]
+
+
+def test_time_grid_fields_are_pinned():
+    # a grid is its times: the schedule it is sampled under maps them to lambda
+    assert [f.name for f in dataclasses.fields(unipc.TimeGrid)] == ["times"]

@@ -184,6 +184,40 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("skip",), "uniform-sqrt", "unknown skip kind 'uniform-sqrt'"),
+        (("step_counts",), [0, 20, 40, 80], "step counts must be >= 1, got 0"),
+        # a schedule fixes M, so a study over four M could never finish
+        (("solvers", 1, "order_schedule"), "1222222222", "solver 1 has an order_schedule"),
+    ], ids=["skip", "step-count", "order-schedule"])
+    def test_study_checked_before_reference(self, tmp_path, capsys, monkeypatch, path, value,
+                                            message):
+        # each once exited 2 only after the reference was solved
+        import unipc.study
+
+        calls = []
+        monkeypatch.setattr(unipc.study, "reference_solution", lambda *a, **k: calls.append(a))
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps(with_field(CONFIG, path, value)))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert calls == []
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_2_before_running(self, config_path, tmp_path, capsys,
+                                                   monkeypatch, out):
+        # the whole study once ran before the write failed
+        import unipc.study
+
+        calls = []
+        monkeypatch.setattr(unipc.study, "reference_solution", lambda *a, **k: calls.append(a))
+        out = tmp_path / out
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and "Traceback" not in err
+        assert calls == [] and not (tmp_path / "missing").exists()
+
 
 # Ints stay small so that a drawn dim or step count cannot allocate much or run long.
 JSON_VALUES = st.one_of(

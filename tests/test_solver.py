@@ -209,7 +209,7 @@ class TestLocalOrders:
         errs = []
         for h in hs:
             ts = [vp_linear.t_of_lambda(lam) for lam in (lam_base - h, lam_base, lam_base + h)]
-            grid = TimeGrid(np.array(ts), np.array([vp_linear.lam(t) for t in ts]), "uniform-lambda")
+            grid = TimeGrid(np.array(ts))
             res = sample(poly_model.evaluator(vp_linear), vp_linear, grid,
                          SolverConfig(order=2, corrector="off"), x_base, warm_start=[x_base])
             assert [rec.order for rec in res.trace] == [2]
@@ -590,12 +590,22 @@ class TestGuards:
                 sample(model, vp_linear, make_time_grid(vp_linear, 5), config, np.ones(3))
         assert (excinfo.value.step, model.eval_count) == (step, calls)
 
-    def test_grid_schedule_mismatch(self, vp_linear, poly_model, rng):
-        other = type(vp_linear)(beta_min=0.2, beta_max=15.0)
-        grid = make_time_grid(other, 5)
-        with pytest.raises(ValidationError, match="does not belong"):
-            sample(poly_model.evaluator(vp_linear), vp_linear, grid,
-                   SolverConfig(order=2), rng.standard_normal(4))
+    def test_grid_from_another_schedule_samples_as_its_times(self, vp_linear, poly_model, rng):
+        # A grid is its times: the schedule sample() is given maps them to lambda.
+        grid = make_time_grid(type(vp_linear)(beta_min=0.2, beta_max=15.0), 5)
+        x0 = rng.standard_normal(4)
+        finals = [sample(poly_model.evaluator(vp_linear), vp_linear, g, SolverConfig(order=2),
+                         x0).final.tobytes() for g in (grid, TimeGrid(grid.times.tolist()))]
+        assert finals[0] == finals[1]
+
+    def test_lambdas_not_increasing_rejected_before_any_call(self, vp_linear, poly_model):
+        # Adjacent times one ulp apart map to one lambda under the schedule: no step
+        # can be taken between them.
+        grid = TimeGrid([1.0, 0.002, np.nextafter(0.002, 0.0), 1e-3])
+        model = poly_model.evaluator(vp_linear)
+        with pytest.raises(ValidationError, match="strictly increasing lambdas"):
+            sample(model, vp_linear, grid, SolverConfig(order=2), np.ones(4))
+        assert model.eval_count == 0
 
     @pytest.mark.parametrize("x_init,warm", [
         (np.ones(3), None),                      # too short for the dim-4 model
@@ -928,7 +938,7 @@ class TestPlanCache:
 
     @staticmethod
     def assert_same_plan(plan, fresh):
-        for name in ("rows", "corrector", "call", "bounds"):
+        for name in ("rows", "src", "dst", "low", "corrector", "call", "bounds"):
             got, want = getattr(plan, name), getattr(fresh, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), name
@@ -958,13 +968,12 @@ class TestPlanCache:
         grid, config = make_time_grid(vp_linear, 8, "quadratic-time"), SolverConfig(order=3)
         times = grid.times.copy()
         times[3] = np.nextafter(times[3], 1.0)  # one ulp
-        nudged = TimeGrid(times, vp_linear._maps(times)[1], grid.skip_kind)
+        nudged = TimeGrid(times)
         other = NoiseSchedule(beta_max=19.0)  # the same times under another schedule
-        regrid = TimeGrid(grid.times, other._maps(grid.times)[1], grid.skip_kind)
         variants = {
             "grid time": (vp_linear, nudged, config, 1),
             "warm start": (vp_linear, grid, config, 2),
-            "schedule": (other, regrid, config, 1),
+            "schedule": (other, grid, config, 1),
         }
         for name, value in [("bh", "b1"), ("order_schedule", "12312312"),
                             ("variant", "singlestep"), ("prediction", "data"),
@@ -991,7 +1000,8 @@ class TestPlanCache:
         second.trace[0] = second.trace[-1]
         second.trace.append(second.trace[0])
         (plan,) = solver._cache.values()
-        for arr in (plan.rows, plan.corrector, plan.call, plan.bounds):
+        for arr in (plan.rows, plan.src, plan.dst, plan.low, plan.corrector, plan.call,
+                    plan.bounds):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
         third = sample(model, vp_linear, grid, config, x0)

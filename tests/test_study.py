@@ -341,6 +341,21 @@ class TestRunStudy:
         with pytest.raises(ValidationError):
             small_study([])
 
+    @pytest.mark.parametrize("change,message", [
+        ({"skip_kind": "uniform-sqrt"}, "unknown skip kind"),
+        ({"step_counts": [0, 20, 40, 80]}, "step counts must be >= 1"),
+        ({"step_counts": [1.5, 20, 40, 80]}, "step count must be an int"),
+        ({"step_counts": [True, 20, 40, 80]}, "step count must be an int"),
+        ({"solver_configs": [SolverConfig(order=2),
+                             SolverConfig(order=2, order_schedule="1222222222")]},
+         "solver 1 has an order_schedule"),
+    ], ids=["skip", "zero-M", "float-M", "bool-M", "order-schedule"])
+    def test_rejected_before_run(self, change, message):
+        fields = dict(model=SyntheticModel.x_free_poly(SMALL_COEFFS, 4), schedule=NoiseSchedule(),
+                      solver_configs=[SolverConfig(order=2)], step_counts=[10, 20, 40, 80])
+        with pytest.raises(ValidationError, match=message):
+            ConvergenceStudy(**{**fields, **change})
+
 
 class TestEmit:
     def test_empty_results_header_only(self, tmp_path):
