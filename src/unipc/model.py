@@ -4,8 +4,8 @@ States are flat 1-d float64 arrays; the solver math is dimension-wise so no
 richer shape is needed.  A ModelEvaluator wraps any callable (x, t) -> state
 together with its parameterization kind ("noise" predicts the noise
 component eps, "data" predicts the clean signal x0) and an invocation
-counter used for NFE accounting, and rejects a result of any other shape.
-The two parameterizations are linked by
+counter used for NFE accounting, and rejects a result of any other shape
+or one that does not hold integers or floats.  The two parameterizations are linked by
 
     x = alpha_t * x0_pred + sigma_t * eps_pred.
 
@@ -49,14 +49,33 @@ from .schedule import NoiseSchedule
 
 PREDICTION_KINDS = ("noise", "data")
 MODEL_FAMILIES = ("x-free-poly", "linear-in-x")
+_F64 = np.dtype(float)  # a state's dtype: an ndarray of it needs no conversion
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """value as a float64 array: ValidationError unless it holds integers or floats
+    (not complex numbers, bools, strings or objects)."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} is not a numeric array of integers or floats, "
+                              f"got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
+def _check_dim(dim) -> int:
+    """ValidationError unless dim is an int (not a bool) >= 1."""
+    if not typed(dim, "int", "model dim") >= 1:
+        raise ValidationError(f"model dim must be >= 1, got {dim}")
+    return dim
 
 
 def _state(value, dim: int | None, what: str) -> np.ndarray:
-    """value as a float array: ValidationError unless it is 1-d, of length dim if one is given."""
-    try:
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
+    """value as a float array: ValidationError unless it holds integers or floats and
+    is 1-d, of length dim if one is given."""
+    x = _floats(value, what)
     if x.ndim != 1 or dim is not None and x.size != dim:
         length = "" if dim is None else f" of length {dim}"
         raise ValidationError(f"{what} must be a 1-d array{length}, got shape {x.shape}")
@@ -64,24 +83,34 @@ def _state(value, dim: int | None, what: str) -> np.ndarray:
 
 
 class ModelEvaluator:
-    """Deterministic, reentrant model callable with NFE accounting."""
+    """Deterministic, reentrant model callable with NFE accounting.
+
+    fn must be callable and dim an int >= 1 (ValidationError)."""
 
     def __init__(self, fn: Callable[[np.ndarray, float], np.ndarray], prediction: str, dim: int):
         if prediction not in PREDICTION_KINDS:
             raise ValidationError(f"unknown prediction kind {prediction!r}")
+        if not callable(fn):
+            raise ValidationError(f"model function must be callable, got {fn!r}")
         self._fn = fn
         self.prediction = prediction
-        self.dim = int(dim)
+        self.dim = int(_check_dim(dim))
+        self._shape = (self.dim,)
         self._count = 0
         self._lock = threading.Lock()
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         """fn(x, t) as a float array, which must be a state: the call is counted, then
-        ValidationError unless the result has shape (dim,)."""
+        ValidationError unless x and the result hold integers or floats and the result
+        has shape (dim,).  A float64 ndarray passes as it is."""
         with self._lock:
             self._count += 1
-        f = np.asarray(self._fn(np.asarray(x, dtype=float), float(t)), dtype=float)
-        if f.shape != (self.dim,):
+        if type(x) is not np.ndarray or x.dtype is not _F64:
+            x = _floats(x, "model input")
+        f = self._fn(x, float(t))
+        if type(f) is not np.ndarray or f.dtype is not _F64:
+            f = _floats(f, "model output")
+        if f.shape != self._shape:
             raise ValidationError(f"model output must have shape ({self.dim},), got {f.shape}")
         return f
 
@@ -107,8 +136,7 @@ class SyntheticModel:
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ValidationError(f"unknown model family {self.family!r}")
-        if self.dim < 1:
-            raise ValidationError("dim must be >= 1")
+        _check_dim(self.dim)
         coeffs = np.array(self.coeffs, dtype=float, order="C")
         if coeffs.ndim != 2 or coeffs.shape[0] != self.dim:
             raise ValidationError("need one coefficient row per dimension")
@@ -137,17 +165,18 @@ class SyntheticModel:
     def _numbers(values) -> np.ndarray:
         """Coefficients as a float array; ValidationError unless non-empty, numeric and finite."""
         try:
-            arr = np.asarray(values)
-            ok = arr.dtype.kind in "iuf" and arr.size > 0 and bool(np.all(np.isfinite(arr)))
-        except ValueError:  # ragged nesting
+            arr = _floats(values, "coefficients")
+            ok = arr.size > 0 and bool(np.isfinite(arr).all())
+        except ValidationError:  # ragged nesting, or not integers or floats
             ok = False
         if not ok:
             raise ValidationError(f"coefficients must be finite numbers, got {values!r}")
-        return arr.astype(float, copy=False)
+        return arr
 
     @classmethod
     def x_free_poly(cls, coeffs, dim: int) -> "SyntheticModel":
         arr = cls._numbers(coeffs)
+        _check_dim(dim)
         if arr.ndim < 2:  # one polynomial for every dimension
             arr = np.broadcast_to(arr, (dim, arr.size))
         return cls(family="x-free-poly", dim=dim, coeffs=arr)
@@ -155,6 +184,7 @@ class SyntheticModel:
     @classmethod
     def linear_in_x(cls, kappa, dim: int) -> "SyntheticModel":
         arr = cls._numbers(kappa)
+        _check_dim(dim)
         if arr.ndim == 0:
             arr = np.broadcast_to(arr, (dim,))
         if arr.ndim != 1 or arr.shape[0] != dim:
@@ -166,9 +196,7 @@ class SyntheticModel:
         """Build from e.g. {"family": "x-free-poly", "coeffs": [0.3, -1.2, 0.5], "dim": 4}."""
         spec = typed(spec, "dict", "model")
         family = spec.get("family")
-        dim = typed(spec.get("dim", 1), "int", "model dim")
-        if dim < 1:
-            raise ValidationError("dim must be >= 1")
+        dim = _check_dim(spec.get("dim", 1))
         if family == "x-free-poly":
             build, names = cls.x_free_poly, ["coeffs"]
         elif family == "linear-in-x":
@@ -196,9 +224,8 @@ class SyntheticModel:
             if sched is None:
                 raise ValidationError("x-free-poly evaluator needs a schedule")
 
-            def fn(x, t, _C=self.coeffs, _K=self.coeffs.shape[1], _sched=sched):
-                lb = _sched.lam(t)
-                return _C @ (lb ** np.arange(_K))
+            def fn(x, t, _C=self.coeffs, _P=np.arange(self.coeffs.shape[1]), _lam=sched.lam):
+                return _C.dot(_lam(t) ** _P)
 
             return ModelEvaluator(fn, "noise", self.dim)
 
@@ -297,7 +324,7 @@ def _threshold(x: np.ndarray, ratio: float, floor: float) -> None:
     top = float(a.max())
     q = _tail_quantile(a, ratio, top) if math.isfinite(top) else float(np.quantile(a, ratio))
     s = max(floor, q)
-    np.clip(x, -s, s, out=x)
+    x.clip(-s, s, out=x)
     x /= s
 
 

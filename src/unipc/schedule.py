@@ -12,9 +12,10 @@ t_of_lambda.  t_end is clipped away from 0 because lambda diverges there.
 
 The forward maps (log_alpha, alpha, sigma, lam, alpha_sigma_lambda) take one
 time and run once per model call, so they stay on Python floats and the math
-module.  t_of_lambda takes a number or an array of lambdas through one numpy
-implementation, so a grid, a plan or a reference inverts all its nodes in
-one call; _maps is the array form of the forward maps for the same callers.
+module, behind log_alpha's one range check and clamp.  t_of_lambda takes a
+number or an array of lambdas through one numpy implementation, so a grid, a
+plan or a reference inverts all its nodes in one call; _maps is the array
+form of the forward maps for the same callers.
 
 Two families are provided:
 
@@ -117,16 +118,15 @@ class NoiseSchedule:
 
     # -- forward-process coefficients ------------------------------------
 
-    def _check_t(self, t: float) -> float:
+    def log_alpha(self, t: float) -> float:
+        """log alpha_t; DomainError unless t is in [t_end, t_start] up to _EDGE_TOL, then clamped."""
         t = float(t)
         if not self.t_end - _EDGE_TOL <= t <= self.t_start + _EDGE_TOL:
-            raise DomainError(
-                f"t={t} outside usable range [{self.t_end}, {self.t_start}]"
-            )
-        return min(max(t, self.t_end), self.t_start)
-
-    def log_alpha(self, t: float) -> float:
-        t = self._check_t(t)
+            raise DomainError(f"t={t} outside usable range [{self.t_end}, {self.t_start}]")
+        if t < self.t_end:
+            t = self.t_end
+        elif t > self.t_start:
+            t = self.t_start
         if self.kind == "vp-linear":
             return -0.25 * t * t * (self.beta_max - self.beta_min) - 0.5 * t * self.beta_min
         s = self.cosine_s
@@ -193,10 +193,10 @@ class NoiseSchedule:
     def _maps(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(log alpha, lambda, sigma) at each of an array of times, as arrays.
 
-        The array form of log_alpha, lam and sigma, with _check_t's range check
-        on every element.  vp-linear's log alpha is arithmetic alone and equals
-        log_alpha's bit for bit; numpy's log, cos and expm1 may differ from the
-        math module's in the last place.
+        The array form of log_alpha, lam and sigma, with log_alpha's range
+        check and clamp on every element.  vp-linear's log alpha is arithmetic
+        alone and equals log_alpha's bit for bit; numpy's log, cos and expm1
+        may differ from the math module's in the last place.
         """
         t = np.asarray(t, dtype=float)
         _check_range(t, self.t_end, self.t_start, "t", "usable")

@@ -261,8 +261,8 @@ def _row_options(config: SolverConfig) -> dict:
 
 
 def _guard(arr: np.ndarray, step: int) -> None:
-    # A finite sum means finite entries; only a sum that overflows or is poisoned needs the scan.
-    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
+    # A finite sum of squares (one dot) means finite entries; else only the scan can tell.
+    if not math.isfinite(arr.dot(arr)) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite value at step {step}", step=step)
 
 
@@ -391,6 +391,11 @@ def _coefficients(nodes, src, dst, low, corrector, config: SolverConfig, K: int)
     return rows
 
 
+#: The shortest lambda step, relative to max(1, |lambda|) at its ends: 2^20 ulp.  A
+#: lambda carries a few ulp of rounding, so a step this long is known to about six
+#: digits; make_time_grid's steps stay above 2^36 ulp up to M = 10^5.
+_MIN_STEP = 2.0**20 * np.finfo(float).eps
+
 _Plan = namedtuple("_Plan", "rows ts src dst low corrector call bounds trace")
 
 
@@ -413,14 +418,17 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     Rows take their offsets from the node lambdas (multistep: the grid nodes)
     or at the nominal fractions of a singlestep step from node b, which adds
     interior nodes b + m at lambda_b + (m/p) h, then its grid node b + p.
-    The grid's lambdas come from sched; ValidationError unless they strictly
-    increase.  The plan is returned in the form the plan cache shares: its
+    The grid's lambdas come from sched; ValidationError unless each step is
+    longer than _MIN_STEP max(1, |lambda| at its ends), so no step of a few ulp
+    gives rows with offsets near 1/ulp.  The plan is returned in the form the plan cache shares: its
     arrays read-only, ts and trace tuples.
     """
     nodes = sched._maps(grid.times)  # (log alpha, lambda, sigma) at the grid times
-    if not np.all(np.diff(nodes[1]) > 0):
-        raise ValidationError("grid times do not map to strictly increasing lambdas "
-                              "under this schedule")
+    lam = nodes[1]
+    ends = np.maximum(abs(lam[:-1]), abs(lam[1:]))
+    if not np.all(np.diff(lam) > _MIN_STEP * np.maximum(ends, 1.0)):
+        raise ValidationError("grid times do not map to strictly increasing lambdas under this "
+                              "schedule, each step above 2^20 ulp of max(1, |lambda|)")
     M = grid.num_steps
     orders = config.resolved_orders(M)[first - 1:]
     p = np.array(orders, np.int32)  # node numbers are int32: the plan keeps several per row
@@ -516,8 +524,8 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     never written, and the model must not keep the arrays it is given (the
     run reuses them).  trajectory=True also keeps a copy of every grid state.
     The grid's times must lie in the schedule's range (DomainError) and map to
-    strictly increasing lambdas under it (ValidationError), checked before any
-    model call.  The step plan comes from the module's bounded plan cache;
+    lambdas whose steps exceed _MIN_STEP max(1, |lambda|) under it
+    (ValidationError), checked before any model call.  The step plan comes from the module's bounded plan cache;
     result.trace is a fresh list each call.
     """
     _check_prediction(model, config.prediction)
@@ -557,7 +565,7 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
         if k == len(plan.trace) - 1:
             y = np.empty(model.dim)  # the final state owns its memory, not a row of work
         for r in range(bounds[k], bounds[k + 1]):
-            np.dot(rows[r], F, out=y)
+            rows[r].dot(F, out=y)
             if not corrector[r]:
                 _guard(y, i)
             if call[r] >= 0:

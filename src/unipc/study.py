@@ -135,16 +135,16 @@ def reference_solution(
             rows = stage_rows(lams, mids, R[:j1 - j0])
             for d1, d2, d3, d4, t0, th, t1 in zip(*rows, t[:-1], tm, t[1:]):
                 f0[...] = evaluator(x, t0)
-                np.dot(d1, W1, out=y)
+                d1.dot(W1, out=y)
                 y += x
                 f1[...] = evaluator(y, th)
-                np.dot(d2, W2, out=y)
+                d2.dot(W2, out=y)
                 y += x
                 f2[...] = evaluator(y, th)
-                np.dot(d3, W3, out=y)
+                d3.dot(W3, out=y)
                 y += x
                 f3[...] = evaluator(y, t1)
-                np.dot(d4, W, out=y)
+                d4.dot(W, out=y)
                 x += y
         return x.copy()
 

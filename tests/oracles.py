@@ -70,6 +70,24 @@ def dynamic_threshold_reference(x0, ratio: float = 0.995, floor: float = 1.0) ->
     return np.clip(x0, -s, s) / s
 
 
+def xfree_eps(C, lam: float) -> np.ndarray:
+    """The x-free polynomial model's output at lambda: C @ (lam ** np.arange(K)), C (dim, K)."""
+    return C @ (lam ** np.arange(C.shape[1]))
+
+
+def log_alpha_reference(sched, t: float) -> float:
+    """log alpha_t with the range check and the min(max(...)) clamp written out."""
+    t = float(t)
+    if not sched.t_end - 1e-9 <= t <= sched.t_start + 1e-9:
+        raise ValueError(f"t={t} outside [{sched.t_end}, {sched.t_start}]")
+    t = min(max(t, sched.t_end), sched.t_start)
+    if sched.kind == "vp-linear":
+        return -0.25 * t * t * (sched.beta_max - sched.beta_min) - 0.5 * t * sched.beta_min
+    s = sched.cosine_s
+    return math.log(math.cos(0.5 * math.pi * (t + s) / (1.0 + s))) - math.log(
+        math.cos(0.5 * math.pi * s / (1.0 + s)))
+
+
 def fitted_slope(hs, errors) -> float:
     """Least-squares slope of log2(error) vs log2(h)."""
     x = np.log2(np.asarray(hs, dtype=float))

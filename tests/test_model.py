@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dynamic_threshold_reference, trapezoid
+from oracles import dynamic_threshold_reference, trapezoid, xfree_eps
 from unipc import (
     ConvergenceStudy,
     DomainError,
     ModelEvaluator,
+    NoiseSchedule,
     SyntheticModel,
     ValidationError,
     convert_parameterization,
@@ -286,7 +287,75 @@ class TestModelEvaluator:
         assert ev.eval_count == 1  # the call is counted before its result is checked
 
 
+    @pytest.mark.filterwarnings("error")  # a ComplexWarning means the imaginary part was dropped
+    @pytest.mark.parametrize("output", [
+        np.ones(2) + 1j, np.array(["1", "2"]), np.ones(2, bool), np.array([1.0, None], dtype=object),
+        ["1", "2"], [1.0, 2j],
+    ], ids=["complex", "text", "bool", "object", "text-list", "complex-list"])
+    def test_output_must_hold_integers_or_floats(self, output):
+        ev = ModelEvaluator(lambda x, t: output, "noise", 2)
+        with pytest.raises(ValidationError, match="model output is not a numeric array"):
+            ev(np.ones(2), 0.5)
+        assert ev.eval_count == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [np.ones(2) + 1j, np.array(["1", "2"]), np.ones(2, bool)],
+                             ids=["complex", "text", "bool"])
+    def test_input_must_hold_integers_or_floats(self, x):
+        ev = ModelEvaluator(lambda x, t: x, "noise", 2)
+        with pytest.raises(ValidationError, match="model input is not a numeric array"):
+            ev(x, 0.5)
+
+    @pytest.mark.parametrize("output", [np.arange(2), np.ones(2, np.float32), [1, 2.5],
+                                        np.ones(2).astype(">f8")],
+                             ids=["int", "float32", "list", "big-endian"])
+    def test_integer_and_float_outputs_become_float64(self, output):
+        f = ModelEvaluator(lambda x, t: output, "noise", 2)(np.ones(2), 0.5)
+        assert type(f) is np.ndarray and f.dtype == np.float64
+        assert np.array_equal(f, np.asarray(output, dtype=float))
+
+    def test_float64_output_passes_as_it_is(self):
+        out = np.ones(3)
+        assert ModelEvaluator(lambda x, t: out, "noise", 3)(np.ones(3), 0.5) is out
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.7, 2.0, True, "3", None])
+    def test_dim_must_be_an_int_of_at_least_one(self, dim):
+        with pytest.raises(ValidationError, match="model dim"):
+            ModelEvaluator(lambda x, t: x, "noise", dim)
+
+    @pytest.mark.parametrize("fn", [None, 3, "model"])
+    def test_fn_must_be_callable(self, fn):
+        with pytest.raises(ValidationError, match="model function must be callable"):
+            ModelEvaluator(fn, "noise", 2)
+
+    def test_numpy_int_dim_accepted(self):
+        ev = ModelEvaluator(lambda x, t: x, "noise", np.int64(3))
+        assert ev.dim == 3 and type(ev.dim) is int
+
+    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
+    @pytest.mark.parametrize("coeffs", [[0.3, -1.2, 0.5], [[0.1], [-0.2], [0.3]],
+                                        [[0.3, -1.2, 0.5, 0.7, -2.0]] * 3])
+    def test_xfree_output_is_bitwise_the_written_out_polynomial(self, kind, coeffs):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        model = SyntheticModel.x_free_poly(coeffs, 3)
+        ev = model.evaluator(sched)
+        for t in np.linspace(sched.t_end, sched.t_start, 101):
+            assert ev(np.ones(3), t).tobytes() == xfree_eps(model.coeffs, sched.lam(t)).tobytes()
+
+
 class TestSyntheticModelConstruction:
+    @pytest.mark.parametrize("dim", [0, -2, 2.5, 2.0, True, "3", None])
+    @pytest.mark.parametrize("build", [
+        lambda dim: SyntheticModel.x_free_poly([0.3, -1.2], dim),
+        lambda dim: SyntheticModel.linear_in_x(0.3, dim),
+        lambda dim: SyntheticModel(family="linear-in-x", dim=dim, coeffs=[[0.3], [0.3]]),
+        lambda dim: SyntheticModel.from_json({"family": "linear-in-x", "kappa": 0.3, "dim": dim}),
+    ], ids=["x_free_poly", "linear_in_x", "direct", "from_json"])
+    def test_dim_must_be_an_int_of_at_least_one(self, build, dim):
+        # 2.5, True and "3" raised a bare TypeError, and SyntheticModel(dim=True) was accepted
+        with pytest.raises(ValidationError, match="model dim"):
+            build(dim)
+
     def test_from_json_broadcast(self):
         m = SyntheticModel.from_json({"family": "x-free-poly", "coeffs": [0.3, -1.2, 0.5], "dim": 4})
         assert m.dim == 4 and len(m.coeffs) == 4 and m.closed_form

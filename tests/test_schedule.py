@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import log_alpha_reference
 from unipc import DomainError, NoiseSchedule, ValidationError, make_time_grid
 from unipc.schedule import _EDGE_TOL, TimeGrid
 
@@ -44,6 +45,33 @@ class TestVPLinearClosedForm:
             vp_linear.log_alpha(1.5)
         with pytest.raises(DomainError):
             vp_linear.alpha_sigma_lambda(0.0)
+
+
+class TestForwardMapsBitwise:
+    """log_alpha and lam against the range check and min(max(...)) clamp written out."""
+
+    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
+    def test_sweep_matches_the_written_out_formula(self, kind):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        lo, hi = sched.t_end, sched.t_start
+        ts = list(np.linspace(lo, hi, 2001))
+        ts += [lo - 1e-10, lo - 1e-9, lo + 1e-12, hi + 1e-10, hi + 1e-9, hi - 1e-12]
+        ts += [np.nextafter(lo, 0.0), np.nextafter(hi, 2.0)]
+        for t in ts:
+            la = log_alpha_reference(sched, t)
+            assert sched.log_alpha(t) == la
+            assert sched.lam(t) == la - 0.5 * math.log(-math.expm1(2.0 * la))
+
+    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
+    def test_clamp_band(self, kind):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        t_end, t_start = sched.t_end, sched.t_start
+        assert sched.log_alpha(t_end - 1e-10) == sched.log_alpha(t_end)
+        assert sched.lam(t_end - 1e-10) == sched.lam(t_end)
+        assert sched.log_alpha(t_start + 1e-10) == sched.log_alpha(t_start)
+        for t in (t_end - 2e-9, t_start + 2e-9):
+            with pytest.raises(DomainError, match=f"t={t} outside usable range"):
+                sched.lam(t)
 
 
 class TestInverse:

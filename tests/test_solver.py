@@ -715,6 +715,61 @@ class TestGuards:
             _guard(big, 2)
             _guard(-big, 2)
 
+    @pytest.mark.parametrize("dim", [1, 4, 4097, 2**18])
+    @pytest.mark.parametrize("big", [1e155, 1e200, 1e308, -1e308], ids=str)
+    def test_guard_passes_finite_entries_whose_squares_overflow(self, dim, big):
+        # The guard's sum of squares overflows to inf; the scan that follows passes.
+        arr = np.full(dim, big)
+        arr[::2] *= -1.0  # mixed signs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _guard(arr, 1)
+            _guard(np.full(2 * dim, big)[::2], 1)  # a strided view
+
+    @pytest.mark.parametrize("dim", [1, 4, 4097, 2**18])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_guard_raises_on_a_nonfinite_entry(self, dim, bad, where):
+        arr = np.linspace(-3.0, 5.0, dim)
+        arr[{"first": 0, "middle": dim // 2, "last": dim - 1}[where]] = bad
+        strided = np.zeros(2 * dim)
+        strided[::2] = arr
+        for view in (arr, strided[::2]):
+            with pytest.raises(NumericError, match="non-finite value at step 7$"):
+                _guard(view, 7)
+
+    def test_huge_state_samples_without_numeric_error(self, vp_linear, poly_model):
+        # Every square of a 1e200 state overflows; the x-free model never sees x.
+        grid = make_time_grid(vp_linear, 6)
+        model = poly_model.evaluator(vp_linear)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = sample(model, vp_linear, grid, SolverConfig(order=3), np.full(4, 1e200))
+        assert np.all(np.isfinite(result.final)) and result.nfe == 6
+
+    @pytest.mark.parametrize("variant", ["multistep", "singlestep"])
+    def test_ulp_long_lambda_steps_rejected_before_any_call(self, vp_linear, poly_model, variant):
+        # Three times one ulp apart below 0.5 give lambda steps of 2.2e-16, 2.2e-16 and
+        # 6.7e-16; UniPC-3 returned 4.9e14 (multistep) and -1,449 (singlestep) per entry
+        # over them without error, where the exact answer is -1,937.
+        times = [1.0, 0.5]
+        for _ in range(3):
+            times.append(np.nextafter(times[-1], 0.0))
+        model = poly_model.evaluator(vp_linear)
+        with pytest.raises(ValidationError, match="2\\^20 ulp"):
+            sample(model, vp_linear, TimeGrid(times + [1e-3]), SolverConfig(order=3, variant=variant),
+                   np.ones(4))
+        assert model.eval_count == 0
+
+    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
+    @pytest.mark.parametrize("skip", ["uniform-lambda", "uniform-time", "quadratic-time"])
+    def test_time_grids_stay_far_above_the_step_floor(self, kind, skip):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        for M in (1, 10, 1000, 10**5):
+            lam = sched._maps(make_time_grid(sched, M, skip).times)[1]
+            ends = np.maximum(1.0, np.maximum(abs(lam[:-1]), abs(lam[1:])))
+            assert np.min(np.diff(lam) / (solver._MIN_STEP * ends)) > 2.0**15
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("position", range(3))
     def test_nonfinite_entry_aborts_at_same_step(self, vp_linear, rng, bad, position):
@@ -732,6 +787,74 @@ class TestGuards:
             sample(ModelEvaluator(flaky, "noise", 3), vp_linear, grid,
                    SolverConfig(order=2, corrector="standard"), rng.standard_normal(3))
         assert excinfo.value.step == 3
+
+
+NON_REAL = {
+    "complex": lambda dim: np.ones(dim) + 1j,
+    "text": lambda dim: np.array([str(v) for v in range(1, dim + 1)]),
+    "bool": lambda dim: np.ones(dim, bool),
+    "object": lambda dim: np.array([1.0] * (dim - 1) + [None], dtype=object),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a ComplexWarning means the imaginary part was dropped
+class TestNonRealValues:
+    """A state or a model output that does not hold integers or floats raises
+    ValidationError: complex values lost their imaginary part with a warning, text and
+    bools sampled as numbers, and text from the model raised a bare ValueError."""
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    @pytest.mark.parametrize("where", ["x_init", "warm_start"])
+    def test_sample_rejects_a_non_real_state_before_any_call(self, vp_linear, poly_model,
+                                                             kind, where):
+        model = poly_model.evaluator(vp_linear)
+        x, warm = (NON_REAL[kind](4), None) if where == "x_init" else (np.ones(4), [NON_REAL[kind](4)])
+        with pytest.raises(ValidationError, match=f"{where}.* is not a numeric array"):
+            sample(model, vp_linear, make_time_grid(vp_linear, 4), SolverConfig(order=2), x,
+                   warm_start=warm)
+        assert model.eval_count == 0
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    def test_sample_rejects_a_non_real_model_output(self, vp_linear, kind):
+        model = ModelEvaluator(lambda x, t: NON_REAL[kind](3), "noise", 3)
+        with pytest.raises(ValidationError, match="model output is not a numeric array"):
+            sample(model, vp_linear, make_time_grid(vp_linear, 4), SolverConfig(), np.ones(3))
+        assert model.eval_count == 1
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    @pytest.mark.parametrize("where", ["x_pred", "state.x", "output"])
+    def test_correct_rejects_non_real_values(self, vp_linear, poly_model, kind, where):
+        good = poly_model.evaluator(vp_linear)
+        state = SolverState(x=np.ones(4), capacity=2)
+        state.push(0.9, good(np.ones(4), 0.9))
+        model, x_pred, calls = good, np.ones(4), good.eval_count
+        if where == "x_pred":
+            x_pred = NON_REAL[kind](4)
+        elif where == "state.x":
+            state.x = NON_REAL[kind](4)
+        else:
+            model, calls = ModelEvaluator(lambda x, t: NON_REAL[kind](4), "noise", 4), 1
+        with pytest.raises(ValidationError, match="is not a numeric array"):
+            correct(vp_linear, state, 0.8, x_pred, 1, model)
+        assert model.eval_count == calls
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    @pytest.mark.parametrize("where", ["x", "eps_prev"])
+    def test_ddim_step_rejects_non_real_values(self, vp_linear, kind, where):
+        x, eps = np.ones(4), np.ones(4)
+        if where == "x":
+            x = NON_REAL[kind](4)
+        else:
+            eps = NON_REAL[kind](4)
+        with pytest.raises(ValidationError, match=f"{where} is not a numeric array"):
+            ddim_step(vp_linear, x, eps, 0.9, 0.8)
+
+    def test_integer_states_and_outputs_sample_as_floats(self, vp_linear):
+        grid, config = make_time_grid(vp_linear, 5), SolverConfig(order=2)
+        finals = [sample(ModelEvaluator(lambda x, t, c=c: c(np.arange(3)), "noise", 3), vp_linear,
+                         grid, config, c(np.arange(3) - 1)).final.tobytes()
+                  for c in (lambda v: v, lambda v: v.astype(float))]
+        assert finals[0] == finals[1]
 
 
 class TestWorkingSet:
