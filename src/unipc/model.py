@@ -224,7 +224,9 @@ class SyntheticModel:
             if sched is None:
                 raise ValidationError("x-free-poly evaluator needs a schedule")
 
-            def fn(x, t, _C=self.coeffs, _P=np.arange(self.coeffs.shape[1]), _lam=sched.lam):
+            # float exponents: the same float64 power loop as int ones, without their cast
+            def fn(x, t, _C=self.coeffs, _P=np.arange(self.coeffs.shape[1], dtype=float),
+                   _lam=sched.lam):
                 return _C.dot(_lam(t) ** _P)
 
             return ModelEvaluator(fn, "noise", self.dim)
@@ -298,10 +300,11 @@ def dynamic_threshold(x0: np.ndarray, ratio: float = 0.995, floor: float = 1.0) 
 
     Returns a new array; x0 is not written.  The quantile is numpy's
     "linear" one, bit for bit, found by an exact selection of the two upper
-    order statistics it interpolates (see the module docstring).  ratio must
-    be a number in (0.5, 1] and floor a finite number >= 1 (DomainError).
+    order statistics it interpolates (see the module docstring).  x0 must hold
+    integers or floats (ValidationError), ratio must be a number in (0.5, 1]
+    and floor a finite number >= 1 (DomainError).
     """
-    x = np.array(x0, dtype=float)
+    x = _floats(x0, "x0").copy()
     if x.size == 0:
         raise DomainError("cannot threshold an empty vector")
     if not 0.5 < _real(ratio, "ratio") <= 1.0:

@@ -266,14 +266,28 @@ def _guard(arr: np.ndarray, step: int) -> None:
         raise NumericError(f"non-finite value at step {step}", step=step)
 
 
+#: The shortest lambda step, relative to max(1, |lambda|) at its ends: 2^20 ulp.  A
+#: lambda carries a few ulp of rounding, so a step this long is known to about six
+#: digits; make_time_grid's steps stay above 2^36 ulp up to M = 10^5.
+_MIN_STEP = 2.0**20 * np.finfo(float).eps
+
+
+def _check_steps(lam: np.ndarray, what: str) -> None:
+    """ValidationError unless each step of lam exceeds _MIN_STEP max(1, |lambda| at its ends),
+    so no step of a few ulp gives rows with offsets near 1/ulp."""
+    ends = np.maximum(abs(lam[:-1]), abs(lam[1:]))
+    if not np.all(np.diff(lam) > _MIN_STEP * np.maximum(ends, 1.0)):
+        raise ValidationError(f"{what} do not map to strictly increasing lambdas under this "
+                              "schedule, each step above 2^20 ulp of max(1, |lambda|)")
+
+
 # -- one-step wrappers ------------------------------------------------------------
 
 
-def _update(sched: NoiseSchedule, x: np.ndarray, ts, outputs, opts: dict) -> np.ndarray:
-    """The single update from the second-to-last node of ts to its last node, over the
-    outputs at its first len(outputs) nodes."""
-    nodes = sched._maps(ts)  # (log alpha, lambda, sigma), the one way every update uses
-    P, lam = len(ts) - 2, nodes[1]
+def _update(nodes, x: np.ndarray, outputs, opts: dict) -> np.ndarray:
+    """The single update from the second-to-last of the nodes (log alpha, lambda, sigma)
+    to the last, over the outputs at the first len(outputs) nodes."""
+    P, lam = len(nodes[1]) - 2, nodes[1]
     R = (lam[:len(outputs)] - lam[P]) / (lam[-1] - lam[P])
     a, c = coeffs.update_rows(nodes, [P], [P + 1], R[None, :], **opts)
     return np.dot(np.append(c[0], a), np.stack(outputs + [x]))  # x last, as in sample()
@@ -290,7 +304,7 @@ def ddim_step(sched: NoiseSchedule, x: np.ndarray, eps_prev: np.ndarray, t_prev:
         raise DomainError(f"t_next={t_next} is not below t_prev={t_prev}")
     x = _state(x, None, "x")
     eps_prev = _state(eps_prev, x.size, "eps_prev")
-    return _update(sched, x, [t_prev, t_next], [eps_prev], {})
+    return _update(sched._maps([t_prev, t_next]), x, [eps_prev], {})
 
 
 def _history(state: SolverState, p: int) -> list[BufferEntry]:
@@ -325,8 +339,10 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     with a corrector and no thresholding, p an int in 1..MAX_ORDER
     (1..MAX_VARYING_ORDER with varying coefficients), model must make
     config.prediction's kind, and state.x, x_pred and the p latest buffered
-    outputs must be 1-d arrays of length model.dim (ValidationError), and
-    t_next must lie below the last buffered time (DomainError).
+    outputs must be 1-d arrays of length model.dim (ValidationError),
+    t_next must lie below the last buffered time (DomainError), and each lambda
+    step over their times and t_next must exceed _MIN_STEP max(1, |lambda| at
+    its ends) (ValidationError), as in sample().
     """
     if (not isinstance(config, SolverConfig) or config.corrector == "off"
             or config.thresholding is not None):
@@ -339,10 +355,11 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
         raise DomainError(f"t_next={t_next} is not below the last buffered t={entries[-1].t}")
     x = _state(state.x, model.dim, "state.x")
     outputs = [_state(e.output, model.dim, f"buffered output at t={e.t}") for e in entries]
+    nodes = sched._maps([e.t for e in entries] + [t_next])  # (log alpha, lambda, sigma)
+    _check_steps(nodes[1], "buffered times and t_next")
     f_pred = model(_state(x_pred, model.dim, "x_pred"), t_next)
     _guard(f_pred, state.step_index + 1)
-    corrected = _update(sched, x, [e.t for e in entries] + [t_next], outputs + [f_pred],
-                        _row_options(config))
+    corrected = _update(nodes, x, outputs + [f_pred], _row_options(config))
     oracle = config.corrector == "oracle"
     push = model(corrected, t_next) if oracle else f_pred
     _guard(push, state.step_index + 1)
@@ -391,11 +408,6 @@ def _coefficients(nodes, src, dst, low, corrector, config: SolverConfig, K: int)
     return rows
 
 
-#: The shortest lambda step, relative to max(1, |lambda|) at its ends: 2^20 ulp.  A
-#: lambda carries a few ulp of rounding, so a step this long is known to about six
-#: digits; make_time_grid's steps stay above 2^36 ulp up to M = 10^5.
-_MIN_STEP = 2.0**20 * np.finfo(float).eps
-
 _Plan = namedtuple("_Plan", "rows ts src dst low corrector call bounds trace")
 
 
@@ -424,11 +436,7 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     arrays read-only, ts and trace tuples.
     """
     nodes = sched._maps(grid.times)  # (log alpha, lambda, sigma) at the grid times
-    lam = nodes[1]
-    ends = np.maximum(abs(lam[:-1]), abs(lam[1:]))
-    if not np.all(np.diff(lam) > _MIN_STEP * np.maximum(ends, 1.0)):
-        raise ValidationError("grid times do not map to strictly increasing lambdas under this "
-                              "schedule, each step above 2^20 ulp of max(1, |lambda|)")
+    _check_steps(nodes[1], "grid times")
     M = grid.num_steps
     orders = config.resolved_orders(M)[first - 1:]
     p = np.array(orders, np.int32)  # node numbers are int32: the plan keeps several per row

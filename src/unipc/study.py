@@ -175,7 +175,9 @@ def fit_order(step_counts, errors) -> OrderFit:
     """Fit the empirical convergence order over the asymptotic window.
 
     Every step count must be finite and > 0 (DomainError); FitError unless the
-    usable points number 3 or more over at least 2 distinct step counts.
+    usable points number 3 or more over at least 2 distinct step counts.  With
+    x = log2 M, y = log2 error, dx = x - mean(x) and dy = y - mean(y), the line is the closed form
+    slope = sum(dx dy) / sum(dx^2) (> 0 by the distinct counts), intercept = mean(y) - slope mean(x).
     """
     Ms = np.asarray(step_counts, dtype=float)
     errs = np.asarray(errors, dtype=float)
@@ -191,15 +193,13 @@ def fit_order(step_counts, errors) -> OrderFit:
         )
     if len(set(Ms[usable].tolist())) < 2:
         raise FitError(f"all usable points have M = {Ms[usable][0]:g}; need >= 2 distinct step counts")
-    x = np.log2(Ms[usable])
-    y = np.log2(errs[usable])
-    A = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ np.array([slope, intercept])
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    x, y = np.log2(Ms[usable]), np.log2(errs[usable])
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(dx @ dy) / float(dx @ dx)
+    intercept = float(y.mean()) - slope * float(x.mean())
+    ss_res, ss_tot = float(np.sum((y - (slope * x + intercept)) ** 2)), float(dy @ dy)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return OrderFit(slope=float(-slope), intercept=float(intercept), r_squared=r2, n_used=int(usable.sum()))
+    return OrderFit(slope=-slope, intercept=intercept, r_squared=r2, n_used=int(usable.sum()))
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,20 @@ class TestDynamicThreshold:
         with pytest.raises(DomainError, match="floor"):
             dynamic_threshold(np.array([0.5, 2.0, -3.0]), floor=floor)
 
+    @pytest.mark.parametrize("x0", [np.array([1 + 5j, 2, 3]), ["1", "2", "3"],
+                                    np.array([True, False, True]), [object(), 1.0]],
+                             ids=["complex", "text", "bool", "object"])
+    def test_non_real_input_rejected(self, x0):
+        # The complex input lost its imaginary part with only a ComplexWarning and the
+        # text gave [0.334, 0.669, 1.0]; the bools gave [1, 0, 1].
+        with pytest.raises(ValidationError, match="integers or floats"):
+            dynamic_threshold(x0)
+
+    def test_integer_input_accepted(self):
+        x = np.array([1, -2, 3])
+        out = dynamic_threshold(x, ratio=0.9)
+        assert out.tobytes() == dynamic_threshold_reference(x, ratio=0.9).tobytes()
+
     def test_input_not_written(self, rng):
         x = rng.standard_normal(300) * 4
         kept = x.copy()
@@ -341,6 +355,15 @@ class TestModelEvaluator:
         ev = model.evaluator(sched)
         for t in np.linspace(sched.t_end, sched.t_start, 101):
             assert ev(np.ones(3), t).tobytes() == xfree_eps(model.coeffs, sched.lam(t)).tobytes()
+
+    @pytest.mark.parametrize("K", range(1, 8))
+    def test_xfree_output_is_bitwise_the_polynomial_at_every_degree(self, vp_cosine, rng, K):
+        # The evaluator raises lambda to float exponents, the oracle to int ones.
+        model = SyntheticModel.x_free_poly(rng.standard_normal((3, K)), 3)
+        ev = model.evaluator(vp_cosine)
+        ends = (vp_cosine.t_end, vp_cosine.t_start)
+        for t in np.r_[np.linspace(*ends, 201), rng.uniform(*ends, 200)]:
+            assert ev(np.ones(3), t).tobytes() == xfree_eps(model.coeffs, vp_cosine.lam(t)).tobytes()
 
 
 class TestSyntheticModelConstruction:

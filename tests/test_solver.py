@@ -302,6 +302,25 @@ class TestCorrectChecks:
             correct(vp_linear, state, t_next, np.ones(4), 2, evaluator)
         assert evaluator.eval_count == calls
 
+    @pytest.mark.parametrize("t_next", [0.3, "one ulp below"])
+    def test_ulp_long_lambda_step_rejected_before_the_model_call(self, vp_linear, poly_model,
+                                                                 t_next):
+        # Outputs buffered at 0.9 and one ulp below it, with exact states: correct()
+        # returned -342.66 per entry where the exact state (and x_pred) is -304.15, with
+        # no error.  A t_next one ulp below the last buffered time is just as short a step.
+        evaluator = poly_model.evaluator(vp_linear)
+        t1 = float(np.nextafter(0.9, 0.0))
+        t_next = float(np.nextafter(t1, 0.0)) if t_next == "one ulp below" else t_next
+        x1 = exact_solution_xfree(poly_model, vp_linear, np.ones(4), 0.9, t1)
+        state = SolverState(x=x1, capacity=2)
+        state.push(0.9, evaluator(np.ones(4), 0.9))
+        state.push(t1, evaluator(x1, t1))
+        exact = exact_solution_xfree(poly_model, vp_linear, x1, t1, t_next)
+        calls = evaluator.eval_count
+        with pytest.raises(ValidationError, match="2\\^20 ulp"):
+            correct(vp_linear, state, t_next, exact, 2, evaluator)
+        assert evaluator.eval_count == calls
+
     @pytest.mark.parametrize("config", [
         SolverConfig(corrector="off"),
         SolverConfig(prediction="data", thresholding=Thresholding()),

@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import rk4_reference
+from oracles import fitted_slope, rk4_reference
 from unipc import (
     ConvergenceStudy,
     DomainError,
@@ -21,6 +22,8 @@ from unipc import (
     reference_solution,
     run_study,
 )
+from unipc.cli import main
+from unipc.study import WINDOW_CAP, WINDOW_FLOOR
 
 SMALL_COEFFS = [1.5e-4, -6.0e-4, 2.5e-4]
 
@@ -260,6 +263,57 @@ class TestFitOrder:
         errs = [5.0, 0.5, 0.25, 0.125, 1e-13, 1e-14]
         fit = fit_order(Ms, errs)
         assert fit.n_used == 3
+
+
+def _lstsq_slope(Ms, errs) -> float:
+    """The order that tests/oracles.fitted_slope (np.linalg.lstsq) fits over fit_order's window."""
+    Ms, errs = np.asarray(Ms, float), np.asarray(errs, float)
+    usable = np.isfinite(errs) & (errs > WINDOW_FLOOR) & (errs < WINDOW_CAP)
+    return -fitted_slope(Ms[usable], errs[usable])
+
+
+class TestClosedFormFit:
+    """fit_order's closed-form line against np.linalg.lstsq."""
+
+    def test_agrees_with_lstsq_on_random_windows(self):
+        rng, fitted = np.random.default_rng(2024), 0
+        for _ in range(2000):
+            n = int(rng.integers(3, 7))
+            Ms = np.sort(rng.choice([10, 20, 40, 80, 160, 320, 640], n, replace=False))
+            errs = (10.0 ** rng.uniform(-8, -0.5) * (Ms / Ms[0]) ** -rng.uniform(0.5, 5)
+                    * np.exp(rng.normal(0.0, 0.3, n)))
+            inside = (errs > WINDOW_FLOOR) & (errs < WINDOW_CAP)
+            if inside.sum() < 3:
+                continue
+            Ms, errs = Ms[inside], errs[inside]
+            fitted += 1
+            assert fit_order(Ms, errs).slope == pytest.approx(_lstsq_slope(Ms, errs), rel=1e-12)
+        assert fitted > 1500
+
+    def test_intercept_and_r_squared_of_an_exact_power_law(self):
+        fit = fit_order([10, 20, 40, 80, 160], [0.37 * m**-2.5 for m in (10, 20, 40, 80, 160)])
+        assert fit.intercept == pytest.approx(math.log2(0.37), rel=1e-12)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+    def test_agrees_with_lstsq_on_the_shipped_study(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "order_study.json"
+        study = run_study(ConvergenceStudy.from_json(json.loads(path.read_text())))
+        for ci, (_, fit, _) in enumerate(study.fits()):
+            rows = [r for r in study.results if r.config_index == ci]
+            want = _lstsq_slope([r.M for r in rows], [r.error for r in rows])
+            assert fit is not None and fit.slope == pytest.approx(want, rel=1e-12)
+
+    def test_no_lstsq_behind_study_fits_or_the_fit_command(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        study = run_study(small_study([SolverConfig(order=1, corrector="off"), SolverConfig(order=2)]))
+        assert all(fit is not None for _, fit, _ in study.fits())
+        out = tmp_path / "results.csv"
+        emit(study, out)
+        assert main(["fit", "--in", str(out)]) == 0
+        assert capsys.readouterr().out.count("order=") == 2
 
 
 class TestRunStudy:
