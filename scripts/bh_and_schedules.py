@@ -25,8 +25,8 @@ from unipc import (
     sample,
 )
 
-SCHEDULES = {6: ["123321", "123432", "123443", "123456"],
-             7: ["1233321", "1223334", "1234321", "1234567"]}
+SCHEDULES = {6: ["123321", "123432", "123443", "123455"],
+             7: ["1233321", "1223334", "1234321", "1234555"]}
 
 
 def main(argv=None) -> int:

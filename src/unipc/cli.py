@@ -154,7 +154,7 @@ def _selftest_plan() -> tuple[bool, str]:
     sched, worst, drift, rows = NoiseSchedule(), 0.0, 0.0, 0
     grid = make_time_grid(sched, 12, "quadratic-time")  # step sizes and offsets vary
     for variant, order, bh, prediction in itertools.product(
-            solver.VARIANTS, range(1, 6), coeffs.BH_KINDS, ("noise", "data")):
+            solver.VARIANTS, range(1, coeffs.MAX_ORDER + 1), coeffs.BH_KINDS, ("noise", "data")):
         config = SolverConfig(order=order, variant=variant, bh=bh, prediction=prediction,
                               varying_coefficients=True)
         plan = solver._plan(sched, grid, config, 1)

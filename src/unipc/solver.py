@@ -102,13 +102,10 @@ class Thresholding:
             raise ValidationError(f"thresholding floor must be >= 1, got {self.floor}")
 
 
-def _check_order(p, varying: bool) -> int:
-    """The order cap, MAX_VARYING_ORDER for varying coefficients, else MAX_ORDER;
-    ValidationError unless p is an int (not a bool) in 1..cap."""
-    limit = coeffs.MAX_VARYING_ORDER if varying else coeffs.MAX_ORDER
-    if not 1 <= typed(p, "int", "order") <= limit:
-        raise ValidationError(f"order {p} outside 1..{limit}")
-    return limit
+def _check_order(p) -> None:
+    """ValidationError unless p is an int (not a bool) in 1..coeffs.MAX_ORDER."""
+    if not 1 <= typed(p, "int", "order") <= coeffs.MAX_ORDER:
+        raise ValidationError(f"order {p} outside 1..{coeffs.MAX_ORDER}")
 
 
 def _check_prediction(model: ModelEvaluator, prediction: str) -> None:
@@ -122,10 +119,10 @@ def _check_prediction(model: ModelEvaluator, prediction: str) -> None:
 class SolverConfig:
     """Sampling configuration; round-trips through JSON with lowercase enums.
 
+    order and every order_schedule entry lie in 1..coeffs.MAX_ORDER = 5.
     varying_coefficients selects the paper's step-size-independent weights
-    w = C^{-1} v (UniPC_v): every weight solved, orders up to
-    MAX_VARYING_ORDER = 5, named unipc_v-p.  Without it the weight of a
-    single-offset update is pinned to 1/2, as in DPM-Solver++(2M).
+    w = C^{-1} v (UniPC_v): every weight solved, named unipc_v-p.  Without it
+    the weight of a single-offset update is pinned to 1/2, as in DPM-Solver++(2M).
     """
 
     order: int = 3
@@ -147,7 +144,7 @@ class SolverConfig:
         if self.corrector not in CORRECTORS:
             raise ValidationError(f"unknown corrector {self.corrector!r}")
         typed(self.varying_coefficients, "bool", "varying_coefficients")
-        limit = _check_order(self.order, self.varying_coefficients)
+        _check_order(self.order)
         if self.order_schedule is not None:
             digits = self.order_schedule
             if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()) or "0" in digits:
@@ -155,8 +152,9 @@ class SolverConfig:
                     f"order schedule must be digits 1-9, got {self.order_schedule!r}"
                 )
             worst = max(int(d) for d in self.order_schedule)
-            if worst > limit:
-                raise ValidationError(f"order schedule entry {worst} exceeds limit {limit}")
+            if worst > coeffs.MAX_ORDER:
+                raise ValidationError(
+                    f"order schedule entry {worst} exceeds limit {coeffs.MAX_ORDER}")
         if self.thresholding is not None and not isinstance(self.thresholding, Thresholding):
             raise ValidationError(f"thresholding must be a Thresholding, got {self.thresholding!r}")
         if self.thresholding is not None and self.prediction != "data":
@@ -336,10 +334,9 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     shape the update as in sample(); config.order, variant and
     order_schedule describe a whole run and are not read: p is this step's
     order.  Checked before the model is called: config must be a SolverConfig
-    with a corrector and no thresholding, p an int in 1..MAX_ORDER
-    (1..MAX_VARYING_ORDER with varying coefficients), model must make
-    config.prediction's kind, and state.x, x_pred and the p latest buffered
-    outputs must be 1-d arrays of length model.dim (ValidationError),
+    with a corrector and no thresholding, p an int in 1..coeffs.MAX_ORDER,
+    model must make config.prediction's kind, and state.x, x_pred and the p
+    latest buffered outputs must be 1-d arrays of length model.dim (ValidationError),
     t_next must lie below the last buffered time (DomainError), and each lambda
     step over their times and t_next must exceed _MIN_STEP max(1, |lambda| at
     its ends) (ValidationError), as in sample().
@@ -348,7 +345,7 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
             or config.thresholding is not None):
         raise ValidationError(
             f"correct() needs a SolverConfig with a corrector and no thresholding, got {config!r}")
-    _check_order(p, config.varying_coefficients)
+    _check_order(p)
     _check_prediction(model, config.prediction)
     entries = _history(state, p)
     if not t_next < entries[-1].t:
@@ -472,7 +469,7 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
 
 #: Plan steps the cache holds in all.  A study of the shipped shape (30 plans, 3,150
 #: steps) fits whole.  A kept plan with its key costs 0.24-0.49 KB a step multistep,
-#: at most about 1.53 KB a step (singlestep order 9) and about 1.46 KB for a one-step
+#: about 0.77 KB a step singlestep (order 5, M = 12) and about 1.46 KB for a one-step
 #: plan (tracemalloc over a full cache), so the cache stays under about 6.5 MB, and
 #: the set of key hashes seen once under 0.3 MB.
 _CACHE_STEPS = 4096
@@ -520,14 +517,15 @@ def _cached_plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, fir
 
 
 def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig,
-           x_init: np.ndarray, *, warm_start: list[np.ndarray] | None = None,
+           x_init: np.ndarray, *, warm_start: list[np.ndarray] | np.ndarray | None = None,
            trajectory: bool = False) -> SampleResult:
     """Run the full sampling loop from x at t_0 = grid.times[0] down to t_M.
 
     warm_start optionally supplies already-accurate states for the first k
-    grid nodes after t_0 (classic multistep starter injection); the loop then
-    begins at step k+1 with a filled history buffer.  Total model calls stay
-    at M for corrector in {off, standard} and 2M-1 for oracle (multistep).
+    grid nodes after t_0 (classic multistep starter injection), as a sequence
+    of k states or a (k, dim) array; the loop then begins at step k+1 with a
+    filled history buffer.  Total model calls stay at M for corrector in
+    {off, standard} and 2M-1 for oracle (multistep).
     States are 1-d arrays of length model.dim; x_init and warm_start are
     never written, and the model must not keep the arrays it is given (the
     run reuses them).  trajectory=True also keeps a copy of every grid state.
@@ -538,7 +536,8 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     """
     _check_prediction(model, config.prediction)
     x = _state(x_init, model.dim, "x_init")
-    warm = [_state(xs, model.dim, f"warm_start[{j}]") for j, xs in enumerate(warm_start or [])]
+    warm = [_state(xs, model.dim, f"warm_start[{j}]")
+            for j, xs in enumerate(() if warm_start is None else warm_start)]
     if len(warm) >= grid.num_steps:
         raise ValidationError("warm_start longer than the grid allows")
     plan = _cached_plan(sched, grid, config, len(warm) + 1)

@@ -174,13 +174,15 @@ class OrderFit:
 def fit_order(step_counts, errors) -> OrderFit:
     """Fit the empirical convergence order over the asymptotic window.
 
-    Every step count must be finite and > 0 (DomainError); FitError unless the
-    usable points number 3 or more over at least 2 distinct step counts.  With
+    Every entry must be a number and every step count finite and > 0 (DomainError);
+    FitError unless the usable points number 3 or more over at least 2 distinct step counts.  With
     x = log2 M, y = log2 error, dx = x - mean(x) and dy = y - mean(y), the line is the closed form
     slope = sum(dx dy) / sum(dx^2) (> 0 by the distinct counts), intercept = mean(y) - slope mean(x).
     """
-    Ms = np.asarray(step_counts, dtype=float)
-    errs = np.asarray(errors, dtype=float)
+    try:
+        Ms, errs = np.asarray(step_counts, dtype=float), np.asarray(errors, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"step counts and errors must be numbers: {exc}") from exc
     if Ms.shape != errs.shape:
         raise DomainError("step_counts and errors must have equal length")
     if not (np.isfinite(Ms) & (Ms > 0)).all():
@@ -256,7 +258,7 @@ class ConvergenceStudy:
                                       "a study varies M")
         if self.skip_kind not in SKIP_KINDS:
             raise ValidationError(f"unknown skip kind {self.skip_kind!r}")
-        if not self.seed >= 0:
+        if not typed(self.seed, "int", "seed") >= 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.oracle_starts and not self.model.closed_form:
             raise ValidationError("oracle starting values need a closed-form model")
@@ -279,7 +281,7 @@ class ConvergenceStudy:
                 step_counts=typed(cfg["step_counts"], "list", "step_counts"),
                 error_norm=cfg.get("error_norm", "max-abs"),
                 reference=cfg.get("reference", "closed-form"),
-                seed=typed(cfg.get("seed", 0), "int", "seed"),
+                seed=cfg.get("seed", 0),
                 skip_kind=cfg.get("skip", "uniform-lambda"),
                 oracle_starts=typed(cfg.get("oracle_starts", False), "bool", "oracle_starts"),
             )

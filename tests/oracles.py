@@ -6,6 +6,7 @@ package is a genuine cross-check rather than a tautology.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,54 @@ def basis_exact(h: float, kmax: int, sign: int) -> list[float]:
     for k in range(kmax - 1, -1, -1):
         values.append(Fraction(1, math.factorial(k)) + x * values[-1])
     return [float(v) for v in reversed(values)]
+
+
+def exact_row(R, h: float, prediction: str, bh: str = "b2", pinned: bool = False,
+              digits: int = 60) -> list[float]:
+    """The coefficients u on the model outputs at offsets R (units of h, one of them 0) of
+    an update with step size h, in `digits`-digit decimal arithmetic, each rounded once.
+
+    The float offsets and h are taken as exact.  u solves the moment system
+    sum_m u_m r_m^n = h n! basis_{n+1}(h), n = 0..k, by Gaussian elimination with
+    partial pivoting; with one node (R = [0]) that is the first-order row
+    u = h basis_1(h) (e^h - 1 for noise and 1 - e^{-h} for data prediction).  pinned
+    with a single offset r besides 0 pins its weight to 1/2 instead:
+    u_r = B(h) / (2 r), u_0 = h basis_1(h) - u_r, B(h) = h (b1) or e^h - 1 (b2).
+    """
+    with localcontext(prec=digits):
+        r, h = [Decimal(float(x)) for x in R], Decimal(float(h))
+        k = len(r) - 1
+        x = h if prediction == "noise" else -h
+        # basis_{k+1} by its series sum_j x^j / (j + k + 1)!, then basis_n = 1/n! + x basis_{n+1}
+        tiny, term, top, j = Decimal(10) ** -(digits + 5), Decimal(1) / math.factorial(k + 1), 0, 0
+        while j <= abs(x) or abs(term) > tiny * abs(top):
+            top += term
+            j += 1
+            term = term * x / (j + k + 1)
+        basis = [top]  # basis_{k+1} down to basis_1
+        for n in range(k, 0, -1):
+            basis.append(Decimal(1) / math.factorial(n) + x * basis[-1])
+        rhs = [h * math.factorial(n) * b for n, b in enumerate(reversed(basis))]
+        if pinned and k == 1:
+            offset = r.index(max(r, key=abs))
+            u = [rhs[0]] * 2
+            u[offset] = (h if bh == "b1" else h.exp() - 1) / (2 * r[offset])
+            u[1 - offset] -= u[offset]
+            return [float(v) for v in u]
+        V, powers = [], [Decimal(1)] * (k + 1)  # row n: r_m^n, then the right-hand side
+        for n in range(k + 1):
+            V.append(powers + [rhs[n]])
+            powers = [pm * rm for pm, rm in zip(powers, r)]
+        for col in range(k + 1):
+            piv = max(range(col, k + 1), key=lambda i: abs(V[i][col]))
+            V[col], V[piv] = V[piv], V[col]
+            for i in range(col + 1, k + 1):
+                f = V[i][col] / V[col][col]
+                V[i] = [a - f * b for a, b in zip(V[i], V[col])]
+        u = [Decimal(0)] * (k + 1)
+        for i in range(k, -1, -1):
+            u[i] = (V[i][k + 1] - sum(V[i][m] * u[m] for m in range(i + 1, k + 1))) / V[i][i]
+        return [float(v) for v in u]
 
 
 def dynamic_threshold_reference(x0, ratio: float = 0.995, floor: float = 1.0) -> np.ndarray:

@@ -37,7 +37,7 @@ from unipc import (
     varphi,
 )
 from unipc.cli import main as cli_main
-from unipc.coeffs import update_rows
+from unipc.coeffs import MAX_ORDER, update_rows
 
 DEGREE2_COEFFS = [1.5e-4, -6.0e-4, 2.5e-4]
 STEP_COUNTS = [10, 20, 40, 80, 160, 320]
@@ -233,7 +233,7 @@ def test_criterion_6_varying_coefficients(order_sweep):
     grid = make_time_grid(sched, 12)
     x0 = np.random.default_rng(6).standard_normal(4)
     worst = 0.0
-    for p in range(1, 6):
+    for p in range(1, MAX_ORDER + 1):
         config = SolverConfig(order=p, corrector="standard", varying_coefficients=True)
 
         def model():

@@ -118,6 +118,14 @@ class TestBasisFunctions:
         with pytest.raises(DomainError):
             psi(2, -0.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda: varphi(True, 0.5), lambda: psi(False, 0.5), lambda: basis_table(0.5, True),
+    ], ids=["varphi", "psi", "basis_table"])
+    def test_bool_index_rejected(self, call):
+        # a bool k was taken as 0 or 1: varphi(True, h) then indexed with it, a bare TypeError
+        with pytest.raises(DomainError, match="basis index"):
+            call()
+
 
 class TestStackedVectors:
     """phi_n and g_n, the right-hand sides of the weight conditions, as update rows see them."""

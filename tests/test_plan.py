@@ -1,18 +1,22 @@
-"""The step plan that sample() compiles, against the per-step reference in oracles.
+"""The step plan that sample() compiles, against the oracles: each row against an exact
+solve of its moment system, and whole runs against the per-step reference.
 
-The two differ by round-off only, so the bound on a state scales with what the updates
-up to it combined: each update a x + sum_j c_j f_j is off by at most about n u times its
-magnitudes (oracles.update_magnitude; u the unit round-off, n its terms), in sample() and
-in the reference alike, and those errors carry forward, so the magnitudes add up along
-the run.  The widest update has n = 7 terms (x and six outputs: order 5 and the
-corrector's node), so a state may differ by 2 * 7 u times the summed magnitudes.
+A run and the reference differ by round-off only, so the bound on a state scales with what
+the updates up to it combined: each update a x + sum_j c_j f_j is off by at most about n u
+times its magnitudes (oracles.update_magnitude; u the unit round-off, n its terms), in
+sample() and in the reference alike, and those errors carry forward, so the magnitudes add
+up along the run.  The widest update has n = MAX_ORDER + 2 terms (x and the outputs at
+MAX_ORDER nodes and the corrector's), so a state may differ by 2 n u times the summed
+magnitudes.
 """
+
+import itertools
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_sample
+from oracles import exact_row, reference_sample
 from unipc import (
     NoiseSchedule,
     SolverConfig,
@@ -20,18 +24,57 @@ from unipc import (
     convert_parameterization,
     make_time_grid,
     sample,
+    solver,
 )
+from unipc.coeffs import MAX_ORDER
 
-ROUND_OFF = 2 * 7 * np.finfo(float).eps / 2  # two computations, 7 terms, unit round-off
+ROUND_OFF = 2 * (MAX_ORDER + 2) * np.finfo(float).eps / 2  # two computations, n terms, u
+ROW_BOUND = 1e-12  # of max|c| a row: the scale of the plan-residuals selftest's gate
+
+
+def test_every_plan_row_matches_the_exact_row():
+    """Every row _plan builds, at every order the cap admits, has c within ROW_BOUND max|c|
+    of scale * oracles.exact_row over the float offsets and h that the row is built from.
+
+    The configs keep the standard corrector, so its rows are checked too.  b1/b2 changes
+    only the pinned single-offset rows, so varying weights run with b2 alone, and rows that
+    come up again (pinned and varying share every wider row) are solved once.
+    """
+    exact, worst, where = {}, 0.0, None
+    for kind, skip, M, variant, prediction, order, (bh, varying) in itertools.product(
+            ("vp-linear", "vp-cosine"), ("uniform-lambda", "uniform-time", "quadratic-time"),
+            (1, 3, 12), ("multistep", "singlestep"), ("noise", "data"), range(1, MAX_ORDER + 1),
+            (("b1", False), ("b2", False), ("b2", True))):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        config = SolverConfig(order=order, variant=variant, bh=bh, prediction=prediction,
+                              varying_coefficients=varying)
+        plan = solver._plan(sched, make_time_grid(sched, M, skip), config, 1)
+        la, lam, sigma = sched._maps(np.asarray(plan.ts))  # as _plan maps its nodes
+        K = plan.rows.shape[1] - 1  # a row is [c in ring slot order, a]
+        for index, (row, P, N, low, corr) in enumerate(
+                zip(plan.rows, plan.src, plan.dst, plan.low, plan.corrector)):
+            J = np.arange(low, N + corr)  # a corrector also reads the node it lands on
+            h = lam[N] - lam[P]
+            R = (J - P) / (N - P) if variant == "singlestep" else (lam[J] - lam[P]) / h
+            pinned = not varying and len(J) == 2
+            key = (R.tobytes(), h, prediction, pinned and bh)
+            if key not in exact:
+                exact[key] = np.array(exact_row(R, h, prediction, bh, pinned))
+            scale = -sigma[N] if prediction == "noise" else np.exp(la[N])
+            c = row[J % K]
+            error = np.max(np.abs(c - scale * exact[key])) / np.max(np.abs(c))
+            if error > worst:
+                worst, where = error, (config, kind, skip, M, index)
+    assert worst <= ROW_BOUND, f"{worst:.3e} of max|c| at {where}"
 
 
 @st.composite
 def runs(draw):
-    order = draw(st.integers(1, 5))
+    order = draw(st.integers(1, MAX_ORDER))
     M = draw(st.integers(1, 12))
     schedule = None
     if draw(st.booleans()):
-        schedule = "".join(str(draw(st.integers(1, min(i, 5)))) for i in range(1, M + 1))
+        schedule = "".join(str(draw(st.integers(1, min(i, MAX_ORDER)))) for i in range(1, M + 1))
     config = SolverConfig(
         order=order,
         variant=draw(st.sampled_from(["multistep", "singlestep"])),

@@ -46,3 +46,12 @@ def test_ab_cells_fails_when_the_trees_disagree(tmp_path, capsys):
     schedule.write_text(text.replace("beta_max: float = 20.0", "beta_max: float = 20.5"))
     assert load("ab_cells").main([str(src), str(tmp_path), "--rounds", "1"]) == 1
     assert "cell runs differ between the trees" in capsys.readouterr().out
+
+
+def test_bh_and_schedules_runs_every_schedule(capsys):
+    bh_and_schedules = load("bh_and_schedules")
+    assert bh_and_schedules.main([]) == 0
+    printed = capsys.readouterr().out
+    for M, schedules in bh_and_schedules.SCHEDULES.items():
+        for digits in schedules:
+            assert f"  {digits:<9} error " in printed and f"(nfe {M})" in printed

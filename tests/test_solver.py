@@ -26,7 +26,7 @@ from unipc import (
     sample,
 )
 from unipc import solver
-from unipc.coeffs import bh_value
+from unipc.coeffs import MAX_ORDER, bh_value
 from unipc.schedule import TimeGrid
 from unipc.solver import SolverState, _guard
 
@@ -260,9 +260,9 @@ class TestCorrectChecks:
 
     @pytest.mark.parametrize("p,varying", [
         (0, False), (-1, False), (1.5, False), (2.0, False), (True, False), ("2", False),
-        (None, False), (10, False), (6, True),
+        (None, False), (10, False), (6, False), (6, True),
     ], ids=["zero", "negative", "fraction", "float", "bool", "text", "none", "above-cap",
-            "above-varying-cap"])
+            "order-6-pinned", "order-6-varying"])
     def test_bad_order_rejected(self, vp_linear, poly_model, p, varying):
         # ten buffered outputs: enough history for every order tried
         evaluator = poly_model.evaluator(vp_linear)
@@ -484,7 +484,7 @@ class TestBufferDiscipline:
 
 
 class TestOrderSchedules:
-    @pytest.mark.parametrize("schedule,M", [("123321", 6), ("123456", 6), ("1223334", 7)])
+    @pytest.mark.parametrize("schedule,M", [("123321", 6), ("123455", 6), ("1223334", 7)])
     def test_valid_schedules_run(self, vp_linear, poly_model, rng, schedule, M):
         grid = make_time_grid(vp_linear, M)
         config = SolverConfig(order=max(int(d) for d in schedule),
@@ -493,6 +493,12 @@ class TestOrderSchedules:
                      config, rng.standard_normal(4))
         assert [rec.order for rec in res.trace] == [int(d) for d in schedule]
         assert res.nfe == M
+
+    def test_entry_past_the_order_cap_rejected(self):
+        # "123456" was accepted with pinned weights, the cap being 9 for them
+        for varying in (False, True):
+            with pytest.raises(ValidationError, match="entry 6 exceeds limit 5"):
+                SolverConfig(order=5, order_schedule="123456", varying_coefficients=varying)
 
     def test_entry_exceeding_history_rejected(self):
         config = SolverConfig(order=3, order_schedule="231")
@@ -718,6 +724,23 @@ class TestGuards:
         with pytest.raises(ValidationError, match="must be a 1-d array of length 4"):
             correct(vp_linear, state, 0.7, x_pred, 2, evaluator)
         assert evaluator.eval_count == calls
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_warm_start_as_an_array(self, vp_linear, rng, k):
+        # a (k, dim) array raised numpy's bare "truth value of an array is ambiguous"
+        grid, config = make_time_grid(vp_linear, 6), SolverConfig(order=3)
+        x0, warm = rng.standard_normal(4), rng.standard_normal((k, 4))
+
+        def run(warm_start):
+            model = SyntheticModel.linear_in_x(0.3, 4).evaluator(vp_linear)
+            return sample(model, vp_linear, grid, config, x0, warm_start=warm_start,
+                          trajectory=True), model.eval_count
+
+        (got, got_calls), (want, want_calls) = run(warm), run(list(warm))
+        assert got.nfe == want.nfe == got_calls == want_calls
+        assert got.trace == want.trace
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.trajectory, want.trajectory, strict=True))
 
     def test_warm_start_too_long(self, vp_linear, poly_model, rng):
         grid = make_time_grid(vp_linear, 3)
@@ -1057,10 +1080,14 @@ class TestConfigJSON:
         with pytest.raises(ValidationError, match="thresholding fields.*" + message):
             SolverConfig.from_json({"order": 2, "prediction": "data", "thresholding": th})
 
-    def test_varying_order_cap(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(order=6, varying_coefficients=True)
-        SolverConfig(order=5, varying_coefficients=True)
+    @pytest.mark.parametrize("variant", ["multistep", "singlestep"])
+    @pytest.mark.parametrize("varying", [False, True])
+    def test_one_order_cap_for_every_config(self, variant, varying):
+        # order 6 was accepted with pinned weights, whose singlestep rows of order 6 are
+        # 2.4e-12 max|c| off an exact solve
+        with pytest.raises(ValidationError, match=f"order 6 outside 1..{MAX_ORDER}"):
+            SolverConfig(order=6, variant=variant, varying_coefficients=varying)
+        SolverConfig(order=MAX_ORDER, variant=variant, varying_coefficients=varying)
 
     def test_name(self):
         assert SolverConfig(order=3, corrector="off").name() == "unip-3"

@@ -252,6 +252,16 @@ class TestFitOrder:
         with pytest.raises(DomainError, match="step counts must be finite and > 0"):
             fit_order(Ms, [0.1, 0.01, 0.001])
 
+    @pytest.mark.parametrize("Ms,errs", [
+        ([10, "twenty", 40], [0.1, 0.01, 0.001]),
+        ([10, 20, 40], [0.1, "small", 0.001]),
+        ([10, [20, 30], 40], [0.1, 0.01, 0.001]),
+    ], ids=["text-M", "text-error", "ragged"])
+    def test_non_numeric_entry_rejected(self, Ms, errs):
+        # each raised numpy's bare ValueError
+        with pytest.raises(DomainError, match="step counts and errors must be numbers"):
+            fit_order(Ms, errs)
+
     def test_one_distinct_step_count_unfittable(self):
         # once fitted an order of 1.834 with r2 = 0 through three points at one M
         with pytest.raises(FitError, match="M = 10; need >= 2 distinct step counts"):
@@ -403,7 +413,9 @@ class TestRunStudy:
         ({"solver_configs": [SolverConfig(order=2),
                              SolverConfig(order=2, order_schedule="1222222222")]},
          "solver 1 has an order_schedule"),
-    ], ids=["skip", "zero-M", "float-M", "bool-M", "order-schedule"])
+        ({"seed": 1.5}, "seed must be an int"),   # passed, then a bare TypeError in run_study
+        ({"seed": True}, "seed must be an int"),  # ran as seed 1
+    ], ids=["skip", "zero-M", "float-M", "bool-M", "order-schedule", "float-seed", "bool-seed"])
     def test_rejected_before_run(self, change, message):
         fields = dict(model=SyntheticModel.x_free_poly(SMALL_COEFFS, 4), schedule=NoiseSchedule(),
                       solver_configs=[SolverConfig(order=2)], step_counts=[10, 20, 40, 80])
