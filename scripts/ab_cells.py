@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of two unipc source trees over the benchmark's sample cells.
+"""In-process A/B timing of two unipc source trees: the benchmark's sample cells or its reference.
 
 Imports OLD_SRC/unipc and NEW_SRC/unipc in one process as two packages with
 distinct names and alternates them, round after round, over the sample()
@@ -14,8 +14,16 @@ microseconds per step (perfbench's cell statistic, not speed-scaled) and
 their ratio, then per side the p50 and p90 of those quantiles across the
 cells.  Exits 1 if any cell's final state or NFE differs between the sides.
 
+With --reference it alternates the two trees' fine-rk4 reference_solution
+instead, on the study-rk4 workload's setup (linear-in-x with gain 0.3, dim
+4, vp-cosine, over the schedule's whole time range; 12 * steps model calls
+a run), one fresh input state per round for both sides.  It prints each
+side's 0.05-quantile seconds over the rounds and their ratio, and exits 1
+if any reference differs by a bit between the sides.
+
 Usage:
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC [--dim N] [--rounds N]
+    python3 scripts/ab_cells.py OLD_SRC NEW_SRC --reference [--steps N] [--rounds N]
 """
 
 import argparse
@@ -80,26 +88,18 @@ class Side:
         return result, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old_src", type=Path)
-    parser.add_argument("new_src", type=Path)
-    parser.add_argument("--dim", type=int, default=4)
-    parser.add_argument("--rounds", type=int, default=200)
-    args = parser.parse_args(argv)
-    if args.dim < 1 or args.rounds < 1:
-        parser.error("--dim and --rounds must be >= 1")
-    old, new = load_tree(args.old_src, "unipc_ab_old"), load_tree(args.new_src, "unipc_ab_new")
+def compare_cells(old, new, dim: int, rounds: int) -> list[str]:
+    """Alternate the sample() cells and print their timings; returns the mismatches."""
     configs, poly = benchmark_cells(new)
-    sides = {"old": Side(old, configs, poly, args.dim), "new": Side(new, configs, poly, args.dim)}
+    sides = {"old": Side(old, configs, poly, dim), "new": Side(new, configs, poly, dim)}
     cells = [(label, M) for label in configs for M in MS]
     rng = np.random.default_rng(0)
     us = {(name, cell): [] for name in sides for cell in cells}
     mismatches = []
-    for rnd in range(args.rounds + 1):  # round 0 builds the plans and is not timed
+    for rnd in range(rounds + 1):  # round 0 builds the plans and is not timed
         order = ("old", "new") if rnd % 2 else ("new", "old")
         for label, M in cells:
-            x = rng.standard_normal(args.dim)
+            x = rng.standard_normal(dim)
             results = {}
             for name in order:
                 results[name], seconds = sides[name].run(label, M, x)
@@ -114,15 +114,66 @@ def main(argv=None) -> int:
     for label, M in cells:
         o, n = cell_us["old", (label, M)], cell_us["new", (label, M)]
         print(f"{label + f' M={M}':<26} {o:12.3f} {n:12.3f} {n / o:8.3f}")
-    print(f"{args.rounds} rounds, dim {args.dim}; per side across cells:")
+    print(f"{rounds} rounds, dim {dim}; per side across cells:")
     for name in sides:
         per_cell = [cell_us[name, cell] for cell in cells]
         print(f"{name:<4} p50 {np.median(per_cell):9.3f} us/step  "
               f"p90 {np.quantile(per_cell, 0.9):9.3f} us/step")
+    return mismatches
+
+
+def compare_reference(old, new, steps: int, rounds: int) -> list[str]:
+    """Alternate the fine-rk4 references and print their timings; returns the mismatches."""
+    sides = {}
+    for name, pkg in (("old", old), ("new", new)):
+        sched = pkg.NoiseSchedule.from_json({"kind": "vp-cosine"})
+        sides[name] = (pkg, pkg.SyntheticModel.linear_in_x(0.3, 4), sched)
+    rng = np.random.default_rng(0)
+    seconds = {name: [] for name in sides}
+    mismatches = []
+    for rnd in range(rounds):
+        order = ("old", "new") if rnd % 2 else ("new", "old")
+        x = rng.standard_normal(4)
+        results = {}
+        for name in order:
+            pkg, model, sched = sides[name]
+            start = time.perf_counter()
+            results[name] = pkg.reference_solution(model, sched, x, sched.t_start, sched.t_end,
+                                                   "fine-rk4", steps=steps)
+            seconds[name].append(time.perf_counter() - start)
+        a, b = results["old"], results["new"]
+        if a.tobytes() != b.tobytes():
+            mismatches.append(f"round {rnd}: max |reference diff| {np.max(np.abs(a - b)):.3e}")
+    q = {name: float(np.quantile(values, CELL_Q)) for name, values in seconds.items()}
+    print(f"fine-rk4 reference, {steps} steps ({12 * steps} model calls), {rounds} rounds:")
+    print(f"old {q['old']:.6f} s  new {q['new']:.6f} s  new/old {q['new'] / q['old']:.3f}")
+    return mismatches
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--dim", type=int, default=4)
+    parser.add_argument("--rounds", type=int, default=200)
+    parser.add_argument("--reference", action="store_true",
+                        help="time the fine-rk4 reference instead of the sample() cells")
+    parser.add_argument("--steps", type=int, default=20_000,
+                        help="fine-rk4 steps of the coarse pass (--reference)")
+    args = parser.parse_args(argv)
+    if args.dim < 1 or args.rounds < 1 or args.steps < 1:
+        parser.error("--dim, --rounds and --steps must be >= 1")
+    old, new = load_tree(args.old_src, "unipc_ab_old"), load_tree(args.new_src, "unipc_ab_new")
+    if args.reference:
+        mismatches = compare_reference(old, new, args.steps, args.rounds)
+        what = "references"
+    else:
+        mismatches = compare_cells(old, new, args.dim, args.rounds)
+        what = "cell runs"
     for line in mismatches[:10]:
         print(f"mismatch: {line}")
     if mismatches:
-        print(f"error: {len(mismatches)} cell runs differ between the trees")
+        print(f"error: {len(mismatches)} {what} differ between the trees")
         return 1
     return 0
 

@@ -5,7 +5,10 @@ richer shape is needed.  A ModelEvaluator wraps any callable (x, t) -> state
 together with its parameterization kind ("noise" predicts the noise
 component eps, "data" predicts the clean signal x0) and an invocation
 counter used for NFE accounting, and rejects a result of any other shape
-or one that does not hold integers or floats.  The two parameterizations are linked by
+or one that does not hold integers or floats.  Called with out=, it writes
+the result into the caller's buffer: the synthetic models and the
+parameterization conversion compute straight into it, and a user callable's
+result is checked and copied there.  The two parameterizations are linked by
 
     x = alpha_t * x0_pred + sigma_t * eps_pred.
 
@@ -19,7 +22,9 @@ Synthetic families:
 
 A SyntheticModel keeps its coefficients as one read-only float64 array of
 shape (dim, K), built once; the evaluators and the exact solution use it as
-it is.
+it is.  Each family's arithmetic is written once, as a function of (x, t, out)
+that writes into out; called without out, the evaluator allocates out first,
+so both forms give the same bits.
 
 Dynamic thresholding (Imagen, by way of DPM-Solver++) needs the ratio
 quantile of |x0| with ratio > 1/2, so only two order statistics of the
@@ -36,9 +41,9 @@ np.quantile itself.  Clipping and scaling then run in place.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,10 +87,23 @@ def _state(value, dim: int | None, what: str) -> np.ndarray:
     return x
 
 
+def _time(t) -> float:
+    """t as a float: ValidationError unless it is a real number (not a bool or a string)."""
+    if isinstance(t, float) or isinstance(t, numbers.Real) and not isinstance(t, bool):
+        return float(t)
+    raise ValidationError(f"model time must be a real number, got {t!r}")
+
+
 class ModelEvaluator:
     """Deterministic, reentrant model callable with NFE accounting.
 
-    fn must be callable and dim an int >= 1 (ValidationError)."""
+    fn(x, t) gets x as a float64 state and t as a float, and returns the
+    prediction; fn must be callable and dim an int >= 1 (ValidationError).
+    Every call is counted, lock-free: one C-level step under the GIL, exact
+    across threads.  A call may be given out, a writeable, C-contiguous
+    float64 array of shape (dim,): the result is written into it, and out is
+    returned.  out may be x itself, but no other view that overlaps x.  The
+    model may keep neither x nor out: callers reuse them."""
 
     def __init__(self, fn: Callable[[np.ndarray, float], np.ndarray], prediction: str, dim: int):
         if prediction not in PREDICTION_KINDS:
@@ -93,30 +111,63 @@ class ModelEvaluator:
         if not callable(fn):
             raise ValidationError(f"model function must be callable, got {fn!r}")
         self._fn = fn
+        self._writes = False  # fn is fn(x, t, out), writing into out (see _writing)
         self.prediction = prediction
         self.dim = int(_check_dim(dim))
         self._shape = (self.dim,)
-        self._count = 0
-        self._lock = threading.Lock()
+        self._calls = itertools.count()  # next() on it counts a call
 
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        """fn(x, t) as a float array, which must be a state: the call is counted, then
-        ValidationError unless x and the result hold integers or floats and the result
-        has shape (dim,).  A float64 ndarray passes as it is."""
-        with self._lock:
-            self._count += 1
+    def __call__(self, x: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """fn(x, t) as a float array, which must be a state, written into out if given: the
+        call is counted, then ValidationError unless t is a real number, x holds integers or
+        floats, out (if given) is a writeable, C-contiguous float64 array of shape (dim,), all
+        before fn runs, and the result holds integers or floats and has shape (dim,).  Without
+        out, a float64 ndarray result passes as it is."""
+        next(self._calls)
+        if type(t) is not float:
+            t = _time(t)
         if type(x) is not np.ndarray or x.dtype is not _F64:
             x = _floats(x, "model input")
-        f = self._fn(x, float(t))
+        if out is None:
+            if self._writes:
+                return self._fn(x, t, np.empty(self._shape))
+        elif (type(out) is not np.ndarray or out.dtype is not _F64 or out.shape != self._shape
+              or not out.flags.carray):
+            raise ValidationError(f"out must be a writeable, C-contiguous float64 array of "
+                                  f"shape ({self.dim},), got {_describe(out)}")
+        elif self._writes:
+            return self._fn(x, t, out)
+        f = self._fn(x, t)
         if type(f) is not np.ndarray or f.dtype is not _F64:
             f = _floats(f, "model output")
         if f.shape != self._shape:
             raise ValidationError(f"model output must have shape ({self.dim},), got {f.shape}")
-        return f
+        if out is None:
+            return f
+        out[...] = f
+        return out
 
     @property
     def eval_count(self) -> int:
-        return self._count
+        # count(n) is the counter's repr: reading it does not advance it
+        return int(repr(self._calls)[6:-1])
+
+
+def _describe(value) -> str:
+    """What a rejected out is, for the error message."""
+    if type(value) is not np.ndarray:
+        return type(value).__name__
+    flags = value.flags
+    return (f"{value.dtype} array of shape {value.shape} (writeable {flags.writeable}, "
+            f"C-contiguous {flags.c_contiguous}, aligned {flags.aligned})")
+
+
+def _writing(into: Callable, prediction: str, dim: int) -> ModelEvaluator:
+    """A ModelEvaluator over into(x, t, out), which writes a float64 state into out and
+    returns out; called without out, the evaluator allocates it."""
+    evaluator = ModelEvaluator(into, prediction, dim)
+    evaluator._writes = True
+    return evaluator
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,22 +270,26 @@ class SyntheticModel:
         return {"family": self.family, "kappa": self.coeffs[:, 0].tolist(), "dim": self.dim}
 
     def evaluator(self, sched: NoiseSchedule | None = None) -> ModelEvaluator:
-        """Noise-prediction evaluator; x-free-poly needs the schedule for lambda(t)."""
+        """Noise-prediction evaluator; x-free-poly needs the schedule for lambda(t).
+
+        sched must be a NoiseSchedule or None (ValidationError)."""
+        if sched is not None and not isinstance(sched, NoiseSchedule):
+            raise ValidationError(f"schedule must be a NoiseSchedule, got {sched!r}")
         if self.family == "x-free-poly":
             if sched is None:
                 raise ValidationError("x-free-poly evaluator needs a schedule")
 
             # float exponents: the same float64 power loop as int ones, without their cast
-            def fn(x, t, _C=self.coeffs, _P=np.arange(self.coeffs.shape[1], dtype=float),
-                   _lam=sched.lam):
-                return _C.dot(_lam(t) ** _P)
+            def into(x, t, out, _C=self.coeffs, _P=np.arange(self.coeffs.shape[1], dtype=float),
+                     _lam=sched.lam):
+                return _C.dot(_lam(t) ** _P, out)
 
-            return ModelEvaluator(fn, "noise", self.dim)
+            return _writing(into, "noise", self.dim)
 
-        def fn(x, t, _g=self.coeffs[:, 0]):
-            return _g * x
+        def into(x, t, out, _g=self.coeffs[:, 0]):
+            return np.multiply(_g, x, out)
 
-        return ModelEvaluator(fn, "noise", self.dim)
+        return _writing(into, "noise", self.dim)
 
 
 def exact_solution_xfree(
@@ -276,22 +331,29 @@ def exact_solution_xfree(
 def convert_parameterization(m: ModelEvaluator, sched: NoiseSchedule) -> ModelEvaluator:
     """Wrap a noise model as a data model (or the inverse), one call per call.
 
-    Outputs satisfy x = alpha_t * x0 + sigma_t * eps identically.
+    Outputs satisfy x = alpha_t * x0 + sigma_t * eps identically.  m must be a
+    ModelEvaluator and sched a NoiseSchedule (ValidationError).
     """
+    if not isinstance(m, ModelEvaluator):
+        raise ValidationError(f"can only convert a ModelEvaluator, got {m!r}")
+    if not isinstance(sched, NoiseSchedule):
+        raise ValidationError(f"schedule must be a NoiseSchedule, got {sched!r}")
     to_data = m.prediction == "noise"
 
-    def fn(x, t):
+    def into(x, t, out):
         # (x - a f) / b with (a, b) = (sigma, alpha) to data, (alpha, sigma) to noise, as
-        # (f * -a + x) / b: bitwise the same (u - v == u + (-v)) with one state-sized
-        # temporary; the wrapped model's array is never written.
+        # (f * -a + x) / b, in out: bitwise the same (u - v == u + (-v)).
         alpha, sig, _ = sched.alpha_sigma_lambda(t)
         a, b = (sig, alpha) if to_data else (alpha, sig)
-        y = m(x, t) * -a
-        y += x
-        y /= b
-        return y
+        if out is x:
+            x = x.copy()  # the wrapped model writes out before x is read
+        m(x, t, out=out)
+        out *= -a
+        out += x
+        out /= b
+        return out
 
-    return ModelEvaluator(fn, "data" if to_data else "noise", m.dim)
+    return _writing(into, "data" if to_data else "noise", m.dim)
 
 
 def dynamic_threshold(x0: np.ndarray, ratio: float = 0.995, floor: float = 1.0) -> np.ndarray:

@@ -49,9 +49,11 @@ from, and y, where updates land.  A plan row is c in ring slot order (0 in
 slots it does not read), then a, so an update is one gemv,
 row @ work[:K + 1] into work[K + 1], with no temporary; y is copied into
 x's row once a step, and the last step writes into a fresh array that the
-result owns.  correct and ddim_step, the one-step API for plugging UniC
-into another sampler, apply a row [c..., a] over np.stack(outputs + [x]),
-x last as in the driver, and build it alone.  They agree with the driver
+result owns.  Each model call writes its output straight into its ring
+slot (ModelEvaluator's out), so no state-sized temporary is made or copied.
+correct and ddim_step, the one-step API for plugging UniC into another
+sampler, apply a row [c..., a] over np.stack(outputs + [x]), x last as in
+the driver, and build it alone.  They agree with the driver
 to round-off, not always bit for bit: BLAS rounds a gemv by row width and
 column order, and a solved row's basis series takes as many terms as the
 largest h of its plan batch needs.
@@ -550,11 +552,10 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     th, nfe = config.thresholding, 0
 
     def evaluate(x_at: np.ndarray, node: int, step: int) -> None:
-        # Straight into the slot (its old output is dead), so the model's array
-        # is freed before thresholding, which then works in the slot.
+        # The model writes its output straight into the slot (its old output is
+        # dead), and thresholding then works there.
         nonlocal nfe
-        out = work[node % K]
-        out[...] = model(x_at, plan.ts[node])
+        out = model(x_at, plan.ts[node], out=work[node % K])
         nfe += 1
         if th is not None:
             _threshold(out, th.ratio, th.floor)

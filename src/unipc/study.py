@@ -70,8 +70,14 @@ def reference_solution(
     a row that folded x in as 1 + delta would round away the low bits of
     delta at every stage, an error that accumulates over the pass.  The
     model is called with reused buffers (the state and one stage-input
-    array), so, as with sample(), it must not keep the arrays it is given.
+    array) and writes each stage output straight into its row of W, so, as
+    with sample(), it must not keep the arrays it is given.  model must be a
+    SyntheticModel and sched a NoiseSchedule (ValidationError).
     """
+    if not isinstance(model, SyntheticModel):
+        raise ValidationError(f"reference model must be a SyntheticModel, got {model!r}")
+    if not isinstance(sched, NoiseSchedule):
+        raise ValidationError(f"schedule must be a NoiseSchedule, got {sched!r}")
     if mode not in REFERENCE_MODES:
         raise ValidationError(f"unknown reference mode {mode!r}")
     x_T = _state(x_T, model.dim, "x_T")
@@ -131,19 +137,20 @@ def reference_solution(
             if j1 == n:
                 lams[-1] = lam_end
             mids = 0.5 * (lams[:-1] + lams[1:])
-            t, tm = sched.t_of_lambda(lams), sched.t_of_lambda(mids)
+            t = sched.t_of_lambda(lams).tolist()  # Python floats: the model's fast path
+            tm = sched.t_of_lambda(mids).tolist()
             rows = stage_rows(lams, mids, R[:j1 - j0])
-            for d1, d2, d3, d4, t0, th, t1 in zip(*rows, t[:-1], tm, t[1:]):
-                f0[...] = evaluator(x, t0)
+            for d1, d2, d3, d4, t0, th, t1 in zip(*rows, t, tm, t[1:]):
+                evaluator(x, t0, out=f0)
                 d1.dot(W1, out=y)
                 y += x
-                f1[...] = evaluator(y, th)
+                evaluator(y, th, out=f1)
                 d2.dot(W2, out=y)
                 y += x
-                f2[...] = evaluator(y, th)
+                evaluator(y, th, out=f2)
                 d3.dot(W3, out=y)
                 y += x
-                f3[...] = evaluator(y, t1)
+                evaluator(y, t1, out=f3)
                 d4.dot(W, out=y)
                 x += y
         return x.copy()

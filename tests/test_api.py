@@ -54,6 +54,9 @@ def test_one_step_signatures_are_pinned():
         "sched", "state", "t_next", "x_pred", "p", "model", "config"]
     assert inspect.signature(unipc.correct).parameters["config"].default == unipc.SolverConfig()
     assert list(inspect.signature(unipc.SolverState.push).parameters) == ["self", "t", "output"]
+    # a model call may write into the caller's buffer
+    call = inspect.signature(unipc.ModelEvaluator.__call__).parameters
+    assert list(call) == ["self", "x", "t", "out"] and call["out"].default is None
 
 
 def test_solver_config_fields_are_pinned():

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 import threading
 import tracemalloc
 
@@ -65,7 +67,8 @@ class TestConversion:
         noise = SyntheticModel.linear_in_x(0.3, 2).evaluator(vp_linear)
         data = convert_parameterization(noise, vp_linear)
         data(np.ones(2), 0.5)
-        assert noise.eval_count == 1 and data.eval_count == 1
+        data(np.ones(2), 0.5, out=np.empty(2))
+        assert noise.eval_count == 2 and data.eval_count == 2
 
 
 class TestExactSolution:
@@ -279,18 +282,51 @@ class TestModelEvaluator:
             assert ev.eval_count == expected
 
     def test_counts_never_lost_under_threads(self, vp_linear):
+        # More threads than cores and a short switch interval, so threads are preempted
+        # mid-call often: a lost update would leave the count short.
         ev = SyntheticModel.linear_in_x(0.3, 2).evaluator(vp_linear)
+        n_threads, calls = (os.cpu_count() or 1) + 4, 2000
 
         def hammer():
-            for _ in range(200):
-                ev(np.ones(2), 0.5)
+            x, out = np.ones(2), np.empty(2)
+            for _ in range(calls):
+                ev(x, 0.5, out=out)
 
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert ev.eval_count == 1600
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert ev.eval_count == n_threads * calls
+
+    def test_reading_the_count_does_not_advance_it(self, vp_linear):
+        ev = SyntheticModel.linear_in_x(0.3, 2).evaluator(vp_linear)
+        assert ev.eval_count == ev.eval_count == 0
+        ev(np.ones(2), 0.5)
+        assert ev.eval_count == ev.eval_count == 1
+
+    @pytest.mark.parametrize("t", [None, "abc", "0.5", True, 1j, [0.5], np.array([0.5])],
+                             ids=["None", "text", "numeric-text", "bool", "complex", "list", "array"])
+    def test_time_must_be_a_real_number(self, t):
+        # None raised a TypeError, "abc" a bare ValueError, and "0.5" ran as 0.5
+        seen = []
+        ev = ModelEvaluator(lambda x, t: seen.append(t) or x, "noise", 2)
+        with pytest.raises(ValidationError, match="model time must be a real number"):
+            ev(np.ones(2), t)
+        assert not seen
+
+    @pytest.mark.parametrize("t", [0.5, 1, np.float64(0.5), np.float32(0.5), np.int64(1)],
+                             ids=["float", "int", "float64", "float32", "int64"])
+    def test_real_times_reach_fn_as_floats(self, t):
+        seen = []
+        ModelEvaluator(lambda x, t: seen.append(t) or x, "noise", 2)(np.ones(2), t)
+        assert type(seen[0]) is float and seen[0] == float(t)
 
     @pytest.mark.parametrize("output", [0.1, [0.1], [0.1] * 3, [[0.1, 0.1]], [[0.1], [0.1]]],
                              ids=["scalar", "length-1", "length-3", "1x2", "2x1"])
@@ -364,6 +400,99 @@ class TestModelEvaluator:
         ends = (vp_cosine.t_end, vp_cosine.t_start)
         for t in np.r_[np.linspace(*ends, 201), rng.uniform(*ends, 200)]:
             assert ev(np.ones(3), t).tobytes() == xfree_eps(model.coeffs, vp_cosine.lam(t)).tobytes()
+
+
+def _evaluators(sched):
+    """Every in-package evaluator kind: both synthetic families, and both conversions."""
+    rng = np.random.default_rng(7)
+    xfree = SyntheticModel.x_free_poly(rng.standard_normal((5, 4)), 5).evaluator(sched)
+    linear = SyntheticModel.linear_in_x(rng.standard_normal(5), 5).evaluator(sched)
+    to_data = convert_parameterization(xfree, sched)
+    return {"x-free-poly": xfree, "linear-in-x": linear, "to-data": to_data,
+            "to-noise": convert_parameterization(convert_parameterization(linear, sched), sched),
+            "linear-to-data": convert_parameterization(linear, sched)}
+
+
+class TestOutContract:
+    @pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine"])
+    @pytest.mark.parametrize("name", ["x-free-poly", "linear-in-x", "to-data", "to-noise",
+                                      "linear-to-data"])
+    def test_in_place_and_returning_forms_are_bitwise_equal(self, kind, name):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        ev = _evaluators(sched)[name]
+        rng = np.random.default_rng(11)
+        for t in np.linspace(sched.t_end, sched.t_start, 41).tolist():
+            x = rng.standard_normal(5) * 3
+            want = ev(x, t)
+            out = np.full(5, np.nan)
+            assert ev(x, t, out=out) is out
+            assert out.tobytes() == want.tobytes()
+            y = x.copy()
+            assert ev(y, t, out=y) is y  # out may be x itself
+            assert y.tobytes() == want.tobytes()
+
+    def test_user_fn_result_is_copied_into_out(self):
+        result = np.array([1.0, 2.0])
+        ev = ModelEvaluator(lambda x, t: result, "noise", 2)
+        out = np.zeros(2)
+        assert ev(np.ones(2), 0.5, out=out) is out
+        assert out.tolist() == [1.0, 2.0] and not np.shares_memory(out, result)
+
+    def test_user_fn_with_x_as_out(self):
+        ev = ModelEvaluator(lambda x, t: 2.0 * x + t, "noise", 2)
+        x = np.array([1.0, -3.0])
+        assert ev(x, 0.5, out=x) is x and x.tolist() == [2.5, -5.5]
+
+    @pytest.mark.parametrize("out", [
+        [0.0, 0.0], np.zeros(2, np.float32), np.zeros(2, int), np.zeros(2).astype(">f8"),
+        np.zeros(3), np.zeros((2, 1)), np.zeros(()), np.zeros(4)[::2], np.zeros(2, complex),
+    ], ids=["list", "float32", "int", "big-endian", "length-3", "2x1", "0-d", "strided", "complex"])
+    def test_out_must_be_a_float64_state(self, out):
+        calls = []
+        ev = ModelEvaluator(lambda x, t: calls.append(t) or x, "noise", 2)
+        with pytest.raises(ValidationError, match=r"out must be a writeable, C-contiguous "
+                                                  r"float64 array of shape \(2,\)"):
+            ev(np.ones(2), 0.5, out=out)
+        assert not calls  # checked before fn runs
+
+    def test_read_only_out_rejected(self, vp_linear):
+        out = np.zeros(5)
+        out.flags.writeable = False
+        for ev in _evaluators(vp_linear).values():
+            with pytest.raises(ValidationError, match="writeable False"):
+                ev(np.ones(5), 0.5, out=out)
+        assert not out.any()
+
+    @pytest.mark.parametrize("output", [[0.1], [0.1] * 3, [[0.1, 0.1]]],
+                             ids=["length-1", "length-3", "1x2"])
+    def test_misshapen_user_output_rejected_with_out(self, output):
+        out = np.zeros(2)
+        ev = ModelEvaluator(lambda x, t: output, "noise", 2)
+        with pytest.raises(ValidationError, match=r"model output must have shape \(2,\), got"):
+            ev(np.ones(2), 0.5, out=out)
+        assert not out.any()
+
+
+class TestModelBoundaryErrors:
+    def test_convert_needs_a_model_evaluator(self, vp_linear):
+        # raised AttributeError: 'function' object has no attribute 'prediction'
+        with pytest.raises(ValidationError, match="can only convert a ModelEvaluator"):
+            convert_parameterization(lambda x, t: x, vp_linear)
+
+    @pytest.mark.parametrize("sched", ["vp", None, {"kind": "vp-linear"}])
+    def test_convert_needs_a_schedule(self, sched):
+        # "vp" raised an AttributeError, and only at the first call
+        noise = SyntheticModel.linear_in_x(0.3, 2).evaluator()
+        with pytest.raises(ValidationError, match="schedule must be a NoiseSchedule"):
+            convert_parameterization(noise, sched)
+
+    @pytest.mark.parametrize("model", [SyntheticModel.x_free_poly([0.3], 2),
+                                       SyntheticModel.linear_in_x(0.3, 2)],
+                             ids=["x-free-poly", "linear-in-x"])
+    def test_evaluator_needs_a_schedule_or_none(self, model):
+        # x-free-poly raised an AttributeError; linear-in-x ignored the argument
+        with pytest.raises(ValidationError, match="schedule must be a NoiseSchedule"):
+            model.evaluator("vp")
 
 
 class TestSyntheticModelConstruction:

@@ -48,6 +48,26 @@ def test_ab_cells_fails_when_the_trees_disagree(tmp_path, capsys):
     assert "cell runs differ between the trees" in capsys.readouterr().out
 
 
+def test_ab_cells_reference_mode_runs_one_tree_against_itself(capsys):
+    src = str(SCRIPTS.parent / "src")
+    assert load("ab_cells").main([src, src, "--reference", "--steps", "1000", "--rounds", "2"]) == 0
+    printed = capsys.readouterr().out
+    assert "fine-rk4 reference, 1000 steps (12000 model calls), 2 rounds" in printed
+    assert "new/old" in printed and "mismatch" not in printed
+
+
+def test_ab_cells_reference_mode_fails_when_the_trees_disagree(tmp_path, capsys):
+    src = SCRIPTS.parent / "src"
+    shutil.copytree(src / "unipc", tmp_path / "unipc", ignore=shutil.ignore_patterns("__pycache__"))
+    study = tmp_path / "unipc" / "study.py"
+    text = study.read_text()
+    assert "D4 *= h / 6.0" in text
+    study.write_text(text.replace("D4 *= h / 6.0", "D4 *= h / 6.0 * (1 + 1e-15)"))
+    assert load("ab_cells").main([str(src), str(tmp_path), "--reference", "--steps", "1000",
+                                  "--rounds", "1"]) == 1
+    assert "references differ between the trees" in capsys.readouterr().out
+
+
 def test_bh_and_schedules_runs_every_schedule(capsys):
     bh_and_schedules = load("bh_and_schedules")
     assert bh_and_schedules.main([]) == 0

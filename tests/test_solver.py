@@ -437,7 +437,7 @@ class TestBufferDiscipline:
 
         def recording(x, t):
             calls.append(float(t))
-            return inner._fn(x, t)
+            return inner(x, t)
 
         config = SolverConfig(order=3, variant=variant, corrector=corrector)
         res = sample(ModelEvaluator(recording, "noise", 4), vp_linear, grid, config, x0,
@@ -553,7 +553,7 @@ class TestSinglestep:
 
         def recording(x, t):
             calls.append(float(t))
-            return inner._fn(x, t)
+            return inner(x, t)
 
         instrumented = ModelEvaluator(recording, "noise", 4)
         sample(instrumented, vp_linear, grid,

@@ -74,11 +74,12 @@ class TestReferenceSolution:
                                rng.standard_normal(2), 1.0, 1e-3, "closed-form")
 
 
-class _CountedModel:
+class _CountedModel(SyntheticModel):
     """A SyntheticModel that keeps the evaluators it hands out, to count their calls."""
 
     def __init__(self, model):
-        self.model, self.dim, self.evaluators = model, model.dim, []
+        super().__init__(model.family, model.dim, model.coeffs)
+        self.model, self.evaluators = model, []
 
     def evaluator(self, sched):
         self.evaluators.append(self.model.evaluator(sched))
@@ -117,12 +118,13 @@ class TestReferenceAgainstOracle:
                                1.0, 1e-3, "fine-rk4", steps=steps)
 
 
-class _RecordingModel:
+class _RecordingModel(SyntheticModel):
     """A SyntheticModel whose evaluators record every call: the time, a copy of the
     input, and the input array itself (which the reference may reuse)."""
 
     def __init__(self, model):
-        self.model, self.dim, self.calls, self.inputs = model, model.dim, [], []
+        super().__init__(model.family, model.dim, model.coeffs)
+        self.model, self.calls, self.inputs = model, [], []
 
     def evaluator(self, sched):
         inner = self.model.evaluator(sched)
@@ -135,12 +137,11 @@ class _RecordingModel:
         return ModelEvaluator(fn, "noise", self.dim)
 
 
-class _MisshapenModel:
+class _MisshapenModel(SyntheticModel):
     """A dim-2 model whose evaluator returns `output` whatever the state."""
 
-    dim = 2
-
     def __init__(self, output):
+        super().__init__("linear-in-x", 2, np.zeros((2, 1)))
         self.output, self.calls = output, 0
 
     def evaluator(self, sched):
@@ -221,6 +222,23 @@ class TestReferenceStages:
         model = recorder if mode == "fine-rk4" else recorder.model
         with pytest.raises(DomainError, match="need t_end < t_start"):
             reference_solution(model, vp_linear, np.ones(2), t_start, t_end, mode)
+        assert not recorder.calls
+
+    @pytest.mark.parametrize("mode", ["closed-form", "fine-rk4"])
+    def test_model_must_be_a_synthetic_model(self, vp_linear, mode):
+        # a ModelEvaluator raised AttributeError: no attribute 'evaluator'
+        ev = SyntheticModel.x_free_poly([0.3], 2).evaluator(vp_linear)
+        with pytest.raises(ValidationError, match="reference model must be a SyntheticModel"):
+            reference_solution(ev, vp_linear, np.ones(2), 1.0, 1e-3, mode, steps=10)
+        assert ev.eval_count == 0
+
+    @pytest.mark.parametrize("mode", ["closed-form", "fine-rk4"])
+    @pytest.mark.parametrize("sched", ["vp", None])
+    def test_schedule_must_be_a_noise_schedule(self, mode, sched):
+        # raised AttributeError: no attribute 'lam' (or 'log_alpha')
+        recorder = _RecordingModel(SyntheticModel.x_free_poly([0.3], 2))
+        with pytest.raises(ValidationError, match="schedule must be a NoiseSchedule"):
+            reference_solution(recorder, sched, np.ones(2), 1.0, 1e-3, mode, steps=10)
         assert not recorder.calls
 
 
