@@ -10,9 +10,12 @@ alternating and one input state for both, so host load falls on both sides
 alike; one untimed round first builds each side's plans.
 
 Prints, per cell, the 0.05-quantile over the rounds of each side's
-microseconds per step (perfbench's cell statistic, not speed-scaled) and
-their ratio, then per side the p50 and p90 of those quantiles across the
-cells.  Exits 1 if any cell's final state or NFE differs between the sides.
+microseconds per step (perfbench's cell statistic, not speed-scaled), their
+ratio and the largest relative difference between the two sides' final
+states over the rounds, max |new - old| / max(1, max |old|), then per side
+the p50 and p90 of those quantiles across the cells.  Exits 1 if any cell's
+NFE differs between the sides, or if any final state differs by more than
+R max(1, max |old|) with --rtol R (default 0: any differing bit).
 
 With --reference it alternates the two trees' fine-rk4 reference_solution
 instead, on the study-rk4 workload's setup (linear-in-x with gain 0.3, dim
@@ -22,7 +25,7 @@ side's 0.05-quantile seconds over the rounds and their ratio, and exits 1
 if any reference differs by a bit between the sides.
 
 Usage:
-    python3 scripts/ab_cells.py OLD_SRC NEW_SRC [--dim N] [--rounds N]
+    python3 scripts/ab_cells.py OLD_SRC NEW_SRC [--dim N] [--rounds N] [--rtol R]
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC --reference [--steps N] [--rounds N]
 """
 
@@ -88,13 +91,16 @@ class Side:
         return result, time.perf_counter() - start
 
 
-def compare_cells(old, new, dim: int, rounds: int) -> list[str]:
-    """Alternate the sample() cells and print their timings; returns the mismatches."""
+def compare_cells(old, new, dim: int, rounds: int, rtol: float = 0.0) -> list[str]:
+    """Alternate the sample() cells and print their timings and final-state differences;
+    returns the mismatches: an NFE difference, or a final state off by more than
+    rtol max(1, max |old final|)."""
     configs, poly = benchmark_cells(new)
     sides = {"old": Side(old, configs, poly, dim), "new": Side(new, configs, poly, dim)}
     cells = [(label, M) for label in configs for M in MS]
     rng = np.random.default_rng(0)
     us = {(name, cell): [] for name in sides for cell in cells}
+    diff = dict.fromkeys(cells, 0.0)  # largest relative final-state difference
     mismatches = []
     for rnd in range(rounds + 1):  # round 0 builds the plans and is not timed
         order = ("old", "new") if rnd % 2 else ("new", "old")
@@ -106,14 +112,17 @@ def compare_cells(old, new, dim: int, rounds: int) -> list[str]:
                 if rnd:
                     us[name, (label, M)].append(seconds / M * 1e6)
             a, b = results["old"], results["new"]
-            if a.nfe != b.nfe or a.final.tobytes() != b.final.tobytes():
+            rel = float(np.max(np.abs(b.final - a.final)) / max(1.0, np.max(np.abs(a.final))))
+            diff[label, M] = max(diff[label, M], rel)
+            if a.nfe != b.nfe or not rel <= rtol:
                 mismatches.append(f"{label} M={M} round {rnd}: nfe {a.nfe} vs {b.nfe}, "
-                                  f"max |final diff| {np.max(np.abs(a.final - b.final)):.3e}")
+                                  f"relative final diff {rel:.3e}")
     cell_us = {key: float(np.quantile(values, CELL_Q)) for key, values in us.items()}
-    print(f"{'cell':<26} {'old us/step':>12} {'new us/step':>12} {'new/old':>8}")
+    print(f"{'cell':<26} {'old us/step':>12} {'new us/step':>12} {'new/old':>8} {'rel diff':>10}")
     for label, M in cells:
         o, n = cell_us["old", (label, M)], cell_us["new", (label, M)]
-        print(f"{label + f' M={M}':<26} {o:12.3f} {n:12.3f} {n / o:8.3f}")
+        print(f"{label + f' M={M}':<26} {o:12.3f} {n:12.3f} {n / o:8.3f} "
+              f"{diff[label, M]:10.2e}")
     print(f"{rounds} rounds, dim {dim}; per side across cells:")
     for name in sides:
         per_cell = [cell_us[name, cell] for cell in cells]
@@ -160,15 +169,20 @@ def main(argv=None) -> int:
                         help="time the fine-rk4 reference instead of the sample() cells")
     parser.add_argument("--steps", type=int, default=20_000,
                         help="fine-rk4 steps of the coarse pass (--reference)")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest relative final-state difference a cell may show "
+                             "(default 0: bit for bit); the references stay bit for bit")
     args = parser.parse_args(argv)
     if args.dim < 1 or args.rounds < 1 or args.steps < 1:
         parser.error("--dim, --rounds and --steps must be >= 1")
+    if not 0.0 <= args.rtol < float("inf"):
+        parser.error("--rtol must be a finite number >= 0")
     old, new = load_tree(args.old_src, "unipc_ab_old"), load_tree(args.new_src, "unipc_ab_new")
     if args.reference:
         mismatches = compare_reference(old, new, args.steps, args.rounds)
         what = "references"
     else:
-        mismatches = compare_cells(old, new, args.dim, args.rounds)
+        mismatches = compare_cells(old, new, args.dim, args.rounds, args.rtol)
         what = "cell runs"
     for line in mismatches[:10]:
         print(f"mismatch: {line}")

@@ -97,8 +97,9 @@ def _time(t) -> float:
 class ModelEvaluator:
     """Deterministic, reentrant model callable with NFE accounting.
 
-    fn(x, t) gets x as a float64 state and t as a float, and returns the
-    prediction; fn must be callable and dim an int >= 1 (ValidationError).
+    fn(x, t) gets x as a float64 state of shape (dim,) and t as a float, and
+    returns the prediction; fn must be callable and dim an int >= 1
+    (ValidationError).
     Every call is counted, lock-free: one C-level step under the GIL, exact
     across threads.  A call may be given out, a writeable, C-contiguous
     float64 array of shape (dim,): the result is written into it, and out is
@@ -120,14 +121,16 @@ class ModelEvaluator:
     def __call__(self, x: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """fn(x, t) as a float array, which must be a state, written into out if given: the
         call is counted, then ValidationError unless t is a real number, x holds integers or
-        floats, out (if given) is a writeable, C-contiguous float64 array of shape (dim,), all
-        before fn runs, and the result holds integers or floats and has shape (dim,).  Without
-        out, a float64 ndarray result passes as it is."""
+        floats and has shape (dim,), and out (if given) is a writeable, C-contiguous float64
+        array of shape (dim,), all before fn runs, and unless the result holds integers or
+        floats and has shape (dim,).  Without out, a float64 ndarray result passes as it is."""
         next(self._calls)
         if type(t) is not float:
             t = _time(t)
         if type(x) is not np.ndarray or x.dtype is not _F64:
             x = _floats(x, "model input")
+        if x.shape != self._shape:
+            raise ValidationError(f"model input must have shape ({self.dim},), got {x.shape}")
         if out is None:
             if self._writes:
                 return self._fn(x, t, np.empty(self._shape))
@@ -383,9 +386,11 @@ def _real(value, what: str):
     raise DomainError(f"{what} must be a number, got {value!r}")
 
 
-def _threshold(x: np.ndarray, ratio: float, floor: float) -> None:
-    """dynamic_threshold written into the float array x; arguments already checked."""
-    a = np.abs(x).ravel()
+def _threshold(x: np.ndarray, ratio: float, floor: float,
+               scratch: np.ndarray | None = None) -> None:
+    """dynamic_threshold written into the float array x; arguments already checked.  |x|
+    goes into scratch (an array of x's shape that is then reordered) if one is given."""
+    a = np.abs(x, out=scratch).ravel()
     top = float(a.max())
     q = _tail_quantile(a, ratio, top) if math.isfinite(top) else float(np.quantile(a, ratio))
     s = max(floor, q)

@@ -38,25 +38,35 @@ sampling with fixed settings builds it twice in all and a run made once
 keeps nothing.  _plan builds every plan in the form the cache shares, with
 read-only arrays and tuples, and each result gets a fresh list of the
 frozen StepRecords.  The cache holds at most _CACHE_STEPS = 4,096 plan
-steps, under about 6.5 MB.
+steps, under about 7 MB.
 
 The plan owns the run layout: per update its a and c, the node it steps
-from and lands on, the nodes it reads and the model call after it;
-the driver is one config-free loop over those rows.  The run holds one
-zeroed (K + 2, dim) work array [ring..., x, y]: the K latest model outputs
-(node n's in row n % K; K is the widest row), the state x its step starts
-from, and y, where updates land.  A plan row is c in ring slot order (0 in
-slots it does not read), then a, so an update is one gemv,
-row @ work[:K + 1] into work[K + 1], with no temporary; y is copied into
-x's row once a step, and the last step writes into a fresh array that the
-result owns.  Each model call writes its output straight into its ring
-slot (ModelEvaluator's out), so no state-sized temporary is made or copied.
+from and lands on, the nodes it reads and the model call after it, and the
+blocks the run applies; the driver is one config-free loop over those
+blocks.  The run holds one zeroed (K + 1, dim) work array [ring..., x]: the
+K latest model outputs (node n's in row n % K; K is the widest row) and the
+state x its step starts from, and a (2, dim) output where blocks land.  A
+plan row is c in ring slot order (0 in slots it does not read), then a, so
+an update is one product with the work array and no temporary.  No
+coefficient depends on x, so a standard corrector and the row after it,
+which reads the corrector's result as its x, fold into one 2-row block over
+the same [ring..., x]: one (2, K + 1) @ (K + 1, dim) product writes x_i and
+the next model input, and the history is read once per corrected step.  Any
+other row is a 1-row block, one gemv as before.  The state a step ends on
+is copied into x's row, and the run's last row writes into a fresh array
+that the result owns.  Each model call writes its output straight into its
+ring slot (ModelEvaluator's out), and thresholding puts |x0| in the output
+row the call does not read, so no state-sized temporary is made or copied.
+Off and oracle runs, which have no 2-row block, and runs of one step keep
+their bits; a fused block rounds its second row once more, so a
+standard-corrector run moves at round-off (a few 1e-15 relative).
 correct and ddim_step, the one-step API for plugging UniC into another
 sampler, apply a row [c..., a] over np.stack(outputs + [x]), x last as in
 the driver, and build it alone.  They agree with the driver
 to round-off, not always bit for bit: BLAS rounds a gemv by row width and
-column order, and a solved row's basis series takes as many terms as the
-largest h of its plan batch needs.
+column order, a solved row's basis series takes as many terms as the
+largest h of its plan batch needs, and the driver folds a standard
+corrector into the update after it.
 
 The multistep plan follows the warm-up discipline p_i = min(p, i), pushes
 the model output evaluated at the *uncorrected* predictor result into the
@@ -68,6 +78,7 @@ re-evaluates at each corrected state).
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import OrderedDict, namedtuple
@@ -407,7 +418,11 @@ def _coefficients(nodes, src, dst, low, corrector, config: SolverConfig, K: int)
     return rows
 
 
-_Plan = namedtuple("_Plan", "rows ts src dst low corrector call bounds trace")
+_Plan = namedtuple("_Plan", "rows ts src dst low corrector call bounds trace pairs blocks")
+
+#: Block kinds of a plan: a row within its step, a row that ends its step, a corrector
+#: (it ends its step) and a fused pair of rows.
+_ROW, _END, _CORR, _PAIR = range(4)
 
 
 def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Plan:
@@ -425,6 +440,17 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     standard corrector, the run's last row).  ts holds the node times in
     evaluation order; step k is rows bounds[k]:bounds[k + 1], trace[k] its
     StepRecord.
+
+    The run applies the rows as blocks, every row but the last in order.  A
+    standard corrector [c_c, a_c] and the row after it [c_p, a_p] (the next
+    predictor multistep, the next step's first row singlestep) are one pair,
+    pairs[q] = [[c_c, a_c], [c_p + a_p c_c, a_p a_c]]: both over the same
+    [ring, x], as the next row's x is the corrector's result, and their nodes
+    together are the wider row's.  A corrector whose next row lies in the
+    last step stays a row.  blocks lists (rows, step, node, kind) per block:
+    kind _PAIR's rows are a pair, whose first row ends step `step`, followed
+    by the model call at node, at its second row's result; any other kind's
+    are one row of step `step`, followed by the call at node (none if -1).
 
     Rows take their offsets from the node lambdas (multistep: the grid nodes)
     or at the nominal fractions of a singlestep step from node b, which adds
@@ -458,22 +484,40 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     rows = _coefficients(nodes, src, dst, low, corrector, config, K)  # temporaries die here
     call = np.where(corrector, -1, dst) if config.corrector == "standard" else dst.copy()
     call[-1] = -1
+    head = np.flatnonzero(corrector) if config.corrector == "standard" else last[:0]
+    head = head[head + 1 < bounds[-2]]  # a pair's first row: its second is not in the last step
+    pairs = np.stack([rows[head], rows[head + 1, K:] * rows[head]], axis=1)
+    pairs[:, 1, :K] += rows[head + 1, :K]
+    kind = np.full(bounds[-1], _ROW)
+    kind[last] = np.where(corr, _CORR, _END)
+    kind[head] = _PAIR
+    node = call.copy()
+    node[head] = call[head + 1]
+    starts = np.ones(bounds[-1], bool)
+    starts[head + 1] = starts[-1] = False  # a pair's second row; the last row, applied apart
+    step = np.arange(first, M + 1).repeat(count)
+    for arr in (rows, src, dst, low, corrector, call, bounds, pairs):
+        arr.flags.writeable = False
+    views = list(rows)  # read-only row views, so the run indexes nothing
+    for q, r in enumerate(head.tolist()):
+        views[r] = pairs[q]
+    blocks = tuple(zip(itertools.compress(views, starts.tolist()),
+                       *(v[starts].tolist() for v in (step, node, kind))))
     ts = tuple(ts.tolist())  # below: a step's used_ts lists the nodes after its start b first
     trace = tuple(StepRecord(i, q, ts[b], ts[n], ts[b + 1:n] + ts[lo:b + 1] + ts[n:n + cr], cr)
                   for i, q, b, n, lo, cr in zip(range(first, M + 1), orders,
                                                 *map(memoryview, (base, dst[last], low[last], corr))))
-    for arr in (rows, src, dst, low, corrector, call, bounds):
-        arr.flags.writeable = False
-    return _Plan(rows, ts, src, dst, low, corrector, call, bounds, trace)
+    return _Plan(rows, ts, src, dst, low, corrector, call, bounds, trace, pairs, blocks)
 
 
 # -- plan cache -----------------------------------------------------------------
 
 #: Plan steps the cache holds in all.  A study of the shipped shape (30 plans, 3,150
-#: steps) fits whole.  A kept plan with its key costs 0.24-0.49 KB a step multistep,
-#: about 0.77 KB a step singlestep (order 5, M = 12) and about 1.46 KB for a one-step
-#: plan (tracemalloc over a full cache), so the cache stays under about 6.5 MB, and
-#: the set of key hashes seen once under 0.3 MB.
+#: steps) fits whole.  A kept plan with its key, its fused pairs and its blocks (a
+#: tuple and a row view each) costs 0.43-0.72 KB a step multistep (unip-2 at M = 100
+#: to unipc-3 at M = 10), about 1.66 KB a step singlestep (order 5, M = 12) and about
+#: 1.59 KB for a one-step plan (tracemalloc over a full cache), so the cache stays
+#: under about 7 MB, and the set of key hashes seen once under 0.3 MB.
 _CACHE_STEPS = 4096
 _cache: OrderedDict = OrderedDict()  # key -> read-only plan, least recently used first
 _cache_steps = 0  # steps of the plans in _cache
@@ -518,6 +562,20 @@ def _cached_plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, fir
 # -- driver ----------------------------------------------------------------
 
 
+def _beside(row: np.ndarray, n: int) -> np.ndarray:
+    """An empty (n, row.size) float array that starts at row's offset within a 4 KiB page,
+    as the next row of one array of 2^k-byte rows would.  Copying a state into a buffer a few
+    bytes past it modulo 4 KiB runs up to 1.5x slower (4K aliasing): at dim 2^18 an output
+    allocated apart made unip-2 and oracle runs 5-14 % slower.  A row under a page is not
+    aligned."""
+    size = n * row.size
+    if row.nbytes < 4096:
+        return np.empty((n, row.size))
+    raw = np.empty(size + 512)
+    s = (row.ctypes.data - raw.ctypes.data) % 4096 // 8
+    return raw[s:s + size].reshape(n, row.size)
+
+
 def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig,
            x_init: np.ndarray, *, warm_start: list[np.ndarray] | np.ndarray | None = None,
            trajectory: bool = False) -> SampleResult:
@@ -543,43 +601,55 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     if len(warm) >= grid.num_steps:
         raise ValidationError("warm_start longer than the grid allows")
     plan = _cached_plan(sched, grid, config, len(warm) + 1)
-    rows, K = plan.rows, plan.rows.shape[1] - 1
-    # memoryviews index to Python scalars, cheaper per row than numpy's
-    corrector, call, bounds = map(memoryview, (plan.corrector, plan.call, plan.bounds))
-    # [ring: node n's output in row n % K, x, y], zeroed: a 0 coefficient meets unwritten slots
-    work = np.zeros((K + 2, model.dim))
-    F, y = work[:K + 1], work[K + 1]  # an update reads F and writes y, so they never overlap
+    ts, K = plan.ts, plan.rows.shape[1] - 1
+    # [ring: node n's output in row n % K, x], zeroed: a 0 coefficient meets unwritten slots
+    work = np.zeros((K + 1, model.dim))
+    *slots, x_row = work  # views made once
+    out = _beside(x_row, 2)  # where blocks land: never read by an update
+    (y, spare), flat = out, out.reshape(-1)
     th, nfe = config.thresholding, 0
 
-    def evaluate(x_at: np.ndarray, node: int, step: int) -> None:
+    def evaluate(x_at: np.ndarray, node: int, step: int, scratch: np.ndarray) -> None:
         # The model writes its output straight into the slot (its old output is
-        # dead), and thresholding then works there.
+        # dead), and thresholding then works there, with |x0| in a dead row of out.
         nonlocal nfe
-        out = model(x_at, plan.ts[node], out=work[node % K])
+        f = model(x_at, ts[node], out=slots[node % K])
         nfe += 1
         if th is not None:
-            _threshold(out, th.ratio, th.floor)
-        _guard(out, step)
+            _threshold(f, th.ratio, th.floor, scratch)
+        _guard(f, step)
 
     kept = [s.copy() for s in [x] + warm] if trajectory else None
     for n, x in enumerate([x] + warm):
         _guard(x, n)
-        evaluate(x, n, n)
-    work[K] = x
-    for k, rec in enumerate(plan.trace):
-        i = rec.index
-        if k:
-            work[K] = y  # one copy a step: every row of a step reads the state it starts from
-        if k == len(plan.trace) - 1:
-            y = np.empty(model.dim)  # the final state owns its memory, not a row of work
-        for r in range(bounds[k], bounds[k + 1]):
-            rows[r].dot(F, out=y)
-            if not corrector[r]:
+        evaluate(x, n, n, y)
+    x_row[...] = x
+    for block, i, node, kind in plan.blocks:
+        if kind == _PAIR:  # x_i into y and the next step's first row into spare
+            block.dot(work, out=out)
+            if not math.isfinite(flat.dot(flat)):
                 _guard(y, i)
-            if call[r] >= 0:
-                evaluate(y, call[r], i)
-            if corrector[r]:  # an oracle corrector's call comes first
+                _guard(spare, i + 1)
+            x_row[...] = y  # every row of a step reads the state it starts from
+            if trajectory:
+                kept.append(y.copy())
+            evaluate(spare, node, i + 1, y)
+            continue
+        block.dot(work, out=y)
+        if kind != _CORR:
+            _guard(y, i)
+        if node >= 0:
+            evaluate(y, node, i, spare)
+        if kind != _ROW:  # the row ends its step; an oracle corrector's call comes first
+            if kind == _CORR:
                 _guard(y, i)
-        if trajectory:
-            kept.append(y.copy())
-    return SampleResult(final=y, nfe=nfe, trace=list(plan.trace), trajectory=kept)
+            x_row[...] = y
+            if trajectory:
+                kept.append(y.copy())
+    del out, y, spare, flat  # dropped before the final state is allocated
+    final = np.empty(model.dim)  # the final state owns its memory, not a row of work
+    plan.rows[-1].dot(work, out=final)
+    _guard(final, plan.trace[-1].index)
+    if trajectory:
+        kept.append(final.copy())
+    return SampleResult(final=final, nfe=nfe, trace=list(plan.trace), trajectory=kept)

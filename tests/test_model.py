@@ -364,6 +364,24 @@ class TestModelEvaluator:
         assert type(f) is np.ndarray and f.dtype == np.float64
         assert np.array_equal(f, np.asarray(output, dtype=float))
 
+    @pytest.mark.parametrize("family", ["x-free-poly", "linear-in-x", "user"])
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones(1), np.ones((2, 2)), np.float64(1.0)],
+                             ids=["length-3", "length-1", "2x2", "scalar"])
+    def test_input_must_be_a_state(self, vp_linear, family, x):
+        # linear-in-x raised a bare numpy ValueError on a length-3 x, and x-free-poly
+        # accepted an x of any length
+        seen = []
+        if family == "user":
+            ev = ModelEvaluator(lambda x, t: seen.append(x) or np.zeros(2), "noise", 2)
+        elif family == "x-free-poly":
+            ev = SyntheticModel.x_free_poly([0.3, -1.2], 2).evaluator(vp_linear)
+        else:
+            ev = SyntheticModel.linear_in_x(0.3, 2).evaluator(vp_linear)
+        for out in (None, np.empty(2)):
+            with pytest.raises(ValidationError, match=r"model input must have shape \(2,\), got"):
+                ev(x, 0.5, out=out)
+        assert not seen and ev.eval_count == 2
+
     def test_float64_output_passes_as_it_is(self):
         out = np.ones(3)
         assert ModelEvaluator(lambda x, t: out, "noise", 3)(np.ones(3), 0.5) is out

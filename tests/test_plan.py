@@ -11,6 +11,7 @@ magnitudes.
 """
 
 import itertools
+from decimal import Decimal, localcontext
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -68,6 +69,55 @@ def test_every_plan_row_matches_the_exact_row():
     assert worst <= ROW_BOUND, f"{worst:.3e} of max|c| at {where}"
 
 
+def test_every_fused_pair_matches_the_exact_composition():
+    """Each pair the plan fuses, a standard corrector [c_c, a_c] and the row after it
+    [c_p, a_p], is [[c_c, a_c], [c_p + a_p c_c, a_p a_c]]: its first row is the corrector's
+    bit for bit, and its second row's c lies within ROW_BOUND max|c| of the same composition
+    of oracles.exact_row's rows in decimal arithmetic, at every order the cap admits.
+
+    The rows' a are the plan's own (each a ratio of alpha or sigma, with no solve).
+    """
+    worst, where, fused = 0.0, None, 0
+    for kind, variant, prediction, order, bh, varying in itertools.product(
+            ("vp-linear", "vp-cosine"), ("multistep", "singlestep"), ("noise", "data"),
+            range(1, MAX_ORDER + 1), ("b1", "b2"), (False, True)):
+        sched = NoiseSchedule.from_json({"kind": kind})
+        config = SolverConfig(order=order, variant=variant, bh=bh, prediction=prediction,
+                              varying_coefficients=varying)
+        plan = solver._plan(sched, make_time_grid(sched, 9, "quadratic-time"), config, 1)
+        la, lam, sigma = sched._maps(np.asarray(plan.ts))
+        K = plan.rows.shape[1] - 1
+
+        def exact(r):  # row r's c in ring slot order, as decimals
+            P, N, corr = plan.src[r], plan.dst[r], plan.corrector[r]
+            J = np.arange(plan.low[r], N + corr)
+            h = lam[N] - lam[P]
+            R = (J - P) / (N - P) if variant == "singlestep" else (lam[J] - lam[P]) / h
+            u = exact_row(R, h, prediction, bh, not varying and len(J) == 2)
+            scale = Decimal(float(-sigma[N] if prediction == "noise" else np.exp(la[N])))
+            c = [Decimal(0)] * K
+            for slot, value in zip(J % K, u):
+                c[slot] = scale * Decimal(value)
+            return c
+
+        heads = [r for r in np.flatnonzero(plan.corrector) if r + 1 < plan.bounds[-2]]
+        assert len(heads) == len(plan.pairs)
+        for r, pair in zip(heads, plan.pairs):
+            assert pair[0].tobytes() == plan.rows[r].tobytes()
+            a_p, a_c = plan.rows[r + 1, K], plan.rows[r, K]
+            assert pair[1, K] == a_p * a_c
+            with localcontext(prec=60):
+                want = [p + Decimal(float(a_p)) * c for p, c in zip(exact(r + 1), exact(r))]
+            c = pair[1, :K]
+            error = max(abs(float(Decimal(float(g)) - w)) for g, w in zip(c, want))
+            error /= np.max(np.abs(c))
+            if error > worst:
+                worst, where = error, (config, kind, r)
+        fused += len(heads)
+    assert fused > 0
+    assert worst <= ROW_BOUND, f"{worst:.3e} of max|c| at {where}"
+
+
 @st.composite
 def runs(draw):
     order = draw(st.integers(1, MAX_ORDER))
@@ -102,6 +152,12 @@ VP_LINEAR = NoiseSchedule.from_json({"kind": "vp-linear"})
     SolverConfig(order=5, bh="b1", prediction="data", corrector="oracle",
                  varying_coefficients=True),
     VP_LINEAR, make_time_grid(VP_LINEAR, 12, "uniform-time"), 2, 0.125, 0))
+@example((  # warm-started singlestep: step 3's corrector fuses with step 4's first interior row
+    SolverConfig(order=3, variant="singlestep"),
+    VP_LINEAR, make_time_grid(VP_LINEAR, 6, "uniform-time"), 2, 0.3, 1))
+@example((  # step 2's order-1 corrector fuses with step 3's wider order-3 predictor
+    SolverConfig(order=3, order_schedule="1132"),
+    VP_LINEAR, make_time_grid(VP_LINEAR, 4, "uniform-lambda"), 0, 0.4, 2))
 def test_plan_matches_per_step_reference(run):
     config, sched, grid, warm, kappa, seed = run
     rng = np.random.default_rng(seed)

@@ -48,6 +48,24 @@ def test_ab_cells_fails_when_the_trees_disagree(tmp_path, capsys):
     assert "cell runs differ between the trees" in capsys.readouterr().out
 
 
+def test_ab_cells_rtol_forgives_round_off_only(tmp_path, capsys):
+    src = SCRIPTS.parent / "src"
+    shutil.copytree(src / "unipc", tmp_path / "unipc", ignore=shutil.ignore_patterns("__pycache__"))
+    model = tmp_path / "unipc" / "model.py"
+    text = model.read_text()
+    assert "return _C.dot(_lam(t) ** _P, out)" in text
+    # every x-free output one ulp or so larger: the final states move at round-off only
+    model.write_text(text.replace("return _C.dot(_lam(t) ** _P, out)",
+                                  "return _C.dot(_lam(t) ** _P * (1 + 2.0**-51), out)"))
+    ab_cells = load("ab_cells")
+    assert ab_cells.main([str(src), str(tmp_path), "--rounds", "1"]) == 1
+    printed = capsys.readouterr().out
+    assert "cell runs differ between the trees" in printed and "rel diff" in printed
+    assert ab_cells.main([str(src), str(tmp_path), "--rounds", "1", "--rtol", "1e-12"]) == 0
+    printed = capsys.readouterr().out
+    assert "mismatch" not in printed and "rel diff" in printed
+
+
 def test_ab_cells_reference_mode_runs_one_tree_against_itself(capsys):
     src = str(SCRIPTS.parent / "src")
     assert load("ab_cells").main([src, src, "--reference", "--steps", "1000", "--rounds", "2"]) == 0

@@ -615,6 +615,30 @@ class TestGuards:
                 sample(model, vp_linear, make_time_grid(vp_linear, 5), config, np.ones(3))
         assert (excinfo.value.step, model.eval_count) == (step, calls)
 
+    @pytest.mark.parametrize("variant, order", [("multistep", 1), ("multistep", 3),
+                                                ("singlestep", 1)])
+    @pytest.mark.parametrize("value, step", [
+        (1e308, 1),  # x_1 overflows: the pair's first row raises at step 1
+        (1e307, 2),  # x_1 is finite and the pair's second row, step 2's first, overflows
+    ])
+    def test_fused_pair_aborts_at_the_step_of_its_row(self, vp_linear, variant, order, value,
+                                                      step):
+        # The 2nd call (at t_1) returns a finite value; step 1's corrector and step 2's
+        # first row are one block.  Either way no model call follows: 2 calls, as when each
+        # row was applied and guarded on its own.
+        def fn(x, t):
+            return 0.1 * x if model.eval_count <= 1 else np.full(3, value)
+
+        model = ModelEvaluator(fn, "noise", 3)
+        config = SolverConfig(order=order, variant=variant)
+        grid = make_time_grid(vp_linear, 5)
+        assert len(solver._plan(vp_linear, grid, config, 1).pairs) == 3  # steps 1-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(NumericError, match=f"non-finite value at step {step}$") as excinfo:
+                sample(model, vp_linear, grid, config, np.ones(3))
+        assert (excinfo.value.step, model.eval_count) == (step, 2)
+
     def test_grid_from_another_schedule_samples_as_its_times(self, vp_linear, poly_model, rng):
         # A grid is its times: the schedule sample() is given maps them to lambda.
         grid = make_time_grid(type(vp_linear)(beta_min=0.2, beta_max=15.0), 5)
@@ -1031,8 +1055,10 @@ class TestPlugAndPlayCorrector:
         driver = sample(poly_model.evaluator(vp_linear), vp_linear, grid, config, x0,
                         trajectory=True)
         traj, _ = self.manual_run(vp_linear, grid, poly_model.evaluator(vp_linear), x0, config)
+        # The driver applies each corrector fused with the next predictor: round-off only.
+        scale = max(float(np.max(np.abs(a))) for a in driver.trajectory)
         for a, b in zip(driver.trajectory, traj):
-            assert np.array_equal(a, b)
+            assert np.max(np.abs(a - b)) <= 8 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("corrector", ["standard", "oracle"])
     @pytest.mark.parametrize("weights", ["pinned", "varying"])
@@ -1046,11 +1072,12 @@ class TestPlugAndPlayCorrector:
                         trajectory=True)
         traj, nfe = self.manual_run(vp_linear, grid, poly_model.evaluator(vp_linear), x0, config)
         assert nfe == driver.nfe == (13 if corrector == "oracle" else 7)
-        if weights == "pinned":
+        if weights == "pinned" and corrector == "oracle":
             assert all(np.array_equal(a, b) for a, b in zip(driver.trajectory, traj))
         else:
             # Solved weights come from a batch of plan rows, whose basis series takes as
-            # many terms as the batch's largest h needs, so they agree to round-off only.
+            # many terms as the batch's largest h needs, and the driver applies a standard
+            # corrector fused with the next predictor, so they agree to round-off only.
             scale = max(float(np.max(np.abs(a))) for a in driver.trajectory)
             for a, b in zip(driver.trajectory, traj):
                 assert np.max(np.abs(a - b)) <= 8 * np.finfo(float).eps * scale
