@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of two unipc source trees: the benchmark's sample cells or its reference.
+"""In-process A/B timing of two unipc source trees: the benchmark's sample cells, its reference
+or the one-step API.
 
 Imports OLD_SRC/unipc and NEW_SRC/unipc in one process as two packages with
 distinct names and alternates them, round after round, over the sample()
@@ -24,14 +25,25 @@ a run), one fresh input state per round for both sides.  It prints each
 side's 0.05-quantile seconds over the rounds and their ratio, and exits 1
 if any reference differs by a bit between the sides.
 
+With --one-step it alternates the two trees' one-step API instead: correct()
+at orders 1..MAX_ORDER with b1/b2, noise/data prediction, the standard and
+oracle correctors, pinned and varying weights, on both schedules, and
+ddim_step on both schedules, over a linear-in-x model (gain 0.3, dim 4), one
+fresh set of buffered outputs and states per round for both sides.  It
+prints each side's 0.05-quantile seconds a round and their ratio, and exits
+1 if any corrected state, pushed output or evaluation count differs by a bit
+between the sides.
+
 Usage:
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC [--dim N] [--rounds N] [--rtol R]
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC --reference [--steps N] [--rounds N]
+    python3 scripts/ab_cells.py OLD_SRC NEW_SRC --one-step [--rounds N]
 """
 
 import argparse
 import importlib
 import importlib.util
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -159,6 +171,69 @@ def compare_reference(old, new, steps: int, rounds: int) -> list[str]:
     return mismatches
 
 
+ONE_STEP_KINDS = ("vp-linear", "vp-cosine")
+
+
+def one_step_cases(max_order: int) -> list[tuple]:
+    """(schedule kind, order, bh, prediction, corrector, varying) of every correct() case."""
+    return list(itertools.product(ONE_STEP_KINDS, range(1, max_order + 1), ("b1", "b2"),
+                                  ("noise", "data"), ("standard", "oracle"), (False, True)))
+
+
+def run_one_step(pkg, cases: list[tuple], inputs: dict) -> tuple[dict, float]:
+    """Every case's one-step result under pkg as bytes, and the seconds they took."""
+    results, seconds = {}, 0.0
+    x, outputs, x_pred = inputs["x"], inputs["outputs"], inputs["x_pred"]
+    for kind in ONE_STEP_KINDS:
+        sched = pkg.NoiseSchedule.from_json({"kind": kind})
+        noise = pkg.SyntheticModel.linear_in_x(0.3, 4).evaluator(sched)
+        models = {"noise": noise, "data": pkg.convert_parameterization(noise, sched)}
+        t = pkg.make_time_grid(sched, 8, "quadratic-time").times.tolist()
+        start = time.perf_counter()
+        step = pkg.ddim_step(sched, x, outputs[0], t[0], t[1])
+        seconds += time.perf_counter() - start
+        results[kind, "ddim_step"] = step.tobytes()
+        for case in [c for c in cases if c[0] == kind]:
+            _, p, bh, prediction, corrector, varying = case
+            config = pkg.SolverConfig(order=p, bh=bh, prediction=prediction,
+                                      corrector=corrector, varying_coefficients=varying)
+            state = pkg.SolverState(x=x, capacity=p)
+            for j in range(p):
+                state.push(t[j], outputs[j])
+            model = models[prediction]
+            start = time.perf_counter()
+            res = pkg.correct(sched, state, t[p], x_pred, p, model, config)
+            seconds += time.perf_counter() - start
+            results[case] = (res.corrected.tobytes(), res.push_output.tobytes(), res.evals)
+    return results, seconds
+
+
+def compare_one_step(old, new, rounds: int) -> list[str]:
+    """Alternate the one-step API over every case and print the timings; returns the
+    mismatches."""
+    max_order = min(old.coeffs.MAX_ORDER, new.coeffs.MAX_ORDER)
+    cases = one_step_cases(max_order)
+    rng = np.random.default_rng(0)
+    seconds = {"old": [], "new": []}
+    mismatches = []
+    for rnd in range(rounds):
+        order = ("old", "new") if rnd % 2 else ("new", "old")
+        inputs = {"x": rng.standard_normal(4), "x_pred": rng.standard_normal(4),
+                  "outputs": list(rng.standard_normal((max_order, 4)))}
+        results = {}
+        for name in order:
+            results[name], spent = run_one_step(old if name == "old" else new, cases, inputs)
+            seconds[name].append(spent)
+        for case, got in results["new"].items():
+            if got != results["old"][case]:
+                mismatches.append(f"{case} round {rnd}")
+    q = {name: float(np.quantile(values, CELL_Q)) for name, values in seconds.items()}
+    print(f"one-step API, {len(cases)} correct() and {len(ONE_STEP_KINDS)} ddim_step cases, "
+          f"{rounds} rounds:")
+    print(f"old {q['old']:.6f} s  new {q['new']:.6f} s  new/old {q['new'] / q['old']:.3f}")
+    return mismatches
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -167,6 +242,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=200)
     parser.add_argument("--reference", action="store_true",
                         help="time the fine-rk4 reference instead of the sample() cells")
+    parser.add_argument("--one-step", action="store_true",
+                        help="compare correct() and ddim_step instead of the sample() cells")
     parser.add_argument("--steps", type=int, default=20_000,
                         help="fine-rk4 steps of the coarse pass (--reference)")
     parser.add_argument("--rtol", type=float, default=0.0,
@@ -178,9 +255,14 @@ def main(argv=None) -> int:
     if not 0.0 <= args.rtol < float("inf"):
         parser.error("--rtol must be a finite number >= 0")
     old, new = load_tree(args.old_src, "unipc_ab_old"), load_tree(args.new_src, "unipc_ab_new")
+    if args.reference and args.one_step:
+        parser.error("--reference and --one-step exclude each other")
     if args.reference:
         mismatches = compare_reference(old, new, args.steps, args.rounds)
         what = "references"
+    elif args.one_step:
+        mismatches = compare_one_step(old, new, args.rounds)
+        what = "one-step results"
     else:
         mismatches = compare_cells(old, new, args.dim, args.rounds, args.rtol)
         what = "cell runs"

@@ -157,14 +157,14 @@ def _selftest_plan() -> tuple[bool, str]:
             solver.VARIANTS, range(1, coeffs.MAX_ORDER + 1), coeffs.BH_KINDS, ("noise", "data")):
         config = SolverConfig(order=order, variant=variant, bh=bh, prediction=prediction,
                               varying_coefficients=True)
-        plan = solver._plan(sched, grid, config, 1)
-        K = plan.rows.shape[1] - 1  # a row is [c in ring slot order, a]
-        for row, P, N, low, corr in zip(plan.rows, plan.src, plan.dst, plan.low, plan.corrector):
+        layout = solver._layout(sched, grid, config, 1)
+        K = layout.rows.shape[1] - 1  # a row is [c in ring slot order, a]
+        for row, P, N, low, corr in zip(layout.rows, *layout[2:6]):  # src, dst, low, corrector
             nodes = range(low, N + corr)  # a corrector also reads the node it lands on
-            residual, w1_drift = _plan_row_residual(sched, plan.ts, nodes, P, N, row[K],
+            residual, w1_drift = _plan_row_residual(sched, layout.ts, nodes, P, N, row[K],
                                                     row[np.mod(nodes, K)], prediction, bh)
             worst, drift = max(worst, residual), max(drift, w1_drift)
-        rows += len(plan.rows)
+        rows += len(layout.rows)
     return worst < 1e-12 and drift <= 1.0, (
         f"max relative order-condition residual = {worst:.3e} over {rows} rows, "
         f"|w1 - 1/2|/h <= {drift:.3f}")

@@ -35,38 +35,36 @@ value), the warm-start length and the grid times bit for bit.  A miss builds
 it for all steps at once (coeffs.basis_table and coeffs.moment_rows on
 batches of rows).  A plan is kept from its key's second use on, so repeated
 sampling with fixed settings builds it twice in all and a run made once
-keeps nothing.  _plan builds every plan in the form the cache shares, with
-read-only arrays and tuples, and each result gets a fresh list of the
-frozen StepRecords.  The cache holds at most _CACHE_STEPS = 4,096 plan
-steps, under about 7 MB.
+keeps nothing.  Plans are read-only; each result gets a fresh list of the
+frozen StepRecords.  The cache holds at most _CACHE_STEPS = 4,096 plan steps.
 
-The plan owns the run layout: per update its a and c, the node it steps
-from and lands on, the nodes it reads and the model call after it, and the
-blocks the run applies; the driver is one config-free loop over those
-blocks.  The run holds one zeroed (K + 1, dim) work array [ring..., x]: the
-K latest model outputs (node n's in row n % K; K is the widest row) and the
-state x its step starts from, and a (2, dim) output where blocks land.  A
-plan row is c in ring slot order (0 in slots it does not read), then a, so
-an update is one product with the work array and no temporary.  No
-coefficient depends on x, so a standard corrector and the row after it,
-which reads the corrector's result as its x, fold into one 2-row block over
-the same [ring..., x]: one (2, K + 1) @ (K + 1, dim) product writes x_i and
-the next model input, and the history is read once per corrected step.  Any
-other row is a 1-row block, one gemv as before.  The state a step ends on
-is copied into x's row, and the run's last row writes into a fresh array
-that the result owns.  Each model call writes its output straight into its
-ring slot (ModelEvaluator's out), and thresholding puts |x0| in the output
-row the call does not read, so no state-sized temporary is made or copied.
-Off and oracle runs, which have no 2-row block, and runs of one step keep
-their bits; a fused block rounds its second row once more, so a
-standard-corrector run moves at round-off (a few 1e-15 relative).
+_layout alone decides the run layout: per update its row, the node it steps
+from and lands on and the nodes it reads.  _plan compiles the rows into the
+blocks the run applies and keeps only those, the last row, the node times
+and the trace.  The run holds one zeroed (K + 1, dim) work array
+[ring..., x]: the K latest model outputs (node n's in row n % K; K is the
+widest row) and the state x its step starts from, and a (2, dim) output
+where blocks land.  A row is c in ring slot order (0 in slots it does not
+read), then a, so an update is one product with the work array and no
+temporary.  No coefficient depends on x, so a standard corrector and the
+row after it, which reads the corrector's result as its x, fold into one
+2-row block over the same [ring..., x]: one (2, K + 1) @ (K + 1, dim)
+product writes x_i and the next model input, so the history is read once
+per corrected step.  Any other row is a 1-row block, one gemv.  The state a
+step ends on is copied into x's row, and the last row writes into a fresh
+array that the result owns.  Each model call writes its output straight
+into its ring slot (ModelEvaluator's out), and thresholding puts |x0| in
+the output row the call does not read, so no state-sized temporary is made.
+A fused block rounds its second row once more: a standard-corrector run
+moves at round-off (a few 1e-15 relative) against applying each row alone.
 correct and ddim_step, the one-step API for plugging UniC into another
-sampler, apply a row [c..., a] over np.stack(outputs + [x]), x last as in
-the driver, and build it alone.  They agree with the driver
-to round-off, not always bit for bit: BLAS rounds a gemv by row width and
-column order, a solved row's basis series takes as many terms as the
-largest h of its plan batch needs, and the driver folds a standard
-corrector into the update after it.
+sampler, build their one row with _coefficients, as _layout does, and apply
+it over np.stack(outputs + [x]), x last as in the driver.  They agree with
+the driver to round-off, not bit for bit: BLAS rounds by the shape of a
+product, so a basis row from a one-row basis_table call (a gemv) has other
+bits than in a batch, and a gemv over p + 2 columns others than over the
+plan's K + 1 in ring order; and the driver folds a standard corrector into
+the update after it.
 
 The multistep plan follows the warm-up discipline p_i = min(p, i), pushes
 the model output evaluated at the *uncorrected* predictor result into the
@@ -94,7 +92,7 @@ from .errors import (
     ValidationError,
     typed,
 )
-from .model import ModelEvaluator, _state, _threshold
+from .model import ModelEvaluator, _state, _threshold, _time
 from .schedule import NoiseSchedule, TimeGrid
 
 VARIANTS = ("multistep", "singlestep")
@@ -236,8 +234,10 @@ class SolverState:
             raise ValidationError(f"capacity must be >= 1, got {self.capacity}")
 
     def push(self, t: float, output: np.ndarray) -> None:
-        """Buffer the model output at time t, which must lie below the last buffered time
-        (ValidationError), and drop the oldest entries beyond capacity."""
+        """Buffer the model output at time t, a real number kept as a float, which must lie
+        below the last buffered time (ValidationError), and drop the oldest entries beyond
+        capacity."""
+        t = _time(t)
         if self.buffer and not t < self.buffer[-1].t:
             raise ValidationError("buffer timesteps must be strictly decreasing in t")
         self.buffer.append(BufferEntry(t, output))
@@ -295,27 +295,21 @@ def _check_steps(lam: np.ndarray, what: str) -> None:
 # -- one-step wrappers ------------------------------------------------------------
 
 
-def _update(nodes, x: np.ndarray, outputs, opts: dict) -> np.ndarray:
-    """The single update from the second-to-last of the nodes (log alpha, lambda, sigma)
-    to the last, over the outputs at the first len(outputs) nodes."""
-    P, lam = len(nodes[1]) - 2, nodes[1]
-    R = (lam[:len(outputs)] - lam[P]) / (lam[-1] - lam[P])
-    a, c = coeffs.update_rows(nodes, [P], [P + 1], R[None, :], **opts)
-    return np.dot(np.append(c[0], a), np.stack(outputs + [x]))  # x last, as in sample()
-
-
 def ddim_step(sched: NoiseSchedule, x: np.ndarray, eps_prev: np.ndarray, t_prev: float,
               t_next: float) -> np.ndarray:
     """First-order noise-prediction update (standalone DDIM).
 
-    x and eps_prev must be 1-d arrays of one length (ValidationError otherwise),
-    and t_next must lie below t_prev (DomainError), checked before any arithmetic.
+    t_prev and t_next must be real numbers (ValidationError) with t_next below
+    t_prev (DomainError), and x and eps_prev 1-d arrays of one length
+    (ValidationError), checked before any arithmetic.
     """
+    t_prev, t_next = _time(t_prev), _time(t_next)
     if not t_next < t_prev:
         raise DomainError(f"t_next={t_next} is not below t_prev={t_prev}")
     x = _state(x, None, "x")
     eps_prev = _state(eps_prev, x.size, "eps_prev")
-    return _update(sched._maps([t_prev, t_next]), x, [eps_prev], {})
+    row = _coefficients(sched._maps([t_prev, t_next]), [0], [1], [0], [False], {}, False, 1)[0]
+    return row.dot(np.stack([eps_prev, x]))  # x last, as in sample()
 
 
 def _history(state: SolverState, p: int) -> list[BufferEntry]:
@@ -348,11 +342,11 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     order_schedule describe a whole run and are not read: p is this step's
     order.  Checked before the model is called: config must be a SolverConfig
     with a corrector and no thresholding, p an int in 1..coeffs.MAX_ORDER,
-    model must make config.prediction's kind, and state.x, x_pred and the p
-    latest buffered outputs must be 1-d arrays of length model.dim (ValidationError),
-    t_next must lie below the last buffered time (DomainError), and each lambda
-    step over their times and t_next must exceed _MIN_STEP max(1, |lambda| at
-    its ends) (ValidationError), as in sample().
+    model must make config.prediction's kind, state.x, x_pred and the p latest
+    buffered outputs must be 1-d arrays of length model.dim and t_next a real
+    number (ValidationError), t_next must lie below the last buffered time
+    (DomainError), and each lambda step over their times and t_next must exceed
+    _MIN_STEP max(1, |lambda| at its ends) (ValidationError), as in sample().
     """
     if (not isinstance(config, SolverConfig) or config.corrector == "off"
             or config.thresholding is not None):
@@ -361,6 +355,7 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     _check_order(p)
     _check_prediction(model, config.prediction)
     entries = _history(state, p)
+    t_next = _time(t_next)
     if not t_next < entries[-1].t:
         raise DomainError(f"t_next={t_next} is not below the last buffered t={entries[-1].t}")
     x = _state(state.x, model.dim, "state.x")
@@ -369,7 +364,9 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     _check_steps(nodes[1], "buffered times and t_next")
     f_pred = model(_state(x_pred, model.dim, "x_pred"), t_next)
     _guard(f_pred, state.step_index + 1)
-    corrected = _update(nodes, x, outputs + [f_pred], _row_options(config))
+    # one row from node p - 1 to p over nodes 0..p, the corrector's own included
+    row = _coefficients(nodes, [p - 1], [p], [0], [True], _row_options(config), False, p + 1)[0]
+    corrected = row.dot(np.stack(outputs + [f_pred, x]))  # x last, as in sample()
     oracle = config.corrector == "oracle"
     push = model(corrected, t_next) if oracle else f_pred
     _guard(push, state.step_index + 1)
@@ -399,13 +396,14 @@ def _singlestep_times(sched: NoiseSchedule, times: np.ndarray, lam: np.ndarray, 
 _BATCH = 32
 
 
-def _coefficients(nodes, src, dst, low, corrector, config: SolverConfig, K: int):
-    """The rows that _plan lays out, [c in ring slot order, a], built _BATCH rows at a time."""
-    lam, single, opts = nodes[1], config.variant == "singlestep", _row_options(config)
-    rows = np.zeros((len(src), K + 1))
+def _coefficients(nodes, src, dst, low, corrector, opts: dict, single: bool, K: int):
+    """Rows [c in ring slot order, a], built _BATCH at a time: row r steps from node src[r]
+    to dst[r] over the outputs of nodes low[r]..dst[r] - 1 (and dst[r] if corrector[r]),
+    with update_rows' options opts, at nominal offsets if single (a singlestep step)."""
+    lam, rows = nodes[1], np.zeros((len(src), K + 1))
     for j in range(0, len(src), _BATCH):
         batch = slice(j, j + _BATCH)
-        P, N, L = (v[batch].astype(np.intp) for v in (src, dst, low))  # intp indexes faster
+        P, N, L = (np.asarray(v[batch], np.intp) for v in (src, dst, low))  # intp indexes faster
         E = N - 1 + corrector[batch]  # the last node a row reads
         J = E[:, None] + np.arange(-int((E - L).max()), 1)  # each row's nodes, oldest first
         if single:
@@ -418,58 +416,42 @@ def _coefficients(nodes, src, dst, low, corrector, config: SolverConfig, K: int)
     return rows
 
 
-_Plan = namedtuple("_Plan", "rows ts src dst low corrector call bounds trace pairs blocks")
+_Layout = namedtuple("_Layout", "rows ts src dst low corrector bounds trace")
+_Plan = namedtuple("_Plan", "blocks final ts trace")
 
 #: Block kinds of a plan: a row within its step, a row that ends its step, a corrector
 #: (it ends its step) and a fused pair of rows.
 _ROW, _END, _CORR, _PAIR = range(4)
 
 
-def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Plan:
-    """Compile steps first..M of a run into its updates, for all steps at once.
+def _layout(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Layout:
+    """Steps first..M of a run as rows, all at once: the one place the run layout is decided.
 
-    The plan is the one owner of the run layout.  Its rows are the updates in
-    the order the run applies them: per step the singlestep interior nodes
-    m = 1..p-1, the predictor, then the corrector if the step is corrected.
-    Row r steps from node src[r] (the state x its step starts from) to node
-    dst[r], reads the outputs of nodes low[r]..dst[r] - 1 (and dst[r] if
-    corrector[r]) and is rows[r] @ [ring, x]: ring holds the K latest outputs,
-    node n's in row n % K, with K the widest row, and rows[r] is c in that
-    slot order (0 in slots the row does not read), then a.  call[r]
-    is the node whose model call follows the row, at its result, or -1 (a
-    standard corrector, the run's last row).  ts holds the node times in
-    evaluation order; step k is rows bounds[k]:bounds[k + 1], trace[k] its
-    StepRecord.
-
-    The run applies the rows as blocks, every row but the last in order.  A
-    standard corrector [c_c, a_c] and the row after it [c_p, a_p] (the next
-    predictor multistep, the next step's first row singlestep) are one pair,
-    pairs[q] = [[c_c, a_c], [c_p + a_p c_c, a_p a_c]]: both over the same
-    [ring, x], as the next row's x is the corrector's result, and their nodes
-    together are the wider row's.  A corrector whose next row lies in the
-    last step stays a row.  blocks lists (rows, step, node, kind) per block:
-    kind _PAIR's rows are a pair, whose first row ends step `step`, followed
-    by the model call at node, at its second row's result; any other kind's
-    are one row of step `step`, followed by the call at node (none if -1).
-
-    Rows take their offsets from the node lambdas (multistep: the grid nodes)
-    or at the nominal fractions of a singlestep step from node b, which adds
-    interior nodes b + m at lambda_b + (m/p) h, then its grid node b + p.
-    The grid's lambdas come from sched; ValidationError unless each step is
-    longer than _MIN_STEP max(1, |lambda| at its ends), so no step of a few ulp
-    gives rows with offsets near 1/ulp.  The plan is returned in the form the plan cache shares: its
-    arrays read-only, ts and trace tuples.
+    rows are the updates in the order the run applies them: per step the
+    singlestep interior nodes m = 1..p-1, the predictor, then the corrector if
+    the step is corrected.  Row r steps from node src[r] (the state x its step
+    starts from) to node dst[r], reads the outputs of nodes low[r]..dst[r] - 1
+    (and dst[r] if corrector[r]) and is rows[r] @ [ring, x]: ring holds the K
+    latest outputs, node n's in row n % K, with K the widest row, and rows[r]
+    is c in that slot order (0 in slots the row does not read), then a.  ts is
+    the tuple of node times in evaluation order; step k is rows
+    bounds[k]:bounds[k + 1], trace[k] its StepRecord.  Offsets come from the
+    node lambdas (multistep: the grid nodes) or at the nominal fractions of a
+    singlestep step from node b, which adds interior nodes b + m at
+    lambda_b + (m/p) h, then its grid node b + p.  ValidationError unless each
+    grid step under sched is longer than _MIN_STEP max(1, |lambda| at its
+    ends), so no step of a few ulp gives rows with offsets near 1/ulp.
     """
     nodes = sched._maps(grid.times)  # (log alpha, lambda, sigma) at the grid times
     _check_steps(nodes[1], "grid times")
     M = grid.num_steps
     orders = config.resolved_orders(M)[first - 1:]
-    p = np.array(orders, np.int32)  # node numbers are int32: the plan keeps several per row
+    p = np.array(orders)
     corr = (np.arange(first, M + 1) < M) & (config.corrector != "off")
     single = config.variant == "singlestep"
-    ts, base = grid.times, np.arange(first - 1, M, dtype=np.int32)  # each step's start node
+    ts, base = grid.times, np.arange(first - 1, M)  # each step's start node
     if single:
-        base = first - 1 + p.cumsum(dtype=np.int32) - p
+        base = first - 1 + p.cumsum() - p
         ts = _singlestep_times(sched, ts, nodes[1], p, first)
         nodes = sched._maps(ts)
     count = 1 + corr + (p - 1 if single else 0)  # rows per step
@@ -478,46 +460,63 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     last = bounds[1:] - 1  # each step's last row
     src, corrector = base.repeat(count), np.zeros(bounds[-1], bool)
     corrector[last] = corr
-    dst = first - 1 + (~corrector).cumsum(dtype=np.int32)  # only correctors reuse a node
+    dst = first - 1 + (~corrector).cumsum()  # only correctors reuse a node
     low = src if single else dst - p.repeat(count)
     K = int((dst - low + corrector).max())  # the widest row: more slots would add zero terms
-    rows = _coefficients(nodes, src, dst, low, corrector, config, K)  # temporaries die here
-    call = np.where(corrector, -1, dst) if config.corrector == "standard" else dst.copy()
-    call[-1] = -1
-    head = np.flatnonzero(corrector) if config.corrector == "standard" else last[:0]
+    rows = _coefficients(nodes, src, dst, low, corrector, _row_options(config), single, K)
+    ts = tuple(ts.tolist())  # below: a step's used_ts lists the nodes after its start b first
+    trace = tuple(StepRecord(i, q, ts[b], ts[n], ts[b + 1:n] + ts[lo:b + 1] + ts[n:n + cr], cr)
+                  for i, q, b, n, lo, cr in zip(range(first, M + 1), orders,
+                                                *map(memoryview, (base, dst[last], low[last], corr))))
+    return _Layout(rows, ts, src, dst, low, corrector, bounds, trace)
+
+
+def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Plan:
+    """_layout's rows compiled into the blocks the run applies, every row but the last in
+    order, and final, the last row (K is final.size - 1), all read-only.
+
+    A standard corrector [c_c, a_c] and the row after it [c_p, a_p] (the next
+    predictor multistep, the next step's first row singlestep) are one pair
+    [[c_c, a_c], [c_p + a_p c_c, a_p a_c]] over the same [ring, x], as the next
+    row's x is the corrector's result; a corrector whose next row lies in the
+    last step stays a row.  blocks lists (rows, step, node, kind) per block: a
+    _PAIR's first row ends step `step`, and the model call at node follows its
+    second row; any other kind is one row of step `step`, followed by the call
+    at node (none if -1: after a standard corrector, whose output is the
+    predictor's, and after the run's last row).
+    """
+    rows, ts, _, dst, _, corrector, bounds, trace = _layout(sched, grid, config, first)
+    K, last, standard = rows.shape[1] - 1, bounds[1:] - 1, config.corrector == "standard"
+    node = np.where(corrector & standard, -1, dst)  # the node whose call follows each row
+    node[-1] = -1
+    head = np.flatnonzero(corrector) if standard else last[:0]
     head = head[head + 1 < bounds[-2]]  # a pair's first row: its second is not in the last step
     pairs = np.stack([rows[head], rows[head + 1, K:] * rows[head]], axis=1)
     pairs[:, 1, :K] += rows[head + 1, :K]
-    kind = np.full(bounds[-1], _ROW)
-    kind[last] = np.where(corr, _CORR, _END)
+    kind = np.full(len(rows), _ROW)
+    kind[last] = np.where(corrector[last], _CORR, _END)
     kind[head] = _PAIR
-    node = call.copy()
-    node[head] = call[head + 1]
-    starts = np.ones(bounds[-1], bool)
+    node[head] = node[head + 1]
+    starts = np.ones(len(rows), bool)
     starts[head + 1] = starts[-1] = False  # a pair's second row; the last row, applied apart
-    step = np.arange(first, M + 1).repeat(count)
-    for arr in (rows, src, dst, low, corrector, call, bounds, pairs):
-        arr.flags.writeable = False
+    step = np.arange(first, first + len(trace)).repeat(np.diff(bounds))
+    rows.flags.writeable = pairs.flags.writeable = False
     views = list(rows)  # read-only row views, so the run indexes nothing
     for q, r in enumerate(head.tolist()):
         views[r] = pairs[q]
     blocks = tuple(zip(itertools.compress(views, starts.tolist()),
                        *(v[starts].tolist() for v in (step, node, kind))))
-    ts = tuple(ts.tolist())  # below: a step's used_ts lists the nodes after its start b first
-    trace = tuple(StepRecord(i, q, ts[b], ts[n], ts[b + 1:n] + ts[lo:b + 1] + ts[n:n + cr], cr)
-                  for i, q, b, n, lo, cr in zip(range(first, M + 1), orders,
-                                                *map(memoryview, (base, dst[last], low[last], corr))))
-    return _Plan(rows, ts, src, dst, low, corrector, call, bounds, trace, pairs, blocks)
+    return _Plan(blocks, views[-1], ts, trace)
 
 
 # -- plan cache -----------------------------------------------------------------
 
 #: Plan steps the cache holds in all.  A study of the shipped shape (30 plans, 3,150
-#: steps) fits whole.  A kept plan with its key, its fused pairs and its blocks (a
-#: tuple and a row view each) costs 0.43-0.72 KB a step multistep (unip-2 at M = 100
-#: to unipc-3 at M = 10), about 1.66 KB a step singlestep (order 5, M = 12) and about
-#: 1.59 KB for a one-step plan (tracemalloc over a full cache), so the cache stays
-#: under about 7 MB, and the set of key hashes seen once under 0.3 MB.
+#: steps) fits whole.  A kept plan with its key, its rows, fused pairs and blocks (a
+#: tuple and a row view each) costs 0.41-0.65 KB a step multistep (unip-2 at M = 100
+#: to unipc-3 at M = 10), about 1.58 KB a step singlestep (order 5, M = 12) and about
+#: 0.90 KB for a one-step plan (tracemalloc over a full cache), so the cache stays
+#: under about 6.5 MB, and the set of key hashes seen once under 0.3 MB.
 _CACHE_STEPS = 4096
 _cache: OrderedDict = OrderedDict()  # key -> read-only plan, least recently used first
 _cache_steps = 0  # steps of the plans in _cache
@@ -601,7 +600,7 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     if len(warm) >= grid.num_steps:
         raise ValidationError("warm_start longer than the grid allows")
     plan = _cached_plan(sched, grid, config, len(warm) + 1)
-    ts, K = plan.ts, plan.rows.shape[1] - 1
+    ts, K = plan.ts, plan.final.size - 1
     # [ring: node n's output in row n % K, x], zeroed: a 0 coefficient meets unwritten slots
     work = np.zeros((K + 1, model.dim))
     *slots, x_row = work  # views made once
@@ -648,7 +647,7 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
                 kept.append(y.copy())
     del out, y, spare, flat  # dropped before the final state is allocated
     final = np.empty(model.dim)  # the final state owns its memory, not a row of work
-    plan.rows[-1].dot(work, out=final)
+    plan.final.dot(work, out=final)
     _guard(final, plan.trace[-1].index)
     if trajectory:
         kept.append(final.copy())

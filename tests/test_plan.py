@@ -34,7 +34,7 @@ ROW_BOUND = 1e-12  # of max|c| a row: the scale of the plan-residuals selftest's
 
 
 def test_every_plan_row_matches_the_exact_row():
-    """Every row _plan builds, at every order the cap admits, has c within ROW_BOUND max|c|
+    """Every row _layout builds, at every order the cap admits, has c within ROW_BOUND max|c|
     of scale * oracles.exact_row over the float offsets and h that the row is built from.
 
     The configs keep the standard corrector, so its rows are checked too.  b1/b2 changes
@@ -49,11 +49,11 @@ def test_every_plan_row_matches_the_exact_row():
         sched = NoiseSchedule.from_json({"kind": kind})
         config = SolverConfig(order=order, variant=variant, bh=bh, prediction=prediction,
                               varying_coefficients=varying)
-        plan = solver._plan(sched, make_time_grid(sched, M, skip), config, 1)
-        la, lam, sigma = sched._maps(np.asarray(plan.ts))  # as _plan maps its nodes
-        K = plan.rows.shape[1] - 1  # a row is [c in ring slot order, a]
+        layout = solver._layout(sched, make_time_grid(sched, M, skip), config, 1)
+        la, lam, sigma = sched._maps(np.asarray(layout.ts))  # as _layout maps its nodes
+        K = layout.rows.shape[1] - 1  # a row is [c in ring slot order, a]
         for index, (row, P, N, low, corr) in enumerate(
-                zip(plan.rows, plan.src, plan.dst, plan.low, plan.corrector)):
+                zip(layout.rows, layout.src, layout.dst, layout.low, layout.corrector)):
             J = np.arange(low, N + corr)  # a corrector also reads the node it lands on
             h = lam[N] - lam[P]
             R = (J - P) / (N - P) if variant == "singlestep" else (lam[J] - lam[P]) / h
@@ -75,7 +75,8 @@ def test_every_fused_pair_matches_the_exact_composition():
     bit for bit, and its second row's c lies within ROW_BOUND max|c| of the same composition
     of oracles.exact_row's rows in decimal arithmetic, at every order the cap admits.
 
-    The rows' a are the plan's own (each a ratio of alpha or sigma, with no solve).
+    The pairs are _plan's _PAIR blocks, the rows they fuse _layout's; the rows' a are the
+    layout's own (each a ratio of alpha or sigma, with no solve).
     """
     worst, where, fused = 0.0, None, 0
     for kind, variant, prediction, order, bh, varying in itertools.product(
@@ -84,13 +85,14 @@ def test_every_fused_pair_matches_the_exact_composition():
         sched = NoiseSchedule.from_json({"kind": kind})
         config = SolverConfig(order=order, variant=variant, bh=bh, prediction=prediction,
                               varying_coefficients=varying)
-        plan = solver._plan(sched, make_time_grid(sched, 9, "quadratic-time"), config, 1)
-        la, lam, sigma = sched._maps(np.asarray(plan.ts))
-        K = plan.rows.shape[1] - 1
+        args = (sched, make_time_grid(sched, 9, "quadratic-time"), config, 1)
+        layout = solver._layout(*args)
+        la, lam, sigma = sched._maps(np.asarray(layout.ts))
+        K = layout.rows.shape[1] - 1
 
         def exact(r):  # row r's c in ring slot order, as decimals
-            P, N, corr = plan.src[r], plan.dst[r], plan.corrector[r]
-            J = np.arange(plan.low[r], N + corr)
+            P, N, corr = layout.src[r], layout.dst[r], layout.corrector[r]
+            J = np.arange(layout.low[r], N + corr)
             h = lam[N] - lam[P]
             R = (J - P) / (N - P) if variant == "singlestep" else (lam[J] - lam[P]) / h
             u = exact_row(R, h, prediction, bh, not varying and len(J) == 2)
@@ -100,11 +102,12 @@ def test_every_fused_pair_matches_the_exact_composition():
                 c[slot] = scale * Decimal(value)
             return c
 
-        heads = [r for r in np.flatnonzero(plan.corrector) if r + 1 < plan.bounds[-2]]
-        assert len(heads) == len(plan.pairs)
-        for r, pair in zip(heads, plan.pairs):
-            assert pair[0].tobytes() == plan.rows[r].tobytes()
-            a_p, a_c = plan.rows[r + 1, K], plan.rows[r, K]
+        heads = [r for r in np.flatnonzero(layout.corrector) if r + 1 < layout.bounds[-2]]
+        pairs = [block for block, _, _, kind in solver._plan(*args).blocks if kind == solver._PAIR]
+        assert len(heads) == len(pairs)
+        for r, pair in zip(heads, pairs):
+            assert pair[0].tobytes() == layout.rows[r].tobytes()
+            a_p, a_c = layout.rows[r + 1, K], layout.rows[r, K]
             assert pair[1, K] == a_p * a_c
             with localcontext(prec=60):
                 want = [p + Decimal(float(a_p)) * c for p, c in zip(exact(r + 1), exact(r))]
@@ -116,6 +119,50 @@ def test_every_fused_pair_matches_the_exact_composition():
         fused += len(heads)
     assert fused > 0
     assert worst <= ROW_BOUND, f"{worst:.3e} of max|c| at {where}"
+
+
+def test_blocks_apply_the_layout_exactly():
+    """_plan's blocks apply _layout's rows bit for bit: every row but the last once, in
+    order, and final is the last row.  A 1-row block is its row; a _PAIR block is a
+    corrector and the row after it, [[c_c, a_c], [c_p + a_p c_c, a_p a_c]].  Each block
+    carries its first row's step, ends its step where that row does, and is followed by the
+    model call at the node its last row lands on, except after a standard corrector (its
+    output is the predictor's) and the run's last row."""
+    sched = NoiseSchedule()
+    grid = make_time_grid(sched, 9, "quadratic-time")
+    for variant, order, corrector, first in itertools.product(
+            ("multistep", "singlestep"), range(1, MAX_ORDER + 1), ("off", "standard", "oracle"),
+            (1, 3)):
+        config = SolverConfig(order=order, variant=variant, corrector=corrector)
+        layout = solver._layout(sched, grid, config, first)
+        plan = solver._plan(sched, grid, config, first)
+        K, ends = layout.rows.shape[1] - 1, set((layout.bounds[1:] - 1).tolist())
+
+        def called(r):  # the node whose model call follows row r, or -1
+            skip = r == len(layout.rows) - 1 or corrector == "standard" and layout.corrector[r]
+            return -1 if skip else layout.dst[r]
+
+        r = 0  # the next row to apply
+        for block, step, node, kind in plan.blocks:
+            assert step == first + np.searchsorted(layout.bounds, r, side="right") - 1
+            if kind == solver._PAIR:
+                assert corrector == "standard" and layout.corrector[r]
+                c, p = layout.rows[r], layout.rows[r + 1]
+                fused = p[K] * c
+                fused[:K] += p[:K]
+                assert block.shape == (2, K + 1)
+                assert block[0].tobytes() == c.tobytes() and block[1].tobytes() == fused.tobytes()
+                assert node == called(r + 1)
+                r += 2
+                continue
+            assert block.tobytes() == layout.rows[r].tobytes() and block.shape == (K + 1,)
+            assert node == called(r)
+            assert kind == (solver._ROW if r not in ends else
+                            solver._CORR if layout.corrector[r] else solver._END)
+            r += 1
+        assert r == len(layout.rows) - 1
+        assert plan.final.tobytes() == layout.rows[-1].tobytes()
+        assert plan.ts == layout.ts and plan.trace == layout.trace
 
 
 @st.composite

@@ -86,6 +86,29 @@ def test_ab_cells_reference_mode_fails_when_the_trees_disagree(tmp_path, capsys)
     assert "references differ between the trees" in capsys.readouterr().out
 
 
+def test_ab_cells_one_step_mode_runs_one_tree_against_itself(capsys):
+    src = str(SCRIPTS.parent / "src")
+    assert load("ab_cells").main([src, src, "--one-step", "--rounds", "2"]) == 0
+    printed = capsys.readouterr().out
+    assert "one-step API, 160 correct() and 2 ddim_step cases, 2 rounds" in printed
+    assert "new/old" in printed and "mismatch" not in printed
+
+
+def test_ab_cells_one_step_mode_fails_when_the_trees_disagree(tmp_path, capsys):
+    src = SCRIPTS.parent / "src"
+    shutil.copytree(src / "unipc", tmp_path / "unipc", ignore=shutil.ignore_patterns("__pycache__"))
+    solver = tmp_path / "unipc" / "solver.py"
+    text = solver.read_text()
+    line = "corrected = row.dot(np.stack(outputs + [f_pred, x]))"
+    assert line in text
+    # each corrected state off by an ulp or so, and ddim_step as it was
+    solver.write_text(text.replace(line, line + " * (1 + 2.0**-52)"))
+    assert load("ab_cells").main([str(src), str(tmp_path), "--one-step", "--rounds", "1"]) == 1
+    printed = capsys.readouterr().out
+    assert "one-step results differ between the trees" in printed
+    assert "ddim_step" not in printed.split("mismatch", 1)[1]
+
+
 def test_bh_and_schedules_runs_every_schedule(capsys):
     bh_and_schedules = load("bh_and_schedules")
     assert bh_and_schedules.main([]) == 0

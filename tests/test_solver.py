@@ -302,6 +302,16 @@ class TestCorrectChecks:
             correct(vp_linear, state, t_next, np.ones(4), 2, evaluator)
         assert evaluator.eval_count == calls
 
+    @pytest.mark.parametrize("t_next", [None, "0.4"], ids=["none", "text"])
+    def test_t_next_must_be_a_real_number(self, vp_linear, poly_model, t_next):
+        # both raised a bare TypeError from the comparison with the buffered time
+        evaluator = poly_model.evaluator(vp_linear)
+        state = self._state(evaluator, [0.9, 0.7])
+        calls = evaluator.eval_count
+        with pytest.raises(ValidationError, match="real number"):
+            correct(vp_linear, state, t_next, np.ones(4), 2, evaluator)
+        assert evaluator.eval_count == calls
+
     @pytest.mark.parametrize("t_next", [0.3, "one ulp below"])
     def test_ulp_long_lambda_step_rejected_before_the_model_call(self, vp_linear, poly_model,
                                                                  t_next):
@@ -476,6 +486,26 @@ class TestBufferDiscipline:
             state.push(t, np.ones(2))
         assert len(state.buffer) == 1
 
+    @pytest.mark.parametrize("t", [None, "0.4", True, np.array([0.5])],
+                             ids=["none", "text", "bool", "array"])
+    @pytest.mark.parametrize("buffered", [0, 1])
+    def test_push_time_must_be_a_real_number(self, t, buffered):
+        # into an empty buffer any of these was stored as its time; after an entry None and
+        # text raised a bare TypeError from the comparison
+        state = SolverState(x=np.ones(2))
+        for _ in range(buffered):
+            state.push(0.8, np.ones(2))
+        with pytest.raises(ValidationError, match="real number"):
+            state.push(t, np.ones(2))
+        assert len(state.buffer) == buffered
+
+    def test_push_keeps_times_as_floats(self):
+        state = SolverState(x=np.ones(2))
+        for t in (1, np.float64(0.8), np.float32(0.5)):
+            state.push(t, np.ones(2))
+        assert [type(e.t) for e in state.buffer] == [float] * 3
+        assert [e.t for e in state.buffer] == [1.0, 0.8, float(np.float32(0.5))]
+
     @pytest.mark.parametrize("capacity", [-1, 0, 1.5, 2.0, True, "2", None])
     def test_capacity_must_be_a_positive_int(self, capacity):
         # -1 made push raise IndexError and 0 emptied the buffer on every push
@@ -632,7 +662,8 @@ class TestGuards:
         model = ModelEvaluator(fn, "noise", 3)
         config = SolverConfig(order=order, variant=variant)
         grid = make_time_grid(vp_linear, 5)
-        assert len(solver._plan(vp_linear, grid, config, 1).pairs) == 3  # steps 1-3
+        kinds = [kind for _, _, _, kind in solver._plan(vp_linear, grid, config, 1).blocks]
+        assert kinds.count(solver._PAIR) == 3  # steps 1-3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
             with pytest.raises(NumericError, match=f"non-finite value at step {step}$") as excinfo:
@@ -724,6 +755,16 @@ class TestGuards:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="t_next=.* is not below t_prev"):
                 ddim_step(vp_linear, np.ones(4), np.ones(4), t_prev, t_next)
+
+    @pytest.mark.parametrize("t_prev,t_next", [
+        (None, 0.4),              # a bare TypeError
+        (0.8, "0.4"),             # a bare TypeError
+        (0.8, np.array([0.5])),   # a numpy ValueError from the schedule maps
+        (True, 0.4),              # stepped from t = 1.0
+    ], ids=["none", "text", "array", "bool"])
+    def test_ddim_step_times_must_be_real_numbers(self, vp_linear, t_prev, t_next):
+        with pytest.raises(ValidationError, match="real number"):
+            ddim_step(vp_linear, np.ones(4), np.ones(4), t_prev, t_next)
 
     @pytest.mark.parametrize("where,value", [
         ("x", np.array(1.0)),            # a scalar state.x returned a broadcast state
@@ -1133,17 +1174,19 @@ class TestPlanCache:
         monkeypatch.setattr(solver, "_seen", set())
 
     @staticmethod
-    def assert_same_plan(plan, fresh):
-        for name in ("rows", "src", "dst", "low", "corrector", "call", "bounds"):
-            got, want = getattr(plan, name), getattr(fresh, name)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), name
+    def matrices(plan):
+        return [(m.dtype, m.shape, m.tobytes()) for m in [b[0] for b in plan.blocks] + [plan.final]]
+
+    def assert_same_plan(self, plan, fresh):
+        assert len(plan.blocks) == len(fresh.blocks)
+        for got, want in zip(plan.blocks, fresh.blocks):
+            assert got[1:] == want[1:]  # step, node, kind
+        assert self.matrices(plan) == self.matrices(fresh)
         assert list(plan.ts) == list(fresh.ts)
         assert list(plan.trace) == list(fresh.trace)
 
-    @staticmethod
-    def differs(plan, other):
-        return (plan.rows.shape != other.rows.shape or plan.rows.tobytes() != other.rows.tobytes()
+    def differs(self, plan, other):
+        return (self.matrices(plan) != self.matrices(other)
                 or list(plan.ts) != list(other.ts) or list(plan.trace) != list(other.trace))
 
     @pytest.mark.parametrize("variant, corrector, warm", LAYOUTS)
@@ -1196,8 +1239,7 @@ class TestPlanCache:
         second.trace[0] = second.trace[-1]
         second.trace.append(second.trace[0])
         (plan,) = solver._cache.values()
-        for arr in (plan.rows, plan.src, plan.dst, plan.low, plan.corrector, plan.call,
-                    plan.bounds):
+        for arr in [block for block, _, _, _ in plan.blocks] + [plan.final]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
         third = sample(model, vp_linear, grid, config, x0)
