@@ -22,8 +22,11 @@ With --reference it alternates the two trees' fine-rk4 reference_solution
 instead, on the study-rk4 workload's setup (linear-in-x with gain 0.3, dim
 4, vp-cosine, over the schedule's whole time range; 12 * steps model calls
 a run), one fresh input state per round for both sides.  It prints each
-side's 0.05-quantile seconds over the rounds and their ratio, and exits 1
-if any reference differs by a bit between the sides.
+side's 0.05-quantile seconds over the rounds, their ratio and the largest
+relative difference between the two sides' references over the rounds,
+max |new - old| / max(1, max |old|), and exits 1 if any reference differs
+by more than R max(1, max |old|) with --rtol R (default 0: any differing
+bit).
 
 With --one-step it alternates the two trees' one-step API instead: correct()
 at orders 1..MAX_ORDER with b1/b2, noise/data prediction, the standard and
@@ -36,7 +39,7 @@ between the sides.
 
 Usage:
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC [--dim N] [--rounds N] [--rtol R]
-    python3 scripts/ab_cells.py OLD_SRC NEW_SRC --reference [--steps N] [--rounds N]
+    python3 scripts/ab_cells.py OLD_SRC NEW_SRC --reference [--steps N] [--rounds N] [--rtol R]
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC --one-step [--rounds N]
 """
 
@@ -82,6 +85,13 @@ def benchmark_cells(pkg):
     return CONFIGS, POLY
 
 
+def difference(old: np.ndarray, new: np.ndarray, rtol: float) -> tuple[float, bool]:
+    """max |new - old| / max(1, max |old|), and whether it is a mismatch: above rtol, or with
+    rtol 0 any differing bit (a zero's sign too)."""
+    rel = float(np.max(np.abs(new - old)) / max(1.0, np.max(np.abs(old))))
+    return rel, not (rel <= rtol if rtol else old.tobytes() == new.tobytes())
+
+
 class Side:
     """One tree's inputs for every cell: schedule, evaluators, grids and configs."""
 
@@ -124,9 +134,9 @@ def compare_cells(old, new, dim: int, rounds: int, rtol: float = 0.0) -> list[st
                 if rnd:
                     us[name, (label, M)].append(seconds / M * 1e6)
             a, b = results["old"], results["new"]
-            rel = float(np.max(np.abs(b.final - a.final)) / max(1.0, np.max(np.abs(a.final))))
+            rel, off = difference(a.final, b.final, rtol)
             diff[label, M] = max(diff[label, M], rel)
-            if a.nfe != b.nfe or not rel <= rtol:
+            if a.nfe != b.nfe or off:
                 mismatches.append(f"{label} M={M} round {rnd}: nfe {a.nfe} vs {b.nfe}, "
                                   f"relative final diff {rel:.3e}")
     cell_us = {key: float(np.quantile(values, CELL_Q)) for key, values in us.items()}
@@ -143,15 +153,16 @@ def compare_cells(old, new, dim: int, rounds: int, rtol: float = 0.0) -> list[st
     return mismatches
 
 
-def compare_reference(old, new, steps: int, rounds: int) -> list[str]:
-    """Alternate the fine-rk4 references and print their timings; returns the mismatches."""
+def compare_reference(old, new, steps: int, rounds: int, rtol: float = 0.0) -> list[str]:
+    """Alternate the fine-rk4 references and print their timings and largest difference;
+    returns the mismatches: a reference off by more than rtol max(1, max |old|)."""
     sides = {}
     for name, pkg in (("old", old), ("new", new)):
         sched = pkg.NoiseSchedule.from_json({"kind": "vp-cosine"})
         sides[name] = (pkg, pkg.SyntheticModel.linear_in_x(0.3, 4), sched)
     rng = np.random.default_rng(0)
     seconds = {name: [] for name in sides}
-    mismatches = []
+    mismatches, diff = [], 0.0
     for rnd in range(rounds):
         order = ("old", "new") if rnd % 2 else ("new", "old")
         x = rng.standard_normal(4)
@@ -162,12 +173,14 @@ def compare_reference(old, new, steps: int, rounds: int) -> list[str]:
             results[name] = pkg.reference_solution(model, sched, x, sched.t_start, sched.t_end,
                                                    "fine-rk4", steps=steps)
             seconds[name].append(time.perf_counter() - start)
-        a, b = results["old"], results["new"]
-        if a.tobytes() != b.tobytes():
-            mismatches.append(f"round {rnd}: max |reference diff| {np.max(np.abs(a - b)):.3e}")
+        rel, off = difference(results["old"], results["new"], rtol)
+        diff = max(diff, rel)
+        if off:
+            mismatches.append(f"round {rnd}: relative reference diff {rel:.3e}")
     q = {name: float(np.quantile(values, CELL_Q)) for name, values in seconds.items()}
     print(f"fine-rk4 reference, {steps} steps ({12 * steps} model calls), {rounds} rounds:")
-    print(f"old {q['old']:.6f} s  new {q['new']:.6f} s  new/old {q['new'] / q['old']:.3f}")
+    print(f"old {q['old']:.6f} s  new {q['new']:.6f} s  new/old {q['new'] / q['old']:.3f}  "
+          f"rel diff {diff:.2e}")
     return mismatches
 
 
@@ -247,8 +260,8 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=20_000,
                         help="fine-rk4 steps of the coarse pass (--reference)")
     parser.add_argument("--rtol", type=float, default=0.0,
-                        help="largest relative final-state difference a cell may show "
-                             "(default 0: bit for bit); the references stay bit for bit")
+                        help="largest relative difference a cell's final state or a "
+                             "reference may show (default 0: bit for bit)")
     args = parser.parse_args(argv)
     if args.dim < 1 or args.rounds < 1 or args.steps < 1:
         parser.error("--dim, --rounds and --steps must be >= 1")
@@ -258,7 +271,7 @@ def main(argv=None) -> int:
     if args.reference and args.one_step:
         parser.error("--reference and --one-step exclude each other")
     if args.reference:
-        mismatches = compare_reference(old, new, args.steps, args.rounds)
+        mismatches = compare_reference(old, new, args.steps, args.rounds, args.rtol)
         what = "references"
     elif args.one_step:
         mismatches = compare_one_step(old, new, args.rounds)

@@ -85,12 +85,12 @@ def bh_value(bh: str, h):
 
 
 def varphi(k: int, h: float) -> float:
-    """varphi_k(h); varphi_0 = e^h."""
+    """varphi_k(h); varphi_0 = e^h.  h must be finite and > 0 (DomainError)."""
     return float(basis_table(h, k)[k])
 
 
 def psi(k: int, h: float) -> float:
-    """psi_k(h); psi_0 = e^{-h}."""
+    """psi_k(h); psi_0 = e^{-h}.  h must be finite and > 0 (DomainError)."""
     return float(basis_table(h, k, "data")[k])
 
 
@@ -98,7 +98,8 @@ def basis_table(hs, kmax: int, prediction: str = "noise") -> np.ndarray:
     """varphi_k(h) (noise) or psi_k(h) (data) for k = 0..kmax at every h of hs.
 
     Returns an (len(hs), kmax + 1) array, or a (kmax + 1,) one for a scalar h;
-    DomainError unless kmax is an int (not a bool) in 0..MAX_BASIS_K and every h > 0.
+    DomainError unless kmax is an int (not a bool) in 0..MAX_BASIS_K and every h is finite
+    and > 0.
     Below RECURSION_FROM each row is the series, one matmul of the powers h^j
     by the coefficient table; from there on the one-term recursion runs over
     those step sizes at once.
@@ -107,8 +108,8 @@ def basis_table(hs, kmax: int, prediction: str = "noise") -> np.ndarray:
             or not 0 <= kmax <= MAX_BASIS_K):
         raise DomainError(f"basis index k={kmax} outside supported range 0..{MAX_BASIS_K}")
     hs = np.asarray(hs, dtype=float)
-    if not np.all(hs > 0.0):
-        raise DomainError(f"need h > 0, got {hs.tolist()}")
+    if not np.all((hs > 0.0) & (hs < np.inf)):  # also NaN
+        raise DomainError(f"need finite h > 0, got {hs.tolist()}")
     h = hs.reshape(-1)
     noise = prediction == "noise"
     small = h < RECURSION_FROM

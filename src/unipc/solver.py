@@ -234,12 +234,14 @@ class SolverState:
             raise ValidationError(f"capacity must be >= 1, got {self.capacity}")
 
     def push(self, t: float, output: np.ndarray) -> None:
-        """Buffer the model output at time t, a real number kept as a float, which must lie
-        below the last buffered time (ValidationError), and drop the oldest entries beyond
+        """Buffer the model output at time t, a finite real number kept as a float, which must
+        lie below the last buffered time (ValidationError), and drop the oldest entries beyond
         capacity."""
         t = _time(t)
         if self.buffer and not t < self.buffer[-1].t:
             raise ValidationError("buffer timesteps must be strictly decreasing in t")
+        if not math.isfinite(t):
+            raise ValidationError(f"buffer time must be finite, got {t}")
         self.buffer.append(BufferEntry(t, output))
         del self.buffer[:-self.capacity]
 
@@ -607,12 +609,15 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     out = _beside(x_row, 2)  # where blocks land: never read by an update
     (y, spare), flat = out, out.reshape(-1)
     th, nfe = config.thresholding, 0
+    # Looked up once per run, so a patched ModelEvaluator.__call__ sees every call; the
+    # type's function, not a bound method, so the lookup allocates nothing.
+    call = type(model).__call__
 
     def evaluate(x_at: np.ndarray, node: int, step: int, scratch: np.ndarray) -> None:
         # The model writes its output straight into the slot (its old output is
         # dead), and thresholding then works there, with |x0| in a dead row of out.
         nonlocal nfe
-        f = model(x_at, ts[node], out=slots[node % K])
+        f = call(model, x_at, ts[node], slots[node % K])
         nfe += 1
         if th is not None:
             _threshold(f, th.ratio, th.floor, scratch)

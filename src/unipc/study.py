@@ -64,15 +64,18 @@ def reference_solution(
     whole-array ops, from its node and midpoint times (one t_of_lambda call
     each) and sigma, sigma^2 there.  A pass holds one work array
     W = [x, f0, f1, f2, f3] (the state and the step's four model outputs):
-    the model input of stage i = 1, 2, 3 is x + D_i @ W[:i + 1], and the
-    step ends with x += D_4 @ W, one gemv and one add a stage.  The rows
-    hold increments only, so x enters every sum with coefficient exactly 1;
-    a row that folded x in as 1 + delta would round away the low bits of
-    delta at every stage, an error that accumulates over the pass.  The
-    model is called with reused buffers (the state and one stage-input
-    array) and writes each stage output straight into its row of W, so, as
-    with sample(), it must not keep the arrays it is given.  model must be a
-    SyntheticModel and sched a NoiseSchedule (ValidationError).
+    the model input of stage i = 1, 2, 3 is one gemv D_i @ W[:i + 1], whose
+    row holds x's coefficient as 1 + delta, and the step ends with
+    x += D_4 @ W.  D_4 holds increments only, so x keeps coefficient exactly
+    1 from step to step: folded in as 1 + delta, the low bits of delta would
+    be rounded away at every step, an error that accumulates over the pass.
+    A stage input's rounding of 1 + delta does not accumulate: it reaches x
+    only through the stage's slope, scaled by h.  The model is called
+    through one bound call per pass with reused buffers (the state and one
+    stage-input array) and writes each stage output straight into its row
+    of W, so, as with sample(), it must not keep the arrays it is given.
+    model must be a SyntheticModel and sched a NoiseSchedule
+    (ValidationError).
     """
     if not isinstance(model, SyntheticModel):
         raise ValidationError(f"reference model must be a SyntheticModel, got {model!r}")
@@ -99,11 +102,11 @@ def reference_solution(
         return sig, sig * sig
 
     def stage_rows(lams: np.ndarray, mids: np.ndarray, R: np.ndarray) -> list[np.ndarray]:
-        # Fill R (steps, 14) with the block's increment rows, packed stage by stage, and
-        # return them as views: D_1..D_3 (steps, 2..4) and the step's D_4 (steps, 5).
-        # Stage i's slope is k_i = a (x + D_i @ W) - b f_i in W coordinates (D_0 = 0,
-        # a = sigma^2 and b = sigma at the stage's time), and D_{i+1} = c h k_i with
-        # c = 1/2, 1/2, 1.
+        # Fill R (steps, 14) with the block's rows, packed stage by stage, and return
+        # them as views: D_1..D_3 (steps, 2..4) and the step's D_4 (steps, 5).  Built as
+        # increments: stage i's slope is k_i = a (x + D_i @ W) - b f_i in W coordinates
+        # (D_0 = 0, a = sigma^2 and b = sigma at the stage's time), and D_{i+1} = c h k_i
+        # with c = 1/2, 1/2, 1; then D_1..D_3 take x's 1 (columns 0, 2 and 5 of R).
         s, s2 = sigmas(lams)
         sm, sm2 = sigmas(mids)
         h = np.diff(lams)[:, None]
@@ -122,6 +125,8 @@ def reference_solution(
         D4[:, 0] += s2[1:]
         D4[:, 4] -= s[1:]
         D4 *= h / 6.0
+        for Di in D[:3]:
+            Di[:, 0] += 1.0
         return D
 
     def integrate(n: int) -> np.ndarray:
@@ -131,6 +136,7 @@ def reference_solution(
         x[...] = x_T
         W1, W2, W3 = W[:2], W[:3], W[:4]
         R = np.empty((min(n, _RK4_BLOCK), 14))  # one block's rows, reused block after block
+        call = evaluator.__call__  # bound per pass: a patched __call__ still sees every call
         for j0 in range(0, n, _RK4_BLOCK):
             j1 = min(j0 + _RK4_BLOCK, n)
             lams = np.arange(j0, j1 + 1) * dl_nominal + lam_start  # np.linspace's nodes
@@ -141,16 +147,10 @@ def reference_solution(
             tm = sched.t_of_lambda(mids).tolist()
             rows = stage_rows(lams, mids, R[:j1 - j0])
             for d1, d2, d3, d4, t0, th, t1 in zip(*rows, t, tm, t[1:]):
-                evaluator(x, t0, out=f0)
-                d1.dot(W1, out=y)
-                y += x
-                evaluator(y, th, out=f1)
-                d2.dot(W2, out=y)
-                y += x
-                evaluator(y, th, out=f2)
-                d3.dot(W3, out=y)
-                y += x
-                evaluator(y, t1, out=f3)
+                call(x, t0, f0)
+                call(d1.dot(W1, out=y), th, f1)
+                call(d2.dot(W2, out=y), th, f2)
+                call(d3.dot(W3, out=y), t1, f3)
                 d4.dot(W, out=y)
                 x += y
         return x.copy()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unipc import NoiseSchedule, SyntheticModel
+from unipc import ModelEvaluator, NoiseSchedule, SyntheticModel
 
 
 @pytest.fixture
@@ -29,3 +29,17 @@ def small_poly_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def patched_calls(monkeypatch):
+    """ModelEvaluator.__call__ replaced by a counting wrapper, as a tracer patches it; the
+    returned list gets the evaluator of every call that reaches the wrapper."""
+    calls, inner = [], ModelEvaluator.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelEvaluator, "__call__", counted)
+    return calls

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,17 @@ class TestBasisFunctions:
             varphi(2, 0.0)
         with pytest.raises(DomainError):
             psi(2, -0.5)
+
+    @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("call", [
+        lambda h: varphi(1, h), lambda h: psi(1, h), lambda h: basis_table([0.5, h], 3),
+    ], ids=["varphi", "psi", "basis_table"])
+    def test_non_finite_h_rejected(self, call, h):
+        # varphi(1, inf) returned NaN with a RuntimeWarning from the recursion
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="need finite h > 0"):
+                call(h)
 
     @pytest.mark.parametrize("call", [
         lambda: varphi(True, 0.5), lambda: psi(False, 0.5), lambda: basis_table(0.5, True),

@@ -86,6 +86,26 @@ def test_ab_cells_reference_mode_fails_when_the_trees_disagree(tmp_path, capsys)
     assert "references differ between the trees" in capsys.readouterr().out
 
 
+def test_ab_cells_reference_mode_rtol_forgives_round_off_only(tmp_path, capsys):
+    src = SCRIPTS.parent / "src"
+    ab_cells = load("ab_cells")
+    reference = ["--reference", "--steps", "1000", "--rounds", "1"]
+    for name, scale, forgiven in (("round-off", "2.0**-51", True), ("real", "1e-9", False)):
+        tree = tmp_path / name
+        shutil.copytree(src / "unipc", tree / "unipc",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        study = tree / "unipc" / "study.py"
+        text = study.read_text()
+        assert "D4 *= h / 6.0" in text
+        # every step's increments scaled by 1 + scale: round-off, or a real difference
+        study.write_text(text.replace("D4 *= h / 6.0", f"D4 *= h / 6.0 * (1 + {scale})"))
+        assert ab_cells.main([str(src), str(tree)] + reference) == 1
+        printed = capsys.readouterr().out
+        assert "references differ between the trees" in printed and "rel diff" in printed
+        assert ab_cells.main([str(src), str(tree), "--rtol", "1e-12"] + reference) == 1 - forgiven
+        assert ("mismatch" in capsys.readouterr().out) != forgiven, name
+
+
 def test_ab_cells_one_step_mode_runs_one_tree_against_itself(capsys):
     src = str(SCRIPTS.parent / "src")
     assert load("ab_cells").main([src, src, "--one-step", "--rounds", "2"]) == 0

@@ -416,6 +416,22 @@ class TestNFEAccounting:
         assert res.nfe == expected
         assert evaluator.eval_count == res.nfe
 
+    @pytest.mark.parametrize("config, warm", [
+        (SolverConfig(order=3), 0),
+        (SolverConfig(order=3, corrector="oracle"), 0),
+        (SolverConfig(order=3, variant="singlestep"), 0),
+        (SolverConfig(order=2, prediction="data", thresholding=Thresholding()), 1),
+    ], ids=["standard", "oracle", "singlestep", "data-thresholded-warm"])
+    def test_patched_call_sees_every_call(self, vp_linear, rng, patched_calls, config, warm):
+        # the count perfbench's traced model.call relies on: sample() binds the call at run
+        # time, so a __call__ patched before the run sees each of its nfe calls
+        noise = SyntheticModel.linear_in_x(0.3, 4).evaluator(vp_linear)
+        model = convert_parameterization(noise, vp_linear) if config.prediction == "data" else noise
+        x0 = rng.standard_normal(4)
+        res = sample(model, vp_linear, make_time_grid(vp_linear, 8), config, x0,
+                     warm_start=[x0] * warm)
+        assert sum(seen is model for seen in patched_calls) == res.nfe == model.eval_count
+
 
 class TestBufferDiscipline:
     @pytest.mark.parametrize("variant,corrector,warm", LAYOUTS)
@@ -496,6 +512,18 @@ class TestBufferDiscipline:
         for _ in range(buffered):
             state.push(0.8, np.ones(2))
         with pytest.raises(ValidationError, match="real number"):
+            state.push(t, np.ones(2))
+        assert len(state.buffer) == buffered
+
+    @pytest.mark.parametrize("t, buffered", [(math.nan, 0), (math.inf, 0), (-math.inf, 0),
+                                             (-math.inf, 1)])
+    def test_push_time_must_be_finite(self, t, buffered):
+        # into an empty buffer nan and inf were kept, and every later push then failed with
+        # "strictly decreasing"
+        state = SolverState(x=np.ones(2))
+        for _ in range(buffered):
+            state.push(0.8, np.ones(2))
+        with pytest.raises(ValidationError, match="buffer time must be finite"):
             state.push(t, np.ones(2))
         assert len(state.buffer) == buffered
 

@@ -111,6 +111,18 @@ class TestReferenceAgainstOracle:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert sum(e.eval_count for e in counted.evaluators) == 12 * steps
 
+    @pytest.mark.parametrize("family", ["linear-in-x", "x-free-poly"])
+    def test_patched_call_sees_every_call(self, vp_cosine, rng, patched_calls, family):
+        # the count perfbench's traced model.call relies on: the call is bound per pass,
+        # at run time, so a __call__ patched before the run sees all 12 * steps calls
+        if family == "linear-in-x":
+            model = SyntheticModel.linear_in_x([0.3, -0.5, 0.8], 3)
+        else:
+            model = SyntheticModel.x_free_poly([0.3, -1.2, 0.5], 3)
+        reference_solution(model, vp_cosine, rng.standard_normal(3), vp_cosine.t_start,
+                           vp_cosine.t_end, "fine-rk4", steps=1500)
+        assert len(patched_calls) == 12 * 1500
+
     @pytest.mark.parametrize("steps", [0, -3, 2.0, True])
     def test_bad_step_count_rejected(self, vp_linear, steps):
         with pytest.raises(ValidationError, match="steps"):
