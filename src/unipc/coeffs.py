@@ -44,10 +44,11 @@ plan, and varphi and psi are one-element calls into basis_table.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError
+from .errors import DomainError, SingularSystemError, ValidationError
 
 MAX_BASIS_K = 12
 #: The one order cap: singlestep rows of order 6 already miss 1e-12 max|c| of an exact solve.
@@ -75,23 +76,36 @@ _PSI_SERIES = np.array([[1.0 / (math.factorial(j) * math.factorial(k - 1) * (j +
 _SERIES_REACH = np.array([(1e-17 * math.factorial(n)) ** (1.0 / n) for n in range(1, _SERIES_TERMS + 1)])
 
 
-def bh_value(bh: str, h):
-    """Normalizer B(h): b1 -> h, b2 -> e^h - 1 (elementwise for arrays)."""
-    if bh == "b1":
+def _real(h, arrays: bool = False):
+    """h unchanged if it is a real number (not a bool or a string), or with arrays an
+    integer or float array, else ValidationError."""
+    if (isinstance(h, numbers.Real) and not isinstance(h, bool)
+            or arrays and isinstance(h, np.ndarray) and h.dtype.kind in "iuf"):
         return h
-    if bh == "b2":
-        return np.expm1(h)
-    raise DomainError(f"unknown B(h) variant {bh!r}")
+    raise ValidationError(f"h must be a real number{' or array' if arrays else ''}, got {h!r}")
+
+
+def bh_value(bh: str, h):
+    """Normalizer B(h): b1 -> h, b2 -> e^h - 1 (elementwise for arrays).
+
+    DomainError for an unknown bh; ValidationError unless h is a real number or an
+    integer or float array."""
+    if bh not in BH_KINDS:
+        raise DomainError(f"unknown B(h) variant {bh!r}")
+    h = _real(h, arrays=True)
+    return h if bh == "b1" else np.expm1(h)
 
 
 def varphi(k: int, h: float) -> float:
-    """varphi_k(h); varphi_0 = e^h.  h must be finite and > 0 (DomainError)."""
-    return float(basis_table(h, k)[k])
+    """varphi_k(h); varphi_0 = e^h.  h must be a real number (ValidationError), finite
+    and > 0 (DomainError)."""
+    return float(basis_table(_real(h), k)[k])
 
 
 def psi(k: int, h: float) -> float:
-    """psi_k(h); psi_0 = e^{-h}.  h must be finite and > 0 (DomainError)."""
-    return float(basis_table(h, k, "data")[k])
+    """psi_k(h); psi_0 = e^{-h}.  h must be a real number (ValidationError), finite
+    and > 0 (DomainError)."""
+    return float(basis_table(_real(h), k, "data")[k])
 
 
 def basis_table(hs, kmax: int, prediction: str = "noise") -> np.ndarray:

@@ -50,24 +50,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ValidationError, typed
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, _floats
 
 PREDICTION_KINDS = ("noise", "data")
 MODEL_FAMILIES = ("x-free-poly", "linear-in-x")
 _F64 = np.dtype(float)  # a state's dtype: an ndarray of it needs no conversion
-
-
-def _floats(value, what: str) -> np.ndarray:
-    """value as a float64 array: ValidationError unless it holds integers or floats
-    (not complex numbers, bools, strings or objects)."""
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{what} is not a numeric array of integers or floats, "
-                              f"got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
 
 
 def _check_dim(dim) -> int:

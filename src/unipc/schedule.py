@@ -38,6 +38,21 @@ from .errors import DomainError, ValidationError, typed
 
 SCHEDULE_KINDS = ("vp-linear", "vp-cosine")
 SKIP_KINDS = ("uniform-lambda", "uniform-time", "quadratic-time")
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """value as a float64 array: ValidationError unless it holds integers or floats
+    (not complex numbers, bools, strings or objects)."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} is not a numeric array of integers or floats, "
+                              f"got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 _NUMBER_FIELDS = ("beta_min", "beta_max", "cosine_s", "t_start", "t_end")
 
 # Slack for range checks: round-tripped times may land a few ulp outside.
@@ -214,7 +229,8 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly decreasing times t_0 > ... > t_M, kept as a read-only copy.
+    """Strictly decreasing times t_0 > ... > t_M, integers or floats (ValidationError
+    otherwise), kept as a read-only float copy.
 
     A grid is its times alone: the schedule a run samples under maps them to
     lambda, so the same grid serves any schedule whose range holds its times.
@@ -223,7 +239,7 @@ class TimeGrid:
     times: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)  # own copy, so a caller cannot change it
+        times = np.array(_floats(self.times, "grid times"))  # own copy: no caller can change it
         if times.ndim != 1 or len(times) < 2:
             raise ValidationError("grid times must be a 1-d array of at least 2 times")
         if not np.all(np.diff(times) < 0):

@@ -40,21 +40,24 @@ frozen StepRecords.  The cache holds at most _CACHE_STEPS = 4,096 plan steps.
 
 _layout alone decides the run layout: per update its row, the node it steps
 from and lands on and the nodes it reads.  _plan compiles the rows into the
-blocks the run applies and keeps only those, the last row, the node times
-and the trace.  The run holds one zeroed (K + 1, dim) work array
-[ring..., x]: the K latest model outputs (node n's in row n % K; K is the
-widest row) and the state x its step starts from, and a (2, dim) output
+blocks the run applies and keeps only those, the last row, the node times,
+the trace and the call count.  The run holds one zeroed (K + 1, dim) work
+array [ring..., x]: the K latest model outputs (node n's in row n % K; K is
+the widest row) and the state x its step starts from, and a (2, dim) output
 where blocks land.  A row is c in ring slot order (0 in slots it does not
 read), then a, so an update is one product with the work array and no
 temporary.  No coefficient depends on x, so a standard corrector and the
 row after it, which reads the corrector's result as its x, fold into one
 2-row block over the same [ring..., x]: one (2, K + 1) @ (K + 1, dim)
 product writes x_i and the next model input, so the history is read once
-per corrected step.  Any other row is a 1-row block, one gemv.  The state a
-step ends on is copied into x's row, and the last row writes into a fresh
-array that the result owns.  Each model call writes its output straight
-into its ring slot (ModelEvaluator's out), and thresholding puts |x0| in
-the output row the call does not read, so no state-sized temporary is made.
+per corrected step.  Any other row is a 1-row block, one gemv.  A block is
+(rows, step, node, ends), a pair by its shape, so the run has one loop body
+and the plan counts its model calls.  The state a step ends on is copied
+into x's row, and the last row writes into a fresh array that the result
+owns.  Every state is guarded before the model sees it, and every output
+after its call.  Each model call writes its output straight into its ring
+slot (ModelEvaluator's out), and thresholding puts |x0| in the output row
+the call does not read, so no state-sized temporary is made.
 A fused block rounds its second row once more: a standard-corrector run
 moves at round-off (a few 1e-15 relative) against applying each row alone.
 correct and ddim_step, the one-step API for plugging UniC into another
@@ -117,6 +120,12 @@ def _check_order(p) -> None:
     """ValidationError unless p is an int (not a bool) in 1..coeffs.MAX_ORDER."""
     if not 1 <= typed(p, "int", "order") <= coeffs.MAX_ORDER:
         raise ValidationError(f"order {p} outside 1..{coeffs.MAX_ORDER}")
+
+
+def _given(value, cls: type, what: str) -> None:
+    """ValidationError unless value is a cls: a wrong type fails here, not deep in the run."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _check_prediction(model: ModelEvaluator, prediction: str) -> None:
@@ -301,17 +310,21 @@ def ddim_step(sched: NoiseSchedule, x: np.ndarray, eps_prev: np.ndarray, t_prev:
               t_next: float) -> np.ndarray:
     """First-order noise-prediction update (standalone DDIM).
 
-    t_prev and t_next must be real numbers (ValidationError) with t_next below
-    t_prev (DomainError), and x and eps_prev 1-d arrays of one length
-    (ValidationError), checked before any arithmetic.
+    sched must be a NoiseSchedule and t_prev and t_next real numbers
+    (ValidationError) with t_next below t_prev (DomainError), and x and eps_prev
+    1-d arrays of one length (ValidationError), checked before any arithmetic.
+    A non-finite result raises NumericError at step 1.
     """
+    _given(sched, NoiseSchedule, "schedule")
     t_prev, t_next = _time(t_prev), _time(t_next)
     if not t_next < t_prev:
         raise DomainError(f"t_next={t_next} is not below t_prev={t_prev}")
     x = _state(x, None, "x")
     eps_prev = _state(eps_prev, x.size, "eps_prev")
     row = _coefficients(sched._maps([t_prev, t_next]), [0], [1], [0], [False], {}, False, 1)[0]
-    return row.dot(np.stack([eps_prev, x]))  # x last, as in sample()
+    x_next = row.dot(np.stack([eps_prev, x]))  # x last, as in sample()
+    _guard(x_next, 1)
+    return x_next
 
 
 def _history(state: SolverState, p: int) -> list[BufferEntry]:
@@ -342,14 +355,21 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     returned instead.  config's bh, prediction and varying_coefficients
     shape the update as in sample(); config.order, variant and
     order_schedule describe a whole run and are not read: p is this step's
-    order.  Checked before the model is called: config must be a SolverConfig
+    order.  Checked before the model is called: sched, state and model must be
+    a NoiseSchedule, a SolverState and a ModelEvaluator, config a SolverConfig
     with a corrector and no thresholding, p an int in 1..coeffs.MAX_ORDER,
     model must make config.prediction's kind, state.x, x_pred and the p latest
     buffered outputs must be 1-d arrays of length model.dim and t_next a real
     number (ValidationError), t_next must lie below the last buffered time
     (DomainError), and each lambda step over their times and t_next must exceed
     _MIN_STEP max(1, |lambda| at its ends) (ValidationError), as in sample().
+    As in sample(), every state is guarded before the model sees it: a
+    non-finite x_pred, model output or corrected state raises NumericError
+    at step state.step_index + 1.
     """
+    _given(sched, NoiseSchedule, "schedule")
+    _given(state, SolverState, "state")
+    _given(model, ModelEvaluator, "model")
     if (not isinstance(config, SolverConfig) or config.corrector == "off"
             or config.thresholding is not None):
         raise ValidationError(
@@ -364,14 +384,18 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     outputs = [_state(e.output, model.dim, f"buffered output at t={e.t}") for e in entries]
     nodes = sched._maps([e.t for e in entries] + [t_next])  # (log alpha, lambda, sigma)
     _check_steps(nodes[1], "buffered times and t_next")
-    f_pred = model(_state(x_pred, model.dim, "x_pred"), t_next)
-    _guard(f_pred, state.step_index + 1)
+    x_pred, step = _state(x_pred, model.dim, "x_pred"), state.step_index + 1
+    _guard(x_pred, step)
+    f_pred = push = model(x_pred, t_next)
+    _guard(f_pred, step)
     # one row from node p - 1 to p over nodes 0..p, the corrector's own included
     row = _coefficients(nodes, [p - 1], [p], [0], [True], _row_options(config), False, p + 1)[0]
     corrected = row.dot(np.stack(outputs + [f_pred, x]))  # x last, as in sample()
+    _guard(corrected, step)
     oracle = config.corrector == "oracle"
-    push = model(corrected, t_next) if oracle else f_pred
-    _guard(push, state.step_index + 1)
+    if oracle:
+        push = model(corrected, t_next)
+        _guard(push, step)
     return CorrectResult(corrected, push, 1 + oracle)
 
 
@@ -419,11 +443,7 @@ def _coefficients(nodes, src, dst, low, corrector, opts: dict, single: bool, K: 
 
 
 _Layout = namedtuple("_Layout", "rows ts src dst low corrector bounds trace")
-_Plan = namedtuple("_Plan", "blocks final ts trace")
-
-#: Block kinds of a plan: a row within its step, a row that ends its step, a corrector
-#: (it ends its step) and a fused pair of rows.
-_ROW, _END, _CORR, _PAIR = range(4)
+_Plan = namedtuple("_Plan", "blocks final ts trace nfe")
 
 
 def _layout(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Layout:
@@ -475,17 +495,18 @@ def _layout(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: i
 
 def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int) -> _Plan:
     """_layout's rows compiled into the blocks the run applies, every row but the last in
-    order, and final, the last row (K is final.size - 1), all read-only.
+    order, final, the last row (K is final.size - 1), all read-only, and nfe, the run's
+    model calls.
 
     A standard corrector [c_c, a_c] and the row after it [c_p, a_p] (the next
     predictor multistep, the next step's first row singlestep) are one pair
     [[c_c, a_c], [c_p + a_p c_c, a_p a_c]] over the same [ring, x], as the next
     row's x is the corrector's result; a corrector whose next row lies in the
-    last step stays a row.  blocks lists (rows, step, node, kind) per block: a
-    _PAIR's first row ends step `step`, and the model call at node follows its
-    second row; any other kind is one row of step `step`, followed by the call
-    at node (none if -1: after a standard corrector, whose output is the
-    predictor's, and after the run's last row).
+    last step stays a row.  blocks lists (rows, step, node, ends) per block:
+    rows is one row of step `step` or, 2-d, a pair whose first row is step
+    `step`'s corrector; ends says the first row ends that step; the model call
+    at node follows the block's last row (none if -1: after a standard
+    corrector, whose output is the predictor's, and after the run's last row).
     """
     rows, ts, _, dst, _, corrector, bounds, trace = _layout(sched, grid, config, first)
     K, last, standard = rows.shape[1] - 1, bounds[1:] - 1, config.corrector == "standard"
@@ -495,10 +516,9 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     head = head[head + 1 < bounds[-2]]  # a pair's first row: its second is not in the last step
     pairs = np.stack([rows[head], rows[head + 1, K:] * rows[head]], axis=1)
     pairs[:, 1, :K] += rows[head + 1, :K]
-    kind = np.full(len(rows), _ROW)
-    kind[last] = np.where(corrector[last], _CORR, _END)
-    kind[head] = _PAIR
     node[head] = node[head + 1]
+    ends = np.zeros(len(rows), bool)
+    ends[last] = True
     starts = np.ones(len(rows), bool)
     starts[head + 1] = starts[-1] = False  # a pair's second row; the last row, applied apart
     step = np.arange(first, first + len(trace)).repeat(np.diff(bounds))
@@ -506,9 +526,10 @@ def _plan(sched: NoiseSchedule, grid: TimeGrid, config: SolverConfig, first: int
     views = list(rows)  # read-only row views, so the run indexes nothing
     for q, r in enumerate(head.tolist()):
         views[r] = pairs[q]
+    node = node[starts]
     blocks = tuple(zip(itertools.compress(views, starts.tolist()),
-                       *(v[starts].tolist() for v in (step, node, kind))))
-    return _Plan(blocks, views[-1], ts, trace)
+                       *(v.tolist() for v in (step[starts], node, ends[starts]))))
+    return _Plan(blocks, views[-1], ts, trace, first + int((node >= 0).sum()))
 
 
 # -- plan cache -----------------------------------------------------------------
@@ -590,11 +611,22 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     States are 1-d arrays of length model.dim; x_init and warm_start are
     never written, and the model must not keep the arrays it is given (the
     run reuses them).  trajectory=True also keeps a copy of every grid state.
-    The grid's times must lie in the schedule's range (DomainError) and map to
-    lambdas whose steps exceed _MIN_STEP max(1, |lambda|) under it
-    (ValidationError), checked before any model call.  The step plan comes from the module's bounded plan cache;
-    result.trace is a fresh list each call.
+    Checked before any model call: model, sched, grid and config must be a
+    ModelEvaluator, a NoiseSchedule, a TimeGrid and a SolverConfig, warm_start
+    None, a list, a tuple or an array (ValidationError), the grid's times must
+    lie in the schedule's range (DomainError) and map to lambdas whose steps
+    exceed _MIN_STEP max(1, |lambda|) under it (ValidationError).  Every state
+    is guarded before the model sees it: a non-finite state or model output
+    raises NumericError naming its step.  The step plan comes from the
+    module's bounded plan cache; result.trace is a fresh list each call.
     """
+    _given(model, ModelEvaluator, "model")
+    _given(sched, NoiseSchedule, "schedule")
+    _given(grid, TimeGrid, "grid")
+    _given(config, SolverConfig, "config")
+    if warm_start is not None and not isinstance(warm_start, (list, tuple, np.ndarray)):
+        raise ValidationError("warm_start must be a list or array of states, "
+                              f"got {type(warm_start).__name__}")
     _check_prediction(model, config.prediction)
     x = _state(x_init, model.dim, "x_init")
     warm = [_state(xs, model.dim, f"warm_start[{j}]")
@@ -608,7 +640,7 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     *slots, x_row = work  # views made once
     out = _beside(x_row, 2)  # where blocks land: never read by an update
     (y, spare), flat = out, out.reshape(-1)
-    th, nfe = config.thresholding, 0
+    th = config.thresholding
     # Looked up once per run, so a patched ModelEvaluator.__call__ sees every call; the
     # type's function, not a bound method, so the lookup allocates nothing.
     call = type(model).__call__
@@ -616,9 +648,7 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     def evaluate(x_at: np.ndarray, node: int, step: int, scratch: np.ndarray) -> None:
         # The model writes its output straight into the slot (its old output is
         # dead), and thresholding then works there, with |x0| in a dead row of out.
-        nonlocal nfe
         f = call(model, x_at, ts[node], slots[node % K])
-        nfe += 1
         if th is not None:
             _threshold(f, th.ratio, th.floor, scratch)
         _guard(f, step)
@@ -628,32 +658,29 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
         _guard(x, n)
         evaluate(x, n, n, y)
     x_row[...] = x
-    for block, i, node, kind in plan.blocks:
-        if kind == _PAIR:  # x_i into y and the next step's first row into spare
+    for block, i, node, ends in plan.blocks:
+        pair = block.ndim == 2  # x_i into y and the next step's first row into spare
+        if pair:
             block.dot(work, out=out)
             if not math.isfinite(flat.dot(flat)):
                 _guard(y, i)
                 _guard(spare, i + 1)
-            x_row[...] = y  # every row of a step reads the state it starts from
-            if trajectory:
-                kept.append(y.copy())
-            evaluate(spare, node, i + 1, y)
-            continue
-        block.dot(work, out=y)
-        if kind != _CORR:
+        else:
+            block.dot(work, out=y)
             _guard(y, i)
-        if node >= 0:
-            evaluate(y, node, i, spare)
-        if kind != _ROW:  # the row ends its step; an oracle corrector's call comes first
-            if kind == _CORR:
-                _guard(y, i)
+        if ends:  # every row of a step reads the state it starts from
             x_row[...] = y
             if trajectory:
                 kept.append(y.copy())
+        if node >= 0:  # on the last row written, with the other as thresholding scratch
+            if pair:
+                evaluate(spare, node, i + 1, y)
+            else:
+                evaluate(y, node, i, spare)
     del out, y, spare, flat  # dropped before the final state is allocated
     final = np.empty(model.dim)  # the final state owns its memory, not a row of work
     plan.final.dot(work, out=final)
     _guard(final, plan.trace[-1].index)
     if trajectory:
         kept.append(final.copy())
-    return SampleResult(final=final, nfe=nfe, trace=list(plan.trace), trajectory=kept)
+    return SampleResult(final=final, nfe=plan.nfe, trace=list(plan.trace), trajectory=kept)

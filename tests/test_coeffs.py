@@ -138,6 +138,31 @@ class TestBasisFunctions:
         with pytest.raises(DomainError, match="basis index"):
             call()
 
+    @pytest.mark.parametrize("call", [varphi, psi], ids=["varphi", "psi"])
+    @pytest.mark.parametrize("h", [True, "0.5", np.array([0.5]), None],
+                             ids=["bool", "text", "one-element-array", "none"])
+    def test_h_must_be_a_real_number(self, call, h):
+        # True and "0.5" were taken as 1.0 and 0.5; a one-element array raised a bare
+        # IndexError
+        with pytest.raises(ValidationError, match="h must be a real number"):
+            call(1, h)
+
+    @pytest.mark.parametrize("bh", ["b1", "b2"])
+    @pytest.mark.parametrize("h", [None, "x", True, np.array(["x"])],
+                             ids=["none", "text", "bool", "text-array"])
+    def test_bh_value_h_must_be_real(self, bh, h):
+        # b1 returned None and text unchanged; b2 raised a bare TypeError
+        with pytest.raises(ValidationError, match="h must be a real number or array"):
+            bh_value(bh, h)
+
+    def test_bh_value_takes_numbers_and_arrays(self):
+        hs = np.array([0.25, 1.0])
+        assert bh_value("b1", 0.5) == 0.5 and bh_value("b1", hs) is hs
+        assert bh_value("b2", np.float64(0.5)) == math.expm1(0.5)
+        assert np.array_equal(bh_value("b2", hs), np.expm1(hs))
+        with pytest.raises(DomainError, match="unknown B\\(h\\) variant"):
+            bh_value("b3", 0.5)
+
 
 class TestStackedVectors:
     """phi_n and g_n, the right-hand sides of the weight conditions, as update rows see them."""

@@ -75,7 +75,7 @@ def test_every_fused_pair_matches_the_exact_composition():
     bit for bit, and its second row's c lies within ROW_BOUND max|c| of the same composition
     of oracles.exact_row's rows in decimal arithmetic, at every order the cap admits.
 
-    The pairs are _plan's _PAIR blocks, the rows they fuse _layout's; the rows' a are the
+    The pairs are _plan's 2-row blocks, the rows they fuse _layout's; the rows' a are the
     layout's own (each a ratio of alpha or sigma, with no solve).
     """
     worst, where, fused = 0.0, None, 0
@@ -103,7 +103,7 @@ def test_every_fused_pair_matches_the_exact_composition():
             return c
 
         heads = [r for r in np.flatnonzero(layout.corrector) if r + 1 < layout.bounds[-2]]
-        pairs = [block for block, _, _, kind in solver._plan(*args).blocks if kind == solver._PAIR]
+        pairs = [block for block, _, _, _ in solver._plan(*args).blocks if block.ndim == 2]
         assert len(heads) == len(pairs)
         for r, pair in zip(heads, pairs):
             assert pair[0].tobytes() == layout.rows[r].tobytes()
@@ -123,11 +123,12 @@ def test_every_fused_pair_matches_the_exact_composition():
 
 def test_blocks_apply_the_layout_exactly():
     """_plan's blocks apply _layout's rows bit for bit: every row but the last once, in
-    order, and final is the last row.  A 1-row block is its row; a _PAIR block is a
+    order, and final is the last row.  A 1-row block is its row; a 2-row block is a
     corrector and the row after it, [[c_c, a_c], [c_p + a_p c_c, a_p a_c]].  Each block
     carries its first row's step, ends its step where that row does, and is followed by the
     model call at the node its last row lands on, except after a standard corrector (its
-    output is the predictor's) and the run's last row."""
+    output is the predictor's) and the run's last row; the plan's nfe counts the initial
+    calls and those calls."""
     sched = NoiseSchedule()
     grid = make_time_grid(sched, 9, "quadratic-time")
     for variant, order, corrector, first in itertools.product(
@@ -142,10 +143,12 @@ def test_blocks_apply_the_layout_exactly():
             skip = r == len(layout.rows) - 1 or corrector == "standard" and layout.corrector[r]
             return -1 if skip else layout.dst[r]
 
-        r = 0  # the next row to apply
-        for block, step, node, kind in plan.blocks:
+        r, calls = 0, first  # the next row to apply; the calls so far
+        for block, step, node, ends_step in plan.blocks:
             assert step == first + np.searchsorted(layout.bounds, r, side="right") - 1
-            if kind == solver._PAIR:
+            assert ends_step == (r in ends)
+            calls += node >= 0
+            if block.ndim == 2:
                 assert corrector == "standard" and layout.corrector[r]
                 c, p = layout.rows[r], layout.rows[r + 1]
                 fused = p[K] * c
@@ -157,10 +160,8 @@ def test_blocks_apply_the_layout_exactly():
                 continue
             assert block.tobytes() == layout.rows[r].tobytes() and block.shape == (K + 1,)
             assert node == called(r)
-            assert kind == (solver._ROW if r not in ends else
-                            solver._CORR if layout.corrector[r] else solver._END)
             r += 1
-        assert r == len(layout.rows) - 1
+        assert r == len(layout.rows) - 1 and plan.nfe == calls
         assert plan.final.tobytes() == layout.rows[-1].tobytes()
         assert plan.ts == layout.ts and plan.trace == layout.trace
 

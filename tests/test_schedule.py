@@ -230,6 +230,17 @@ class TestTimeGrid:
         assert np.array_equal(grid.times, kept)
         assert not grid.times.flags.writeable
 
+    @pytest.mark.parametrize("times", [
+        1 + 2j,                      # a bare TypeError
+        np.array([1.0 + 1j, 0.5]),   # the imaginary parts were dropped with a ComplexWarning
+        ["1.0", "0.5"],              # text was converted to numbers
+        [True, False],               # a grid [1.0, 0.0]
+        [[1.0, 0.5], [0.2]],         # a bare numpy ValueError
+    ], ids=["complex", "complex-array", "text", "bool", "ragged"])
+    def test_non_real_times_rejected(self, times):
+        with pytest.raises(ValidationError, match="grid times is not a numeric array"):
+            TimeGrid(times=times)
+
     def test_unknown_skip_rejected(self, vp_linear):
         with pytest.raises(ValidationError):
             make_time_grid(vp_linear, 4, "geometric")

@@ -650,14 +650,14 @@ class TestGuards:
         ("singlestep", "standard", np.nan, 3, 2, 4),
         ("singlestep", "oracle", np.nan, 3, 2, 4),
         # the 2nd call (at t_1) returns a finite 1e308: the first update that weights it
-        # by more than about 1.8 overflows; a corrector's oracle call (3rd) comes before
-        # the guard of the corrected state
+        # by more than about 1.8 overflows; every state is guarded before the model sees
+        # it, so an oracle corrector's overflowing state makes no re-evaluation call
         ("multistep", "off", 1e308, 1, 2, 2),
         ("multistep", "standard", 1e308, 1, 1, 2),
-        ("multistep", "oracle", 1e308, 1, 1, 3),
+        ("multistep", "oracle", 1e308, 1, 1, 2),
         ("singlestep", "off", 1e308, 1, 2, 3),
         ("singlestep", "standard", 1e308, 1, 1, 2),
-        ("singlestep", "oracle", 1e308, 1, 1, 3),
+        ("singlestep", "oracle", 1e308, 1, 1, 2),
     ])
     def test_abort_reports_step_and_calls(self, vp_linear, variant, corrector, value, after,
                                           step, calls):
@@ -690,8 +690,8 @@ class TestGuards:
         model = ModelEvaluator(fn, "noise", 3)
         config = SolverConfig(order=order, variant=variant)
         grid = make_time_grid(vp_linear, 5)
-        kinds = [kind for _, _, _, kind in solver._plan(vp_linear, grid, config, 1).blocks]
-        assert kinds.count(solver._PAIR) == 3  # steps 1-3
+        blocks = solver._plan(vp_linear, grid, config, 1).blocks
+        assert [block.ndim for block, _, _, _ in blocks].count(2) == 3  # pairs at steps 1-3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
             with pytest.raises(NumericError, match=f"non-finite value at step {step}$") as excinfo:
@@ -842,6 +842,77 @@ class TestGuards:
                    SolverConfig(order=2), rng.standard_normal(4),
                    warm_start=[rng.standard_normal(4)] * 3)
 
+    @pytest.mark.parametrize("call, arg, value", [
+        ("sample", "model", "bare function"),
+        ("sample", "schedule", None),
+        ("sample", "schedule", [0.1, 20.0]),  # TypeError: unhashable type, from the plan cache
+        ("sample", "grid", [1.0, 0.5, 1e-3]),
+        ("sample", "config", {"order": 2}),
+        ("sample", "warm_start", {}),  # ran as if no warm start had been given
+        ("sample", "warm_start", set()),
+        ("sample", "warm_start", ""),
+        ("correct", "model", "bare function"),
+        ("correct", "schedule", None),
+        ("correct", "state", None),
+        ("correct", "config", None),
+        ("ddim_step", "schedule", None),
+        ("ddim_step", "schedule", [0.1, 20.0]),
+    ])
+    def test_wrong_argument_types_rejected_before_any_call(self, vp_linear, call, arg, value):
+        # each raised a bare AttributeError, e.g. "'NoneType' object has no attribute '_maps'"
+        calls = []
+
+        def fn(x, t):
+            calls.append(t)
+            return 0.1 * x
+
+        state = SolverState(x=np.ones(4))
+        state.push(0.9, np.ones(4))
+        args = dict(model=ModelEvaluator(fn, "noise", 4), schedule=vp_linear, state=state,
+                    grid=make_time_grid(vp_linear, 4), config=SolverConfig(order=2),
+                    warm_start=None)
+        args[arg] = fn if value == "bare function" else value
+        with pytest.raises(ValidationError, match=f"(?i){arg}"):
+            if call == "sample":
+                sample(args["model"], args["schedule"], args["grid"], args["config"], np.ones(4),
+                       warm_start=args["warm_start"])
+            elif call == "correct":
+                correct(args["schedule"], args["state"], 0.7, np.ones(4), 1, args["model"],
+                        args["config"])
+            else:
+                ddim_step(args["schedule"], np.ones(4), np.ones(4), 0.9, 0.7)
+        assert calls == []
+
+    @pytest.mark.parametrize("corrector", ["standard", "oracle"])
+    def test_correct_guards_the_corrected_state(self, vp_linear, corrector):
+        # outputs of +-1e308 and state.x = 1.7e308 returned corrected = [inf, inf] with no
+        # error, and the oracle corrector re-evaluated the model there
+        model = const_model(1e308, dim=2)
+        state = SolverState(x=np.full(2, 1.7e308), step_index=4)
+        state.push(0.9, np.full(2, 1e308))
+        state.push(0.8, np.full(2, -1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(NumericError, match="non-finite value at step 5$") as excinfo:
+                correct(vp_linear, state, 0.7, np.ones(2), 2, model,
+                        SolverConfig(corrector=corrector))
+        assert (excinfo.value.step, model.eval_count) == (5, 1)
+
+    def test_correct_guards_x_pred_before_its_call(self, vp_linear):
+        # an x-free model never reads x_pred, so a NaN x_pred returned a finite state
+        model = const_model(0.5, dim=2)
+        state = SolverState(x=np.ones(2))
+        state.push(0.9, np.full(2, 0.5))
+        with pytest.raises(NumericError, match="non-finite value at step 1$"):
+            correct(vp_linear, state, 0.7, np.full(2, np.nan), 1, model)
+        assert model.eval_count == 0
+
+    def test_ddim_step_guards_its_result(self):
+        # returned [-inf, -inf] with no error
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(NumericError, match="non-finite value at step 1$"):
+                ddim_step(NoiseSchedule(), np.full(2, 1e308), np.full(2, 1e308), 0.5, 0.1)
 
     def test_guard_passes_finite_entries_whose_sum_overflows(self):
         big = np.full(6, 1e308)
