@@ -44,11 +44,10 @@ plan, and varphi and psi are one-element calls into basis_table.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError, ValidationError
+from .errors import DomainError, SingularSystemError, typed
 
 MAX_BASIS_K = 12
 #: The one order cap: singlestep rows of order 6 already miss 1e-12 max|c| of an exact solve.
@@ -76,36 +75,27 @@ _PSI_SERIES = np.array([[1.0 / (math.factorial(j) * math.factorial(k - 1) * (j +
 _SERIES_REACH = np.array([(1e-17 * math.factorial(n)) ** (1.0 / n) for n in range(1, _SERIES_TERMS + 1)])
 
 
-def _real(h, arrays: bool = False):
-    """h unchanged if it is a real number (not a bool or a string), or with arrays an
-    integer or float array, else ValidationError."""
-    if (isinstance(h, numbers.Real) and not isinstance(h, bool)
-            or arrays and isinstance(h, np.ndarray) and h.dtype.kind in "iuf"):
-        return h
-    raise ValidationError(f"h must be a real number{' or array' if arrays else ''}, got {h!r}")
-
-
 def bh_value(bh: str, h):
     """Normalizer B(h): b1 -> h, b2 -> e^h - 1 (elementwise for arrays).
 
-    DomainError for an unknown bh; ValidationError unless h is a real number or an
-    integer or float array."""
-    if bh not in BH_KINDS:
-        raise DomainError(f"unknown B(h) variant {bh!r}")
-    h = _real(h, arrays=True)
+    DomainError for an unknown bh; ValidationError unless h is an integer or float array
+    or a real number that a float can hold."""
+    typed(bh, BH_KINDS, "B(h) variant", DomainError)
+    if not (isinstance(h, np.ndarray) and h.dtype.kind in "iuf"):
+        typed(h, "real", "h")
     return h if bh == "b1" else np.expm1(h)
 
 
 def varphi(k: int, h: float) -> float:
     """varphi_k(h); varphi_0 = e^h.  h must be a real number (ValidationError), finite
     and > 0 (DomainError)."""
-    return float(basis_table(_real(h), k)[k])
+    return float(basis_table(typed(h, "real", "h"), k)[k])
 
 
 def psi(k: int, h: float) -> float:
     """psi_k(h); psi_0 = e^{-h}.  h must be a real number (ValidationError), finite
     and > 0 (DomainError)."""
-    return float(basis_table(_real(h), k, "data")[k])
+    return float(basis_table(typed(h, "real", "h"), k, "data")[k])
 
 
 def basis_table(hs, kmax: int, prediction: str = "noise") -> np.ndarray:
@@ -118,8 +108,7 @@ def basis_table(hs, kmax: int, prediction: str = "noise") -> np.ndarray:
     by the coefficient table; from there on the one-term recursion runs over
     those step sizes at once.
     """
-    if (not isinstance(kmax, (int, np.integer)) or isinstance(kmax, bool)
-            or not 0 <= kmax <= MAX_BASIS_K):
+    if not 0 <= typed(kmax, "int", "basis index k", DomainError) <= MAX_BASIS_K:
         raise DomainError(f"basis index k={kmax} outside supported range 0..{MAX_BASIS_K}")
     hs = np.asarray(hs, dtype=float)
     if not np.all((hs > 0.0) & (hs < np.inf)):  # also NaN

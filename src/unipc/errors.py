@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package, and JSON field checks.
+"""Exception hierarchy shared across the package, and its one argument type check.
 
 Everything derives from UniPCError so callers can catch library failures
 with one clause.  DomainError and ValidationError also derive from
 ValueError, matching how bad arguments are usually handled in Python.
+
+typed decides what type an argument may have, at every public entry point
+and for every JSON field: "int", "number" (finite), "real" (any real number
+a float can hold), "bool", "list" or "dict"; a class, or a union of classes
+such as str | os.PathLike; or a tuple of the allowed strings.
 """
 
 import math
@@ -48,27 +53,39 @@ class FitError(UniPCError):
     """Too few usable points remained for an order fit."""
 
 
-_JSON_KINDS = {
+_KINDS = {
     "int": numbers.Integral,
     "number": numbers.Real,
+    "real": numbers.Real,
     "bool": bool,
     "list": list,
     "dict": dict,
 }
+_NOUNS = {"int": "an int", "real": "a real number"}
 
 
-def typed(value, kind: str, what: str):
-    """Return a decoded JSON value unchanged if it is of `kind`, else raise ValidationError.
-
-    kind is "int", "number" (finite), "bool", "list" or "dict"; a bool is
-    never accepted as an int or a number.
-    """
-    ok = isinstance(value, _JSON_KINDS[kind]) and (kind == "bool" or not isinstance(value, bool))
-    if ok and kind == "number":
+def typed(value, kind, what: str, error: type[UniPCError] = ValidationError):
+    """value unchanged if it is of kind, else error (ValidationError unless a caller keeps
+    another class).  kind is "int", "number" (finite), "real" (any real number a float can
+    hold: NaN and infinities, not 10**400), "bool", "list" or "dict", where a bool is no
+    int, number or real; a class, or a union of classes ("{what} must be a {class}, got
+    {type}"); or a tuple of the allowed strings ("unknown {what} {value!r}" unless value
+    is a str among them)."""
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        raise error(f"unknown {what} {value!r}")
+    if not isinstance(kind, str):
+        if isinstance(value, kind):
+            return value
+        raise error(f"{what} must be a {getattr(kind, '__name__', kind)}, "
+                    f"got {type(value).__name__}")
+    ok = isinstance(value, _KINDS[kind]) and (kind == "bool" or not isinstance(value, bool))
+    if ok and kind in ("number", "real"):
         try:
-            ok = math.isfinite(value)
-        except OverflowError:  # an int too large for a float
+            ok = math.isfinite(value) or kind == "real"
+        except OverflowError:  # a real number too large for a float
             ok = False
     if not ok:
-        raise ValidationError(f"{what} must be {'an' if kind == 'int' else 'a'} {kind}, got {value!r}")
+        raise error(f"{what} must be {_NOUNS.get(kind, 'a ' + kind)}, got {value!r}")
     return value

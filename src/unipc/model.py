@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,12 +54,13 @@ from .schedule import NoiseSchedule, _floats
 PREDICTION_KINDS = ("noise", "data")
 MODEL_FAMILIES = ("x-free-poly", "linear-in-x")
 _F64 = np.dtype(float)  # a state's dtype: an ndarray of it needs no conversion
+_MAX_INDEX = np.iinfo(np.intp).max  # the largest dim an array can have
 
 
 def _check_dim(dim) -> int:
-    """ValidationError unless dim is an int (not a bool) >= 1."""
-    if not typed(dim, "int", "model dim") >= 1:
-        raise ValidationError(f"model dim must be >= 1, got {dim}")
+    """ValidationError unless dim is an int (not a bool) >= 1 that an array index can hold."""
+    if not 1 <= typed(dim, "int", "model dim") <= _MAX_INDEX:
+        raise ValidationError(f"model dim must lie in 1..{_MAX_INDEX}, got {dim}")
     return dim
 
 
@@ -74,11 +74,9 @@ def _state(value, dim: int | None, what: str) -> np.ndarray:
     return x
 
 
-def _time(t) -> float:
-    """t as a float: ValidationError unless it is a real number (not a bool or a string)."""
-    if isinstance(t, float) or isinstance(t, numbers.Real) and not isinstance(t, bool):
-        return float(t)
-    raise ValidationError(f"model time must be a real number, got {t!r}")
+def _time(t, what: str = "model time") -> float:
+    """t as a float: ValidationError unless it is a real number that a float can hold."""
+    return float(typed(t, "real", what))
 
 
 class ModelEvaluator:
@@ -90,12 +88,12 @@ class ModelEvaluator:
     Every call is counted, lock-free: one C-level step under the GIL, exact
     across threads.  A call may be given out, a writeable, C-contiguous
     float64 array of shape (dim,): the result is written into it, and out is
-    returned.  out may be x itself, but no other view that overlaps x.  The
+    returned.  out may be x itself or overlap it: fn's result is copied into
+    out after fn returns, and this package's evaluators read x first.  The
     model may keep neither x nor out: callers reuse them."""
 
     def __init__(self, fn: Callable[[np.ndarray, float], np.ndarray], prediction: str, dim: int):
-        if prediction not in PREDICTION_KINDS:
-            raise ValidationError(f"unknown prediction kind {prediction!r}")
+        typed(prediction, PREDICTION_KINDS, "prediction kind")
         if not callable(fn):
             raise ValidationError(f"model function must be callable, got {fn!r}")
         self._fn = fn
@@ -175,10 +173,9 @@ class SyntheticModel:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.family not in MODEL_FAMILIES:
-            raise ValidationError(f"unknown model family {self.family!r}")
+        typed(self.family, MODEL_FAMILIES, "model family")
         _check_dim(self.dim)
-        coeffs = np.array(self.coeffs, dtype=float, order="C")
+        coeffs = np.array(self._numbers(self.coeffs), order="C")
         if coeffs.ndim != 2 or coeffs.shape[0] != self.dim:
             raise ValidationError("need one coefficient row per dimension")
         coeffs.flags.writeable = False
@@ -236,14 +233,12 @@ class SyntheticModel:
     def from_json(cls, spec: dict) -> "SyntheticModel":
         """Build from e.g. {"family": "x-free-poly", "coeffs": [0.3, -1.2, 0.5], "dim": 4}."""
         spec = typed(spec, "dict", "model")
-        family = spec.get("family")
+        family = typed(spec.get("family"), MODEL_FAMILIES, "model family")
         dim = _check_dim(spec.get("dim", 1))
         if family == "x-free-poly":
             build, names = cls.x_free_poly, ["coeffs"]
-        elif family == "linear-in-x":
-            build, names = cls.linear_in_x, ["kappa", "coeffs"]  # its gains, by either name
         else:
-            raise ValidationError(f"unknown model family {family!r}")
+            build, names = cls.linear_in_x, ["kappa", "coeffs"]  # its gains, by either name
         extra = sorted(set(spec) - {"family", "dim", *names})
         if extra:
             raise ValidationError(f"unknown {family} model fields {extra}")
@@ -263,8 +258,8 @@ class SyntheticModel:
         """Noise-prediction evaluator; x-free-poly needs the schedule for lambda(t).
 
         sched must be a NoiseSchedule or None (ValidationError)."""
-        if sched is not None and not isinstance(sched, NoiseSchedule):
-            raise ValidationError(f"schedule must be a NoiseSchedule, got {sched!r}")
+        if sched is not None:
+            typed(sched, NoiseSchedule, "schedule")
         if self.family == "x-free-poly":
             if sched is None:
                 raise ValidationError("x-free-poly evaluator needs a schedule")
@@ -297,11 +292,13 @@ def exact_solution_xfree(
 
         integral lambda^k e^{-lambda} dlambda = -e^{-lambda} sum_{j<=k} (k!/j!) lambda^j.
 
-    x_s must be a 1-d array of length model.dim (ValidationError).
+    model must be a SyntheticModel, sched a NoiseSchedule, x_s a 1-d array of length
+    model.dim and s and t real numbers (ValidationError).
     """
-    if model.family != "x-free-poly":
+    if typed(model, SyntheticModel, "model").family != "x-free-poly":
         raise DomainError("exact solution requires an x-free polynomial model")
-    x_s = _state(x_s, model.dim, "x_s")
+    typed(sched, NoiseSchedule, "schedule")
+    x_s, s, t = _state(x_s, model.dim, "x_s"), _time(s, "time s"), _time(t, "time t")
     la_s, la_t = sched.log_alpha(s), sched.log_alpha(t)
     lam_s, lam_t = sched.lam(s), sched.lam(t)
     if not lam_t > lam_s:
@@ -324,10 +321,8 @@ def convert_parameterization(m: ModelEvaluator, sched: NoiseSchedule) -> ModelEv
     Outputs satisfy x = alpha_t * x0 + sigma_t * eps identically.  m must be a
     ModelEvaluator and sched a NoiseSchedule (ValidationError).
     """
-    if not isinstance(m, ModelEvaluator):
-        raise ValidationError(f"can only convert a ModelEvaluator, got {m!r}")
-    if not isinstance(sched, NoiseSchedule):
-        raise ValidationError(f"schedule must be a NoiseSchedule, got {sched!r}")
+    typed(m, ModelEvaluator, "model")
+    typed(sched, NoiseSchedule, "schedule")
     to_data = m.prediction == "noise"
 
     def into(x, t, out):
@@ -335,7 +330,7 @@ def convert_parameterization(m: ModelEvaluator, sched: NoiseSchedule) -> ModelEv
         # (f * -a + x) / b, in out: bitwise the same (u - v == u + (-v)).
         alpha, sig, _ = sched.alpha_sigma_lambda(t)
         a, b = (sig, alpha) if to_data else (alpha, sig)
-        if out is x:
+        if np.may_share_memory(out, x):
             x = x.copy()  # the wrapped model writes out before x is read
         m(x, t, out=out)
         out *= -a
@@ -359,18 +354,12 @@ def dynamic_threshold(x0: np.ndarray, ratio: float = 0.995, floor: float = 1.0) 
     x = _floats(x0, "x0").copy()
     if x.size == 0:
         raise DomainError("cannot threshold an empty vector")
-    if not 0.5 < _real(ratio, "ratio") <= 1.0:
+    if not 0.5 < typed(ratio, "real", "ratio", DomainError) <= 1.0:
         raise DomainError(f"ratio must lie in (0.5, 1], got {ratio}")
-    if not 1.0 <= _real(floor, "floor") < math.inf:
+    if not 1.0 <= typed(floor, "real", "floor", DomainError) < math.inf:
         raise DomainError(f"floor must be a finite number >= 1, got {floor}")
     _threshold(x, float(ratio), float(floor))
     return x
-
-
-def _real(value, what: str):
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return value
-    raise DomainError(f"{what} must be a number, got {value!r}")
 
 
 def _threshold(x: np.ndarray, ratio: float, floor: float,

@@ -38,6 +38,8 @@ from .errors import DomainError, ValidationError, typed
 
 SCHEDULE_KINDS = ("vp-linear", "vp-cosine")
 SKIP_KINDS = ("uniform-lambda", "uniform-time", "quadratic-time")
+#: The most steps make_time_grid builds: a grid's arrays stay under 8 MB each.
+_MAX_STEPS = 10**6
 
 
 def _floats(value, what: str) -> np.ndarray:
@@ -83,8 +85,7 @@ class NoiseSchedule:
     t_end: float = 1e-3
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValidationError(f"unknown schedule kind {self.kind!r}")
+        typed(self.kind, SCHEDULE_KINDS, "schedule kind")
         for name in _NUMBER_FIELDS:
             typed(getattr(self, name), "number", f"schedule field {name!r}")
         if not 0.0 < self.t_end < self.t_start:
@@ -106,7 +107,7 @@ class NoiseSchedule:
     def from_json(cls, spec: dict) -> "NoiseSchedule":
         """Build from a JSON-style dict, e.g. {"kind": "vp-linear", "beta_min": 0.1, ...}."""
         spec = dict(typed(spec, "dict", "schedule"))
-        kind = spec.pop("kind", "vp-linear")
+        kind = typed(spec.pop("kind", "vp-linear"), SCHEDULE_KINDS, "schedule kind")
         if kind == "vp-cosine":
             spec.setdefault("t_start", 0.9946)
         extra = set(spec) - set(_NUMBER_FIELDS)
@@ -134,8 +135,10 @@ class NoiseSchedule:
     # -- forward-process coefficients ------------------------------------
 
     def log_alpha(self, t: float) -> float:
-        """log alpha_t; DomainError unless t is in [t_end, t_start] up to _EDGE_TOL, then clamped."""
-        t = float(t)
+        """log alpha_t; ValidationError unless t is a real number, DomainError unless it is in
+        [t_end, t_start] up to _EDGE_TOL, then clamped."""
+        if type(t) is not float:
+            t = float(typed(t, "real", "time t"))
         if not self.t_end - _EDGE_TOL <= t <= self.t_start + _EDGE_TOL:
             raise DomainError(f"t={t} outside usable range [{self.t_end}, {self.t_start}]")
         if t < self.t_end:
@@ -181,13 +184,14 @@ class NoiseSchedule:
 
         lam is a number (a float comes back) or an array (an array of times
         of its shape comes back), element by element through the same numpy
-        code.  Every element must lie in [lambda_start, lambda_end] up to
-        _EDGE_TOL, else DomainError (NaN included); the two ends map to
+        code.  lam must hold integers or floats (ValidationError), and every
+        element must lie in [lambda_start, lambda_end] up to _EDGE_TOL, else
+        DomainError (NaN included); the two ends map to
         t_start and t_end exactly.  vp-linear takes the positive root of its
         quadratic in t; vp-cosine takes
         t = 2(1+s)/pi acos(alpha cos(pi s/(2(1+s)))) - s.
         """
-        lam = np.asarray(lam, dtype=float)
+        lam = _floats(lam, "lambda")
         lo, hi = self.lambda_start, self.lambda_end
         _check_range(lam, lo, hi, "lambda", "achievable")
         log1p = np.logaddexp(-2.0 * lam, 0.0)  # log(1 + e^{-2 lam}) = -2 log alpha
@@ -255,12 +259,13 @@ class TimeGrid:
 def make_time_grid(sched: NoiseSchedule, M: int, skip_kind: str = "uniform-lambda") -> TimeGrid:
     """Discretize [t_end, t_start] into M steps (M+1 nodes), descending in t.
 
-    M must be an int (not a bool; ValidationError) >= 1 (DomainError).
+    sched must be a NoiseSchedule and M an int (not a bool; ValidationError) in
+    1.._MAX_STEPS (DomainError).
     """
-    if typed(M, "int", "M") < 1:
-        raise DomainError(f"need M >= 1 steps, got {M}")
-    if skip_kind not in SKIP_KINDS:
-        raise ValidationError(f"unknown skip kind {skip_kind!r}")
+    typed(sched, NoiseSchedule, "schedule")
+    if not 1 <= typed(M, "int", "M") <= _MAX_STEPS:
+        raise DomainError(f"need 1 <= M <= {_MAX_STEPS} steps, got {M}")
+    typed(skip_kind, SKIP_KINDS, "skip kind")
     if skip_kind == "uniform-lambda":
         return TimeGrid(sched.t_of_lambda(np.linspace(sched.lambda_start, sched.lambda_end, M + 1)))
     if skip_kind == "uniform-time":

@@ -95,8 +95,8 @@ from .errors import (
     ValidationError,
     typed,
 )
-from .model import ModelEvaluator, _state, _threshold, _time
-from .schedule import NoiseSchedule, TimeGrid
+from .model import PREDICTION_KINDS, ModelEvaluator, _state, _threshold, _time
+from .schedule import _MAX_STEPS, NoiseSchedule, TimeGrid, _floats
 
 VARIANTS = ("multistep", "singlestep")
 CORRECTORS = ("off", "standard", "oracle")
@@ -120,12 +120,6 @@ def _check_order(p) -> None:
     """ValidationError unless p is an int (not a bool) in 1..coeffs.MAX_ORDER."""
     if not 1 <= typed(p, "int", "order") <= coeffs.MAX_ORDER:
         raise ValidationError(f"order {p} outside 1..{coeffs.MAX_ORDER}")
-
-
-def _given(value, cls: type, what: str) -> None:
-    """ValidationError unless value is a cls: a wrong type fails here, not deep in the run."""
-    if not isinstance(value, cls):
-        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _check_prediction(model: ModelEvaluator, prediction: str) -> None:
@@ -155,19 +149,15 @@ class SolverConfig:
     thresholding: Thresholding | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}")
-        if self.bh not in coeffs.BH_KINDS:
-            raise ValidationError(f"unknown bh {self.bh!r}")
-        if self.prediction not in ("noise", "data"):
-            raise ValidationError(f"unknown prediction {self.prediction!r}")
-        if self.corrector not in CORRECTORS:
-            raise ValidationError(f"unknown corrector {self.corrector!r}")
+        typed(self.variant, VARIANTS, "variant")
+        typed(self.bh, coeffs.BH_KINDS, "bh")
+        typed(self.prediction, PREDICTION_KINDS, "prediction")
+        typed(self.corrector, CORRECTORS, "corrector")
         typed(self.varying_coefficients, "bool", "varying_coefficients")
         _check_order(self.order)
         if self.order_schedule is not None:
-            digits = self.order_schedule
-            if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()) or "0" in digits:
+            digits = typed(self.order_schedule, str, "order schedule")
+            if not (digits.isascii() and digits.isdigit()) or "0" in digits:
                 raise ValidationError(
                     f"order schedule must be digits 1-9, got {self.order_schedule!r}"
                 )
@@ -175,10 +165,10 @@ class SolverConfig:
             if worst > coeffs.MAX_ORDER:
                 raise ValidationError(
                     f"order schedule entry {worst} exceeds limit {coeffs.MAX_ORDER}")
-        if self.thresholding is not None and not isinstance(self.thresholding, Thresholding):
-            raise ValidationError(f"thresholding must be a Thresholding, got {self.thresholding!r}")
-        if self.thresholding is not None and self.prediction != "data":
-            raise ValidationError("thresholding applies to data prediction only")
+        if self.thresholding is not None:
+            typed(self.thresholding, Thresholding, "thresholding")
+            if self.prediction != "data":
+                raise ValidationError("thresholding applies to data prediction only")
 
     def name(self) -> str:
         base = "unip" if self.corrector == "off" else "unipc"
@@ -187,9 +177,10 @@ class SolverConfig:
         return f"{base}-{self.order}"
 
     def resolved_orders(self, M: int) -> list[int]:
-        """Per-step predictor orders: warm-up min(p, i) or the explicit schedule."""
-        if M < 1:
-            raise ValidationError("grid must have at least one step")
+        """Per-step predictor orders: warm-up min(p, i) or the explicit schedule.  M must be an
+        int in 1.._MAX_STEPS (ValidationError)."""
+        if not 1 <= typed(M, "int", "M") <= _MAX_STEPS:
+            raise ValidationError(f"need 1 <= M <= {_MAX_STEPS} steps, got {M}")
         if self.order_schedule is None:
             return [min(self.order, i) for i in range(1, M + 1)]
         digits = [int(d) for d in self.order_schedule]
@@ -244,14 +235,14 @@ class SolverState:
 
     def push(self, t: float, output: np.ndarray) -> None:
         """Buffer the model output at time t, a finite real number kept as a float, which must
-        lie below the last buffered time (ValidationError), and drop the oldest entries beyond
-        capacity."""
-        t = _time(t)
+        lie below the last buffered time, and output, an array of integers or floats kept as a
+        float array (ValidationError); drop the oldest entries beyond capacity."""
+        t = _time(t, "buffer time")
         if self.buffer and not t < self.buffer[-1].t:
             raise ValidationError("buffer timesteps must be strictly decreasing in t")
         if not math.isfinite(t):
             raise ValidationError(f"buffer time must be finite, got {t}")
-        self.buffer.append(BufferEntry(t, output))
+        self.buffer.append(BufferEntry(t, _floats(output, "buffered output")))
         del self.buffer[:-self.capacity]
 
 
@@ -315,8 +306,8 @@ def ddim_step(sched: NoiseSchedule, x: np.ndarray, eps_prev: np.ndarray, t_prev:
     1-d arrays of one length (ValidationError), checked before any arithmetic.
     A non-finite result raises NumericError at step 1.
     """
-    _given(sched, NoiseSchedule, "schedule")
-    t_prev, t_next = _time(t_prev), _time(t_next)
+    typed(sched, NoiseSchedule, "schedule")
+    t_prev, t_next = _time(t_prev, "t_prev"), _time(t_next, "t_next")
     if not t_next < t_prev:
         raise DomainError(f"t_next={t_next} is not below t_prev={t_prev}")
     x = _state(x, None, "x")
@@ -367,17 +358,16 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     non-finite x_pred, model output or corrected state raises NumericError
     at step state.step_index + 1.
     """
-    _given(sched, NoiseSchedule, "schedule")
-    _given(state, SolverState, "state")
-    _given(model, ModelEvaluator, "model")
-    if (not isinstance(config, SolverConfig) or config.corrector == "off"
-            or config.thresholding is not None):
+    typed(sched, NoiseSchedule, "schedule")
+    typed(state, SolverState, "state")
+    typed(model, ModelEvaluator, "model")
+    if typed(config, SolverConfig, "config").corrector == "off" or config.thresholding is not None:
         raise ValidationError(
             f"correct() needs a SolverConfig with a corrector and no thresholding, got {config!r}")
     _check_order(p)
     _check_prediction(model, config.prediction)
     entries = _history(state, p)
-    t_next = _time(t_next)
+    t_next = _time(t_next, "t_next")
     if not t_next < entries[-1].t:
         raise DomainError(f"t_next={t_next} is not below the last buffered t={entries[-1].t}")
     x = _state(state.x, model.dim, "state.x")
@@ -613,20 +603,21 @@ def sample(model: ModelEvaluator, sched: NoiseSchedule, grid: TimeGrid, config: 
     run reuses them).  trajectory=True also keeps a copy of every grid state.
     Checked before any model call: model, sched, grid and config must be a
     ModelEvaluator, a NoiseSchedule, a TimeGrid and a SolverConfig, warm_start
-    None, a list, a tuple or an array (ValidationError), the grid's times must
-    lie in the schedule's range (DomainError) and map to lambdas whose steps
-    exceed _MIN_STEP max(1, |lambda|) under it (ValidationError).  Every state
+    None, a list, a tuple or an array and trajectory a bool (ValidationError),
+    the grid's times must lie in the schedule's range (DomainError) and map to
+    lambdas whose steps exceed _MIN_STEP max(1, |lambda|) under it
+    (ValidationError).  Every state
     is guarded before the model sees it: a non-finite state or model output
     raises NumericError naming its step.  The step plan comes from the
     module's bounded plan cache; result.trace is a fresh list each call.
     """
-    _given(model, ModelEvaluator, "model")
-    _given(sched, NoiseSchedule, "schedule")
-    _given(grid, TimeGrid, "grid")
-    _given(config, SolverConfig, "config")
-    if warm_start is not None and not isinstance(warm_start, (list, tuple, np.ndarray)):
-        raise ValidationError("warm_start must be a list or array of states, "
-                              f"got {type(warm_start).__name__}")
+    typed(model, ModelEvaluator, "model")
+    typed(sched, NoiseSchedule, "schedule")
+    typed(grid, TimeGrid, "grid")
+    typed(config, SolverConfig, "config")
+    if warm_start is not None:
+        typed(warm_start, list | tuple | np.ndarray, "warm_start")
+    typed(trajectory, "bool", "trajectory")
     _check_prediction(model, config.prediction)
     x = _state(x_init, model.dim, "x_init")
     warm = [_state(xs, model.dim, f"warm_start[{j}]")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import (
     DomainError, FitError, NumericError, ReferenceAccuracyError, ValidationError, typed,
 )
-from .model import SyntheticModel, _state, convert_parameterization, exact_solution_xfree
+from .model import SyntheticModel, _state, _time, convert_parameterization, exact_solution_xfree
 from .schedule import SKIP_KINDS, NoiseSchedule, make_time_grid
 from .solver import SolverConfig, sample
 
@@ -74,16 +75,14 @@ def reference_solution(
     through one bound call per pass with reused buffers (the state and one
     stage-input array) and writes each stage output straight into its row
     of W, so, as with sample(), it must not keep the arrays it is given.
-    model must be a SyntheticModel and sched a NoiseSchedule
-    (ValidationError).
+    model must be a SyntheticModel, sched a NoiseSchedule and t_start and t_end
+    real numbers (ValidationError).
     """
-    if not isinstance(model, SyntheticModel):
-        raise ValidationError(f"reference model must be a SyntheticModel, got {model!r}")
-    if not isinstance(sched, NoiseSchedule):
-        raise ValidationError(f"schedule must be a NoiseSchedule, got {sched!r}")
-    if mode not in REFERENCE_MODES:
-        raise ValidationError(f"unknown reference mode {mode!r}")
+    typed(model, SyntheticModel, "reference model")
+    typed(sched, NoiseSchedule, "schedule")
+    typed(mode, REFERENCE_MODES, "reference mode")
     x_T = _state(x_T, model.dim, "x_T")
+    t_start, t_end = _time(t_start, "t_start"), _time(t_end, "t_end")
     if not t_start > t_end:
         raise DomainError(f"need t_end < t_start, got t_start={t_start}, t_end={t_end}")
     if mode == "closed-form":
@@ -188,7 +187,7 @@ def fit_order(step_counts, errors) -> OrderFit:
     """
     try:
         Ms, errs = np.asarray(step_counts, dtype=float), np.asarray(errors, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"step counts and errors must be numbers: {exc}") from exc
     if Ms.shape != errs.shape:
         raise DomainError("step_counts and errors must have equal length")
@@ -231,7 +230,9 @@ class ConvergenceStudy:
     """One sweep: model x schedule x solver configs x step counts.
 
     The fields are checked here, so a study that could not finish fails
-    before run_study solves its reference.
+    before run_study solves its reference.  Each has its annotated type
+    (solver_configs and step_counts are lists), and error_norm, reference and
+    skip_kind are among their choices (ValidationError).
     """
 
     model: SyntheticModel
@@ -246,25 +247,25 @@ class ConvergenceStudy:
     results: list[StudyResult] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.error_norm not in ERROR_NORMS:
-            raise ValidationError(f"unknown error norm {self.error_norm!r}")
-        if self.reference not in REFERENCE_MODES:
-            raise ValidationError(f"unknown reference mode {self.reference!r}")
-        if len(self.step_counts) < 4:
+        typed(self.model, SyntheticModel, "model")
+        typed(self.schedule, NoiseSchedule, "schedule")
+        typed(self.error_norm, ERROR_NORMS, "error norm")
+        typed(self.reference, REFERENCE_MODES, "reference mode")
+        typed(self.skip_kind, SKIP_KINDS, "skip kind")
+        typed(self.oracle_starts, "bool", "oracle_starts")
+        if len(typed(self.step_counts, "list", "step_counts")) < 4:
             raise ValidationError("need at least 4 step counts for a slope fit")
         for M in self.step_counts:
             if typed(M, "int", "step count") < 1:
                 raise ValidationError(f"step counts must be >= 1, got {M}")
         if any(b <= a for a, b in zip(self.step_counts, self.step_counts[1:])):
             raise ValidationError("step_counts must be strictly increasing")
-        if not self.solver_configs:
+        if not typed(self.solver_configs, "list", "solver_configs"):
             raise ValidationError("need at least one solver config")
         for i, config in enumerate(self.solver_configs):
-            if config.order_schedule is not None:
+            if typed(config, SolverConfig, f"solver {i}").order_schedule is not None:
                 raise ValidationError(f"solver {i} has an order_schedule, which fixes M; "
                                       "a study varies M")
-        if self.skip_kind not in SKIP_KINDS:
-            raise ValidationError(f"unknown skip kind {self.skip_kind!r}")
         if not typed(self.seed, "int", "seed") >= 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.oracle_starts and not self.model.closed_form:
@@ -285,12 +286,12 @@ class ConvergenceStudy:
                 schedule=NoiseSchedule.from_json(cfg["schedule"]),
                 solver_configs=[SolverConfig.from_json(s)
                                 for s in typed(cfg["solvers"], "list", "solvers")],
-                step_counts=typed(cfg["step_counts"], "list", "step_counts"),
+                step_counts=cfg["step_counts"],
                 error_norm=cfg.get("error_norm", "max-abs"),
                 reference=cfg.get("reference", "closed-form"),
                 seed=cfg.get("seed", 0),
                 skip_kind=cfg.get("skip", "uniform-lambda"),
-                oracle_starts=typed(cfg.get("oracle_starts", False), "bool", "oracle_starts"),
+                oracle_starts=cfg.get("oracle_starts", False),
             )
         except KeyError as exc:
             raise ValidationError(f"study config missing field {exc}") from exc
@@ -320,8 +321,9 @@ def _error(norm: str, final: np.ndarray, reference: np.ndarray) -> float:
 
 
 def run_study(study: ConvergenceStudy) -> ConvergenceStudy:
-    """Populate study.results; solver aborts become divergent (NaN) rows."""
-    sched = study.schedule
+    """Populate study.results; solver aborts become divergent (NaN) rows.  study must be a
+    ConvergenceStudy (ValidationError)."""
+    sched = typed(study, ConvergenceStudy, "study").schedule
     x_T = study.draw_x_T()
     reference = reference_solution(
         study.model, sched, x_T, sched.t_start, sched.t_end, mode=study.reference
@@ -368,9 +370,11 @@ CSV_COLUMNS = ("solver", "order", "variant", "bh", "prediction", "corrector",
 
 
 def emit(study: ConvergenceStudy, path, fmt: str = "csv") -> str:
-    """Write results to path as CSV or JSON; returns the path written."""
-    path = str(path)
-    if fmt == "csv":
+    """Write results to path as CSV or JSON; returns the path written.  study must be a
+    ConvergenceStudy, path a str or an os.PathLike and fmt "csv" or "json" (ValidationError)."""
+    typed(study, ConvergenceStudy, "study")
+    path = str(typed(path, str | os.PathLike, "path"))
+    if typed(fmt, ("csv", "json"), "emit format") == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
@@ -378,8 +382,6 @@ def emit(study: ConvergenceStudy, path, fmt: str = "csv") -> str:
                 writer.writerow([f"{r.seconds:.6f}" if col == "seconds" else getattr(r, col)
                                  for col in CSV_COLUMNS])
         return path
-    if fmt != "json":
-        raise ValidationError(f"unknown emit format {fmt!r}")
     fits = []
     for cfg, fit, reason in study.fits():
         block = {"solver": cfg.name()}

@@ -130,6 +130,25 @@ class TestExactSolution:
         with pytest.raises(ValidationError, match="x_s must be a 1-d array of length 4"):
             exact_solution_xfree(model, vp_linear, np.ones(shape), 0.9, 0.1)
 
+    @pytest.mark.parametrize("where,value,message", [
+        ("model", None, "^model must be a SyntheticModel, got NoneType$"),
+        ("model", "poly", "^model must be a SyntheticModel, got str$"),
+        ("sched", None, "^schedule must be a NoiseSchedule, got NoneType$"),
+        ("sched", {"kind": "vp-linear"}, "^schedule must be a NoiseSchedule, got dict$"),
+        ("s", None, "^time s must be a real number, got None$"),
+        ("s", 1 + 2j, "^time s must be a real number, got "),
+        ("t", [0.1], r"^time t must be a real number, got \[0.1\]$"),
+        ("t", True, "^time t must be a real number, got True$"),  # ran from t = 1.0
+    ], ids=["none-model", "text-model", "none-sched", "dict-sched", "none-s", "complex-s",
+            "list-t", "bool-t"])
+    def test_argument_types_checked(self, vp_linear, where, value, message):
+        # the models and schedules raised a bare AttributeError, the times a bare TypeError
+        args = dict(model=SyntheticModel.x_free_poly([0.3, -1.2], 4), sched=vp_linear,
+                    x_s=np.ones(4), s=0.9, t=0.1)
+        args[where] = value
+        with pytest.raises(ValidationError, match=message):
+            exact_solution_xfree(**args)
+
 
 class TestDynamicThreshold:
     def test_identity_inside_unit_box(self, rng):
@@ -311,8 +330,9 @@ class TestModelEvaluator:
         ev(np.ones(2), 0.5)
         assert ev.eval_count == ev.eval_count == 1
 
-    @pytest.mark.parametrize("t", [None, "abc", "0.5", True, 1j, [0.5], np.array([0.5])],
-                             ids=["None", "text", "numeric-text", "bool", "complex", "list", "array"])
+    @pytest.mark.parametrize("t", [None, "abc", "0.5", True, 1j, [0.5], np.array([0.5]), 10**400],
+                             ids=["None", "text", "numeric-text", "bool", "complex", "list", "array",
+                                  "10**400"])
     def test_time_must_be_a_real_number(self, t):
         # None raised a TypeError, "abc" a bare ValueError, and "0.5" ran as 0.5
         seen = []
@@ -494,8 +514,24 @@ class TestOutContract:
 class TestModelBoundaryErrors:
     def test_convert_needs_a_model_evaluator(self, vp_linear):
         # raised AttributeError: 'function' object has no attribute 'prediction'
-        with pytest.raises(ValidationError, match="can only convert a ModelEvaluator"):
+        with pytest.raises(ValidationError, match=r"^model must be a ModelEvaluator, got function$"):
             convert_parameterization(lambda x, t: x, vp_linear)
+
+    @pytest.mark.parametrize("to", ["data", "noise"])
+    @pytest.mark.parametrize("x_at,out_at", [(slice(1, None), slice(None, -1)),
+                                             (slice(None, -1), slice(1, None))],
+                             ids=["out-before-x", "out-after-x"])
+    def test_convert_with_an_out_that_partly_overlaps_x(self, vp_linear, to, x_at, out_at):
+        # the wrapped model wrote out before x was read: to data, with out one entry before x,
+        # [-5.12, -7.17, 10.13] came back for [5.07, 7.60, 10.13]
+        model = SyntheticModel.linear_in_x(0.3, 3).evaluator()
+        if to == "noise":
+            model = convert_parameterization(model, vp_linear)
+        converted = convert_parameterization(model, vp_linear)
+        buf = np.array([1.0, 2.0, 3.0, 4.0])
+        want = converted(buf[x_at].copy(), 0.5)
+        got = converted(buf[x_at], 0.5, out=buf[out_at])
+        assert got.base is buf and np.array_equal(got, want)
 
     @pytest.mark.parametrize("sched", ["vp", None, {"kind": "vp-linear"}])
     def test_convert_needs_a_schedule(self, sched):
@@ -525,6 +561,24 @@ class TestSyntheticModelConstruction:
         # 2.5, True and "3" raised a bare TypeError, and SyntheticModel(dim=True) was accepted
         with pytest.raises(ValidationError, match="model dim"):
             build(dim)
+
+    @pytest.mark.parametrize("build", [
+        lambda dim: SyntheticModel.x_free_poly([0.3, -1.2], dim),
+        lambda dim: SyntheticModel.linear_in_x(0.3, dim),
+        lambda dim: ModelEvaluator(lambda x, t: x, "noise", dim),
+    ], ids=["x_free_poly", "linear_in_x", "evaluator"])
+    def test_dim_beyond_any_array_rejected(self, build):
+        # the factories raised numpy's bare ValueError "Maximum allowed dimension exceeded"
+        with pytest.raises(ValidationError, match=r"^model dim must lie in 1\.\.\d+, got 1000"):
+            build(10**400)
+
+    @pytest.mark.parametrize("coeffs", [1 + 2j, {}, object(), 10**400, [[math.nan]], np.ones((1, 0))],
+                             ids=["complex", "dict", "object", "10**400", "nan", "empty"])
+    def test_direct_coefficients_checked(self, coeffs):
+        # built directly (not by a factory) the first four raised a bare TypeError, and a
+        # NaN or an empty polynomial was kept
+        with pytest.raises(ValidationError, match="^coefficients must be finite numbers, got "):
+            SyntheticModel(family="x-free-poly", dim=1, coeffs=coeffs)
 
     def test_from_json_broadcast(self):
         m = SyntheticModel.from_json({"family": "x-free-poly", "coeffs": [0.3, -1.2, 0.5], "dim": 4})

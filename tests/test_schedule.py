@@ -47,6 +47,28 @@ class TestVPLinearClosedForm:
             vp_linear.alpha_sigma_lambda(0.0)
 
 
+class TestMapArguments:
+    @pytest.mark.parametrize("name", ["log_alpha", "alpha", "sigma", "lam", "alpha_sigma_lambda"])
+    @pytest.mark.parametrize("t", [True, "0.5", None, 1 + 2j, [0.5], 10**400],
+                             ids=["bool", "text", "none", "complex", "list", "10**400"])
+    def test_forward_maps_take_real_times_only(self, vp_linear, name, t):
+        # True and "0.5" ran as 1.0 and 0.5, 10**400 raised OverflowError, the rest TypeError
+        with pytest.raises(ValidationError, match="^time t must be a real number, got "):
+            getattr(vp_linear, name)(t)
+
+    @pytest.mark.parametrize("t", [0.5, 1, np.float64(0.5), np.float32(0.5), np.int64(1)],
+                             ids=["float", "int", "float64", "float32", "int64"])
+    def test_forward_maps_take_any_real_number(self, vp_linear, t):
+        assert vp_linear.lam(t) == vp_linear.lam(float(t))
+
+    @pytest.mark.parametrize("lam", [True, "0.5", np.array(["0.5"]), 1 + 2j, 10**400],
+                             ids=["bool", "text", "text-array", "complex", "10**400"])
+    def test_inverse_takes_numbers_only(self, vp_linear, lam):
+        # True and "0.5" ran as 1.0 and 0.5, 10**400 raised OverflowError, complex TypeError
+        with pytest.raises(ValidationError, match="^lambda is not a numeric array"):
+            vp_linear.t_of_lambda(lam)
+
+
 class TestForwardMapsBitwise:
     """log_alpha and lam against the range check and min(max(...)) clamp written out."""
 
@@ -215,6 +237,18 @@ class TestTimeGrid:
         # 2.5 and "3" raised a bare TypeError; True made a 1-step grid
         with pytest.raises(ValidationError, match="M must be an int"):
             make_time_grid(vp_linear, M)
+
+    @pytest.mark.parametrize("M", [10**400, 10**6 + 1], ids=["10**400", "10**6+1"])
+    def test_too_many_steps_rejected(self, vp_linear, M):
+        # 10**400 raised numpy's bare ValueError "Maximum allowed size exceeded"
+        with pytest.raises(DomainError, match=r"^need 1 <= M <= 1000000 steps, got "):
+            make_time_grid(vp_linear, M)
+
+    @pytest.mark.parametrize("sched", [None, "vp-linear", {"kind": "vp-linear"}])
+    def test_needs_a_schedule(self, sched):
+        # raised a bare AttributeError, e.g. 'NoneType' object has no attribute 't_of_lambda'
+        with pytest.raises(ValidationError, match="^schedule must be a NoiseSchedule, got "):
+            make_time_grid(sched, 4)
 
     def test_numpy_int_steps_accepted(self, vp_linear):
         assert make_time_grid(vp_linear, np.int64(3)).num_steps == 3

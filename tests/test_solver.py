@@ -331,19 +331,21 @@ class TestCorrectChecks:
             correct(vp_linear, state, t_next, exact, 2, evaluator)
         assert evaluator.eval_count == calls
 
-    @pytest.mark.parametrize("config", [
-        SolverConfig(corrector="off"),
-        SolverConfig(prediction="data", thresholding=Thresholding()),
-        {"bh": "b2"},
-        None,
+    @pytest.mark.parametrize("config,message", [
+        (SolverConfig(corrector="off"), "needs a SolverConfig with a corrector"),
+        (SolverConfig(prediction="data", thresholding=Thresholding()),
+         "needs a SolverConfig with a corrector"),
+        ({"bh": "b2"}, r"^config must be a SolverConfig, got dict$"),
+        (None, r"^config must be a SolverConfig, got NoneType$"),
     ], ids=["corrector-off", "thresholding", "dict", "none"])
-    def test_config_needs_a_corrector_and_no_thresholding(self, vp_linear, poly_model, config):
+    def test_config_needs_a_corrector_and_no_thresholding(self, vp_linear, poly_model, config,
+                                                          message):
         evaluator = poly_model.evaluator(vp_linear)
         if isinstance(config, SolverConfig) and config.prediction == "data":
             evaluator = convert_parameterization(evaluator, vp_linear)
         state = self._state(evaluator, [0.9, 0.8])
         calls = evaluator.eval_count
-        with pytest.raises(ValidationError, match="needs a SolverConfig with a corrector"):
+        with pytest.raises(ValidationError, match=message):
             correct(vp_linear, state, 0.7, np.ones(4), 2, evaluator, config)
         assert evaluator.eval_count == calls
 
@@ -502,8 +504,8 @@ class TestBufferDiscipline:
             state.push(t, np.ones(2))
         assert len(state.buffer) == 1
 
-    @pytest.mark.parametrize("t", [None, "0.4", True, np.array([0.5])],
-                             ids=["none", "text", "bool", "array"])
+    @pytest.mark.parametrize("t", [None, "0.4", True, np.array([0.5]), 10**400],
+                             ids=["none", "text", "bool", "array", "10**400"])
     @pytest.mark.parametrize("buffered", [0, 1])
     def test_push_time_must_be_a_real_number(self, t, buffered):
         # into an empty buffer any of these was stored as its time; after an entry None and
@@ -514,6 +516,25 @@ class TestBufferDiscipline:
         with pytest.raises(ValidationError, match="real number"):
             state.push(t, np.ones(2))
         assert len(state.buffer) == buffered
+
+    @pytest.mark.parametrize("output", [None, "x", True, {}, object(), 10**400, [1 + 2j],
+                                        np.array(["0.5"])],
+                             ids=["none", "text", "bool", "dict", "object", "10**400", "complex",
+                                  "text-array"])
+    def test_push_output_must_be_a_numeric_array(self, output):
+        # each was buffered as it was, and only a later correct() noticed
+        state = SolverState(x=np.ones(2))
+        state.push(0.8, np.ones(2))
+        with pytest.raises(ValidationError, match="^buffered output is not a numeric array"):
+            state.push(0.7, output)
+        assert len(state.buffer) == 1
+
+    def test_push_keeps_a_float_array(self):
+        state, out = SolverState(x=np.ones(2)), np.ones(2)
+        state.push(0.8, out)
+        state.push(0.7, [1, 2])
+        assert state.buffer[0].output is out
+        assert state.buffer[1].output.dtype == np.float64
 
     @pytest.mark.parametrize("t, buffered", [(math.nan, 0), (math.inf, 0), (-math.inf, 0),
                                              (-math.inf, 1)])
@@ -573,6 +594,14 @@ class TestOrderSchedules:
             SolverConfig(order=3, order_schedule="12a")
         with pytest.raises(ValidationError):
             SolverConfig(order=3, order_schedule="102")
+
+    @pytest.mark.parametrize("M", [None, "3", 2.5, True, np.array([3, 4]), 10**400, 0],
+                             ids=["none", "text", "float", "bool", "array", "10**400", "zero"])
+    def test_resolved_orders_needs_a_step_count(self, M):
+        # the first five raised a bare TypeError or ValueError, and 10**400 built a list
+        # until memory ran out
+        with pytest.raises(ValidationError, match="^(M must be an int|need 1 <= M <= 1000000)"):
+            SolverConfig(order=3).resolved_orders(M)
 
 
 class TestSinglestep:
@@ -789,7 +818,8 @@ class TestGuards:
         (0.8, "0.4"),             # a bare TypeError
         (0.8, np.array([0.5])),   # a numpy ValueError from the schedule maps
         (True, 0.4),              # stepped from t = 1.0
-    ], ids=["none", "text", "array", "bool"])
+        (0.8, 10**400),           # OverflowError
+    ], ids=["none", "text", "array", "bool", "10**400"])
     def test_ddim_step_times_must_be_real_numbers(self, vp_linear, t_prev, t_next):
         with pytest.raises(ValidationError, match="real number"):
             ddim_step(vp_linear, np.ones(4), np.ones(4), t_prev, t_next)
@@ -857,6 +887,7 @@ class TestGuards:
         ("correct", "config", None),
         ("ddim_step", "schedule", None),
         ("ddim_step", "schedule", [0.1, 20.0]),
+        ("sample", "trajectory", np.array([0.5, 0.7])),  # a bare ValueError
     ])
     def test_wrong_argument_types_rejected_before_any_call(self, vp_linear, call, arg, value):
         # each raised a bare AttributeError, e.g. "'NoneType' object has no attribute '_maps'"
@@ -870,12 +901,12 @@ class TestGuards:
         state.push(0.9, np.ones(4))
         args = dict(model=ModelEvaluator(fn, "noise", 4), schedule=vp_linear, state=state,
                     grid=make_time_grid(vp_linear, 4), config=SolverConfig(order=2),
-                    warm_start=None)
-        args[arg] = fn if value == "bare function" else value
+                    warm_start=None, trajectory=False)
+        args[arg] = fn if isinstance(value, str) and value == "bare function" else value
         with pytest.raises(ValidationError, match=f"(?i){arg}"):
             if call == "sample":
                 sample(args["model"], args["schedule"], args["grid"], args["config"], np.ones(4),
-                       warm_start=args["warm_start"])
+                       warm_start=args["warm_start"], trajectory=args["trajectory"])
             elif call == "correct":
                 correct(args["schedule"], args["state"], 0.7, np.ones(4), 1, args["model"],
                         args["config"])

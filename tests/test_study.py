@@ -245,6 +245,19 @@ class TestReferenceStages:
         assert ev.eval_count == 0
 
     @pytest.mark.parametrize("mode", ["closed-form", "fine-rk4"])
+    @pytest.mark.parametrize("where", ["t_start", "t_end"])
+    @pytest.mark.parametrize("t", [None, "0.5", 1 + 2j, True, 10**400],
+                             ids=["none", "text", "complex", "bool", "10**400"])
+    def test_times_must_be_real_numbers(self, vp_linear, mode, where, t):
+        # None, "0.5" and complex raised a bare TypeError from the comparison
+        recorder = _RecordingModel(SyntheticModel.x_free_poly([0.3], 2))
+        times = {"t_start": 1.0, "t_end": 1e-3, where: t}
+        with pytest.raises(ValidationError, match=f"^{where} must be a real number, got "):
+            reference_solution(recorder, vp_linear, np.ones(2), times["t_start"], times["t_end"],
+                               mode, steps=10)
+        assert not recorder.calls
+
+    @pytest.mark.parametrize("mode", ["closed-form", "fine-rk4"])
     @pytest.mark.parametrize("sched", ["vp", None])
     def test_schedule_must_be_a_noise_schedule(self, mode, sched):
         # raised AttributeError: no attribute 'lam' (or 'log_alpha')
@@ -286,9 +299,11 @@ class TestFitOrder:
         ([10, "twenty", 40], [0.1, 0.01, 0.001]),
         ([10, 20, 40], [0.1, "small", 0.001]),
         ([10, [20, 30], 40], [0.1, 0.01, 0.001]),
-    ], ids=["text-M", "text-error", "ragged"])
+        ([10, 10**400, 40], [0.1, 0.01, 0.001]),
+        ([10, 20, 40], [0.1, 10**400, 0.001]),
+    ], ids=["text-M", "text-error", "ragged", "huge-M", "huge-error"])
     def test_non_numeric_entry_rejected(self, Ms, errs):
-        # each raised numpy's bare ValueError
+        # each raised numpy's bare ValueError, and 10**400 an OverflowError
         with pytest.raises(DomainError, match="step counts and errors must be numbers"):
             fit_order(Ms, errs)
 
@@ -445,7 +460,18 @@ class TestRunStudy:
          "solver 1 has an order_schedule"),
         ({"seed": 1.5}, "seed must be an int"),   # passed, then a bare TypeError in run_study
         ({"seed": True}, "seed must be an int"),  # ran as seed 1
-    ], ids=["skip", "zero-M", "float-M", "bool-M", "order-schedule", "float-seed", "bool-seed"])
+        # each raised a bare AttributeError, TypeError or ValueError
+        ({"model": SyntheticModel.x_free_poly([0.3], 4).evaluator(NoiseSchedule())},
+         "^model must be a SyntheticModel, got ModelEvaluator$"),
+        ({"schedule": {"kind": "vp-linear"}}, "^schedule must be a NoiseSchedule, got dict$"),
+        ({"solver_configs": None}, "^solver_configs must be a list, got None$"),
+        ({"solver_configs": [{"order": 2}]}, "^solver 0 must be a SolverConfig, got dict$"),
+        ({"step_counts": None}, "^step_counts must be a list, got None$"),
+        ({"step_counts": 4}, "^step_counts must be a list, got 4$"),
+        ({"oracle_starts": np.array([True, False])}, "^oracle_starts must be a bool, got "),
+    ], ids=["skip", "zero-M", "float-M", "bool-M", "order-schedule", "float-seed", "bool-seed",
+            "evaluator-model", "dict-schedule", "none-configs", "dict-config", "none-M", "int-M",
+            "array-oracle"])
     def test_rejected_before_run(self, change, message):
         fields = dict(model=SyntheticModel.x_free_poly(SMALL_COEFFS, 4), schedule=NoiseSchedule(),
                       solver_configs=[SolverConfig(order=2)], step_counts=[10, 20, 40, 80])
@@ -454,6 +480,23 @@ class TestRunStudy:
 
 
 class TestEmit:
+    @pytest.mark.parametrize("call", [run_study, emit], ids=["run_study", "emit"])
+    @pytest.mark.parametrize("study", [None, {"model": {}}], ids=["none", "dict"])
+    def test_needs_a_study(self, tmp_path, call, study):
+        # raised a bare AttributeError
+        args = (study,) if call is run_study else (study, tmp_path / "out.csv")
+        with pytest.raises(ValidationError, match="^study must be a ConvergenceStudy, got "):
+            call(*args)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("path", [None, True, 3], ids=["none", "bool", "int"])
+    def test_path_must_be_text_or_path_like(self, tmp_path, monkeypatch, path):
+        # each wrote a file named str(path)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match=r"^path must be a str \| os.PathLike, got "):
+            emit(small_study([SolverConfig(order=2)]), path)
+        assert not list(tmp_path.iterdir())
+
     def test_empty_results_header_only(self, tmp_path):
         study = small_study([SolverConfig(order=2)])
         path = emit(study, tmp_path / "empty.csv")
