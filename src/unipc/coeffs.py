@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError, typed
+from .errors import DomainError, SingularSystemError, shown, typed
 
 MAX_BASIS_K = 12
 #: The one order cap: singlestep rows of order 6 already miss 1e-12 max|c| of an exact solve.
@@ -109,7 +109,8 @@ def basis_table(hs, kmax: int, prediction: str = "noise") -> np.ndarray:
     those step sizes at once.
     """
     if not 0 <= typed(kmax, "int", "basis index k", DomainError) <= MAX_BASIS_K:
-        raise DomainError(f"basis index k={kmax} outside supported range 0..{MAX_BASIS_K}")
+        raise DomainError(f"basis index k={shown(kmax, str)} outside supported range "
+                          f"0..{MAX_BASIS_K}")
     hs = np.asarray(hs, dtype=float)
     if not np.all((hs > 0.0) & (hs < np.inf)):  # also NaN
         raise DomainError(f"need finite h > 0, got {hs.tolist()}")

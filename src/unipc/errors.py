@@ -7,7 +7,8 @@ ValueError, matching how bad arguments are usually handled in Python.
 typed decides what type an argument may have, at every public entry point
 and for every JSON field: "int", "number" (finite), "real" (any real number
 a float can hold), "bool", "list" or "dict"; a class, or a union of classes
-such as str | os.PathLike; or a tuple of the allowed strings.
+such as str | os.PathLike; or a tuple of the allowed strings.  Its messages, and the range
+checks that print a rejected value, format it with shown, which also shows a too-long int.
 """
 
 import math
@@ -64,6 +65,14 @@ _KINDS = {
 _NOUNS = {"int": "an int", "real": "a real number"}
 
 
+def shown(value, form=repr) -> str:
+    """form(value), or its type where form raises ValueError, as for an int of over 4,300 digits."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} that {form.__name__} cannot show>"
+
+
 def typed(value, kind, what: str, error: type[UniPCError] = ValidationError):
     """value unchanged if it is of kind, else error (ValidationError unless a caller keeps
     another class).  kind is "int", "number" (finite), "real" (any real number a float can
@@ -74,7 +83,7 @@ def typed(value, kind, what: str, error: type[UniPCError] = ValidationError):
     if isinstance(kind, tuple):
         if isinstance(value, str) and value in kind:
             return value
-        raise error(f"unknown {what} {value!r}")
+        raise error(f"unknown {what} {shown(value)}")
     if not isinstance(kind, str):
         if isinstance(value, kind):
             return value
@@ -87,5 +96,5 @@ def typed(value, kind, what: str, error: type[UniPCError] = ValidationError):
         except OverflowError:  # a real number too large for a float
             ok = False
     if not ok:
-        raise error(f"{what} must be {_NOUNS.get(kind, 'a ' + kind)}, got {value!r}")
+        raise error(f"{what} must be {_NOUNS.get(kind, 'a ' + kind)}, got {shown(value)}")
     return value

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, typed
+from .errors import DomainError, ValidationError, shown, typed
 from .schedule import NoiseSchedule, _floats
 
 PREDICTION_KINDS = ("noise", "data")
@@ -60,7 +60,7 @@ _MAX_INDEX = np.iinfo(np.intp).max  # the largest dim an array can have
 def _check_dim(dim) -> int:
     """ValidationError unless dim is an int (not a bool) >= 1 that an array index can hold."""
     if not 1 <= typed(dim, "int", "model dim") <= _MAX_INDEX:
-        raise ValidationError(f"model dim must lie in 1..{_MAX_INDEX}, got {dim}")
+        raise ValidationError(f"model dim must lie in 1..{_MAX_INDEX}, got {shown(dim, str)}")
     return dim
 
 
@@ -95,7 +95,7 @@ class ModelEvaluator:
     def __init__(self, fn: Callable[[np.ndarray, float], np.ndarray], prediction: str, dim: int):
         typed(prediction, PREDICTION_KINDS, "prediction kind")
         if not callable(fn):
-            raise ValidationError(f"model function must be callable, got {fn!r}")
+            raise ValidationError(f"model function must be callable, got {shown(fn)}")
         self._fn = fn
         self._writes = False  # fn is fn(x, t, out), writing into out (see _writing)
         self.prediction = prediction
@@ -208,7 +208,7 @@ class SyntheticModel:
         except ValidationError:  # ragged nesting, or not integers or floats
             ok = False
         if not ok:
-            raise ValidationError(f"coefficients must be finite numbers, got {values!r}")
+            raise ValidationError(f"coefficients must be finite numbers, got {shown(values)}")
         return arr
 
     @classmethod

@@ -34,9 +34,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, typed
+from .errors import DomainError, ValidationError, shown, typed
 
-SCHEDULE_KINDS = ("vp-linear", "vp-cosine")
+#: Each kind's fields, in the order to_json writes them after its kind.
+_KIND_FIELDS = {"vp-linear": ("beta_min", "beta_max", "t_start", "t_end"),
+                "vp-cosine": ("cosine_s", "t_start", "t_end")}
+SCHEDULE_KINDS = tuple(_KIND_FIELDS)
 SKIP_KINDS = ("uniform-lambda", "uniform-time", "quadratic-time")
 #: The most steps make_time_grid builds: a grid's arrays stay under 8 MB each.
 _MAX_STEPS = 10**6
@@ -113,24 +116,11 @@ class NoiseSchedule:
         extra = set(spec) - set(_NUMBER_FIELDS)
         if extra:
             raise ValidationError(f"unknown schedule fields {sorted(extra)}")
-        spec["cosine_s"] = spec.pop("cosine_s", 0.008)
         return cls(kind=kind, **spec)
 
     def to_json(self) -> dict:
-        if self.kind == "vp-linear":
-            return {
-                "kind": self.kind,
-                "beta_min": self.beta_min,
-                "beta_max": self.beta_max,
-                "t_start": self.t_start,
-                "t_end": self.t_end,
-            }
-        return {
-            "kind": self.kind,
-            "cosine_s": self.cosine_s,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-        }
+        """The spec from_json reads: kind, then the fields its kind uses."""
+        return {"kind": self.kind, **{f: getattr(self, f) for f in _KIND_FIELDS[self.kind]}}
 
     # -- forward-process coefficients ------------------------------------
 
@@ -264,7 +254,7 @@ def make_time_grid(sched: NoiseSchedule, M: int, skip_kind: str = "uniform-lambd
     """
     typed(sched, NoiseSchedule, "schedule")
     if not 1 <= typed(M, "int", "M") <= _MAX_STEPS:
-        raise DomainError(f"need 1 <= M <= {_MAX_STEPS} steps, got {M}")
+        raise DomainError(f"need 1 <= M <= {_MAX_STEPS} steps, got {shown(M, str)}")
     typed(skip_kind, SKIP_KINDS, "skip kind")
     if skip_kind == "uniform-lambda":
         return TimeGrid(sched.t_of_lambda(np.linspace(sched.lambda_start, sched.lambda_end, M + 1)))

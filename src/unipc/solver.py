@@ -93,6 +93,7 @@ from .errors import (
     InsufficientHistoryError,
     NumericError,
     ValidationError,
+    shown,
     typed,
 )
 from .model import PREDICTION_KINDS, ModelEvaluator, _state, _threshold, _time
@@ -119,7 +120,7 @@ class Thresholding:
 def _check_order(p) -> None:
     """ValidationError unless p is an int (not a bool) in 1..coeffs.MAX_ORDER."""
     if not 1 <= typed(p, "int", "order") <= coeffs.MAX_ORDER:
-        raise ValidationError(f"order {p} outside 1..{coeffs.MAX_ORDER}")
+        raise ValidationError(f"order {shown(p, str)} outside 1..{coeffs.MAX_ORDER}")
 
 
 def _check_prediction(model: ModelEvaluator, prediction: str) -> None:
@@ -180,7 +181,7 @@ class SolverConfig:
         """Per-step predictor orders: warm-up min(p, i) or the explicit schedule.  M must be an
         int in 1.._MAX_STEPS (ValidationError)."""
         if not 1 <= typed(M, "int", "M") <= _MAX_STEPS:
-            raise ValidationError(f"need 1 <= M <= {_MAX_STEPS} steps, got {M}")
+            raise ValidationError(f"need 1 <= M <= {_MAX_STEPS} steps, got {shown(M, str)}")
         if self.order_schedule is None:
             return [min(self.order, i) for i in range(1, M + 1)]
         digits = [int(d) for d in self.order_schedule]
@@ -204,12 +205,12 @@ class SolverConfig:
         spec = dict(typed(spec, "dict", "solver config"))
         th = spec.pop("thresholding", None)
         if th is not None:
-            th = typed(th, "dict", "thresholding")
-            extra, missing = sorted(set(th) - {"ratio", "floor"}), sorted({"ratio", "floor"} - set(th))
+            names = {f.name for f in fields(Thresholding)}
+            given = set(typed(th, "dict", "thresholding"))
+            extra, missing = sorted(given - names), sorted(names - given)
             if extra or missing:
                 raise ValidationError(f"thresholding fields: unknown {extra}, missing {missing}")
-            th = Thresholding(ratio=float(typed(th["ratio"], "number", "thresholding ratio")),
-                              floor=float(typed(th["floor"], "number", "thresholding floor")))
+            th = Thresholding(**th)
         extra = set(spec) - {f.name for f in fields(cls)}
         if extra:
             raise ValidationError(f"unknown solver fields {sorted(extra)}")
@@ -222,21 +223,22 @@ BufferEntry = namedtuple("BufferEntry", "t output")  # a model output buffered a
 @dataclass
 class SolverState:
     """Running iterate plus the history buffer of model outputs, at most capacity of them
-    (an int >= 1, else ValidationError)."""
+    (an int >= 1, else ValidationError).  Only push fills buffer and advances step_index, the
+    outputs pushed: with t_0's pushed first, it is the step correct() works on."""
 
     x: np.ndarray
-    buffer: list[BufferEntry] = field(default_factory=list)
-    step_index: int = 0
+    buffer: list[BufferEntry] = field(default_factory=list, init=False)
+    step_index: int = field(default=0, init=False)
     capacity: int = coeffs.MAX_ORDER
 
     def __post_init__(self):
         if not typed(self.capacity, "int", "capacity") >= 1:
-            raise ValidationError(f"capacity must be >= 1, got {self.capacity}")
+            raise ValidationError(f"capacity must be >= 1, got {shown(self.capacity, str)}")
 
     def push(self, t: float, output: np.ndarray) -> None:
-        """Buffer the model output at time t, a finite real number kept as a float, which must
-        lie below the last buffered time, and output, an array of integers or floats kept as a
-        float array (ValidationError); drop the oldest entries beyond capacity."""
+        """Buffer output, an array of integers or floats kept as a float array, at time t, a finite
+        real number kept as a float below the last buffered time (ValidationError); drop the
+        oldest entries beyond capacity and advance step_index."""
         t = _time(t, "buffer time")
         if self.buffer and not t < self.buffer[-1].t:
             raise ValidationError("buffer timesteps must be strictly decreasing in t")
@@ -244,6 +246,7 @@ class SolverState:
             raise ValidationError(f"buffer time must be finite, got {t}")
         self.buffer.append(BufferEntry(t, _floats(output, "buffered output")))
         del self.buffer[:-self.capacity]
+        self.step_index += 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,7 +359,7 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     _MIN_STEP max(1, |lambda| at its ends) (ValidationError), as in sample().
     As in sample(), every state is guarded before the model sees it: a
     non-finite x_pred, model output or corrected state raises NumericError
-    at step state.step_index + 1.
+    at step state.step_index.
     """
     typed(sched, NoiseSchedule, "schedule")
     typed(state, SolverState, "state")
@@ -374,7 +377,7 @@ def correct(sched: NoiseSchedule, state: SolverState, t_next: float, x_pred: np.
     outputs = [_state(e.output, model.dim, f"buffered output at t={e.t}") for e in entries]
     nodes = sched._maps([e.t for e in entries] + [t_next])  # (log alpha, lambda, sigma)
     _check_steps(nodes[1], "buffered times and t_next")
-    x_pred, step = _state(x_pred, model.dim, "x_pred"), state.step_index + 1
+    x_pred, step = _state(x_pred, model.dim, "x_pred"), state.step_index
     _guard(x_pred, step)
     f_pred = push = model(x_pred, t_next)
     _guard(f_pred, step)

@@ -19,15 +19,15 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import (
-    DomainError, FitError, NumericError, ReferenceAccuracyError, ValidationError, typed,
+    DomainError, FitError, NumericError, ReferenceAccuracyError, ValidationError, shown, typed,
 )
 from .model import SyntheticModel, _state, _time, convert_parameterization, exact_solution_xfree
-from .schedule import SKIP_KINDS, NoiseSchedule, make_time_grid
+from .schedule import SKIP_KINDS, NoiseSchedule, _floats, make_time_grid
 from .solver import SolverConfig, sample
 
 ERROR_NORMS = ("max-abs", "rms")
@@ -91,7 +91,7 @@ def reference_solution(
             raise ReferenceAccuracyError("closed-form reference is not finite")
         return exact
     if not typed(steps, "int", "steps") >= 1:
-        raise ValidationError(f"need steps >= 1, got {steps}")
+        raise ValidationError(f"need steps >= 1, got {shown(steps, str)}")
     evaluator = model.evaluator(sched)
     lam_start, lam_end = sched.lam(t_start), sched.lam(t_end)
 
@@ -180,14 +180,14 @@ class OrderFit:
 def fit_order(step_counts, errors) -> OrderFit:
     """Fit the empirical convergence order over the asymptotic window.
 
-    Every entry must be a number and every step count finite and > 0 (DomainError);
+    Entries must be ints or floats, not text, and step counts finite and > 0 (DomainError);
     FitError unless the usable points number 3 or more over at least 2 distinct step counts.  With
     x = log2 M, y = log2 error, dx = x - mean(x) and dy = y - mean(y), the line is the closed form
     slope = sum(dx dy) / sum(dx^2) (> 0 by the distinct counts), intercept = mean(y) - slope mean(x).
     """
     try:
-        Ms, errs = np.asarray(step_counts, dtype=float), np.asarray(errors, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        Ms, errs = _floats(step_counts, "step counts"), _floats(errors, "errors")
+    except ValidationError as exc:
         raise DomainError(f"step counts and errors must be numbers: {exc}") from exc
     if Ms.shape != errs.shape:
         raise DomainError("step_counts and errors must have equal length")
@@ -225,6 +225,23 @@ class StudyResult:
     seconds: float
 
 
+#: Per study field: its JSON key, in the order to_json writes them, and how from_json reads
+#: it and to_json writes it (None: as it is).
+_JSON_FIELDS = (
+    ("model", "model", SyntheticModel.from_json, SyntheticModel.to_json),
+    ("schedule", "schedule", NoiseSchedule.from_json, NoiseSchedule.to_json),
+    ("solver_configs", "solvers",
+     lambda specs: [SolverConfig.from_json(s) for s in typed(specs, "list", "solvers")],
+     lambda configs: [c.to_json() for c in configs]),
+    ("step_counts", "step_counts", None, list),
+    ("error_norm", "error_norm", None, None),
+    ("reference", "reference", None, None),
+    ("seed", "seed", None, None),
+    ("skip_kind", "skip", None, None),
+    ("oracle_starts", "oracle_starts", None, None),
+)
+
+
 @dataclass
 class ConvergenceStudy:
     """One sweep: model x schedule x solver configs x step counts.
@@ -257,7 +274,7 @@ class ConvergenceStudy:
             raise ValidationError("need at least 4 step counts for a slope fit")
         for M in self.step_counts:
             if typed(M, "int", "step count") < 1:
-                raise ValidationError(f"step counts must be >= 1, got {M}")
+                raise ValidationError(f"step counts must be >= 1, got {shown(M, str)}")
         if any(b <= a for a, b in zip(self.step_counts, self.step_counts[1:])):
             raise ValidationError("step_counts must be strictly increasing")
         if not typed(self.solver_configs, "list", "solver_configs"):
@@ -267,34 +284,29 @@ class ConvergenceStudy:
                 raise ValidationError(f"solver {i} has an order_schedule, which fixes M; "
                                       "a study varies M")
         if not typed(self.seed, "int", "seed") >= 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+            raise ValidationError(f"seed must be >= 0, got {shown(self.seed, str)}")
         if self.oracle_starts and not self.model.closed_form:
             raise ValidationError("oracle starting values need a closed-form model")
 
     @classmethod
     def from_json(cls, cfg: dict) -> "ConvergenceStudy":
-        known = {
-            "model", "schedule", "solvers", "step_counts", "error_norm",
-            "reference", "seed", "skip", "oracle_starts",
-        }
-        extra = set(typed(cfg, "dict", "study config")) - known
+        """Build from to_json's config, read in its key order; absent fields take their defaults."""
+        extra = set(typed(cfg, "dict", "study config")) - {key for _, key, _, _ in _JSON_FIELDS}
         if extra:
             raise ValidationError(f"unknown study fields {sorted(extra)}")
-        try:
-            return cls(
-                model=SyntheticModel.from_json(cfg["model"]),
-                schedule=NoiseSchedule.from_json(cfg["schedule"]),
-                solver_configs=[SolverConfig.from_json(s)
-                                for s in typed(cfg["solvers"], "list", "solvers")],
-                step_counts=cfg["step_counts"],
-                error_norm=cfg.get("error_norm", "max-abs"),
-                reference=cfg.get("reference", "closed-form"),
-                seed=cfg.get("seed", 0),
-                skip_kind=cfg.get("skip", "uniform-lambda"),
-                oracle_starts=cfg.get("oracle_starts", False),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"study config missing field {exc}") from exc
+        required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+        given = {}
+        for name, key, read, _ in _JSON_FIELDS:
+            if key in cfg:
+                given[name] = read(cfg[key]) if read else cfg[key]
+            elif name in required:
+                raise ValidationError(f"study config missing field {key!r}")
+        return cls(**given)
+
+    def to_json(self) -> dict:
+        """The config from_json reads: every field but results."""
+        return {key: write(getattr(self, name)) if write else getattr(self, name)
+                for name, key, _, write in _JSON_FIELDS}
 
     def draw_x_T(self) -> np.ndarray:
         return np.random.default_rng(self.seed).standard_normal(self.model.dim)
@@ -370,8 +382,9 @@ CSV_COLUMNS = ("solver", "order", "variant", "bh", "prediction", "corrector",
 
 
 def emit(study: ConvergenceStudy, path, fmt: str = "csv") -> str:
-    """Write results to path as CSV or JSON; returns the path written.  study must be a
-    ConvergenceStudy, path a str or an os.PathLike and fmt "csv" or "json" (ValidationError)."""
+    """Write results to path as CSV, or as JSON: study.to_json() then "results" and "fits"; returns
+    the path written.  study must be a ConvergenceStudy, path a str or an os.PathLike and fmt
+    "csv" or "json" (ValidationError)."""
     typed(study, ConvergenceStudy, "study")
     path = str(typed(path, str | os.PathLike, "path"))
     if typed(fmt, ("csv", "json"), "emit format") == "csv":
@@ -382,28 +395,10 @@ def emit(study: ConvergenceStudy, path, fmt: str = "csv") -> str:
                 writer.writerow([f"{r.seconds:.6f}" if col == "seconds" else getattr(r, col)
                                  for col in CSV_COLUMNS])
         return path
-    fits = []
-    for cfg, fit, reason in study.fits():
-        block = {"solver": cfg.name()}
-        if fit is not None:
-            block.update(slope=fit.slope, intercept=fit.intercept,
-                         r_squared=fit.r_squared, n_used=fit.n_used)
-        else:
-            block["unfittable"] = reason
-        fits.append(block)
-    doc = {
-        "model": study.model.to_json(),
-        "schedule": study.schedule.to_json(),
-        "solvers": [c.to_json() for c in study.solver_configs],
-        "step_counts": list(study.step_counts),
-        "error_norm": study.error_norm,
-        "reference": study.reference,
-        "seed": study.seed,
-        "skip": study.skip_kind,
-        "oracle_starts": study.oracle_starts,
-        "results": [{col: getattr(r, col) for col in CSV_COLUMNS} for r in study.results],
-        "fits": fits,
-    }
+    doc = {**study.to_json(),
+           "results": [{col: getattr(r, col) for col in CSV_COLUMNS} for r in study.results],
+           "fits": [{"solver": cfg.name(), **(asdict(fit) if fit else {"unfittable": reason})}
+                    for cfg, fit, reason in study.fits()]}
     with open(path, "w", newline="") as fh:
         json.dump(doc, fh, indent=2, allow_nan=True)
         fh.write("\n")

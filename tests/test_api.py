@@ -115,10 +115,11 @@ def test_array_as_a_string_choice_rejected(tmp_path, monkeypatch, call, what, er
 
 
 #: The fixed hostile values the fuzz puts into every argument position, one at a time.
-HOSTILE = [None, True, "0.5", 1 + 2j, math.nan, math.inf, 10**400, -1, [], {}, object(),
+#: 10**5000 has more digits than str and repr convert.
+HOSTILE = [None, True, "0.5", 1 + 2j, math.nan, math.inf, 10**400, 10**5000, -1, [], {}, object(),
            np.array([[1.0]]), np.array([0.5, 0.7])]
-HOSTILE_IDS = ["none", "bool", "text", "complex", "nan", "inf", "10**400", "-1", "list", "dict",
-               "object", "1x1-array", "2-array"]
+HOSTILE_IDS = ["none", "bool", "text", "complex", "nan", "inf", "10**400", "10**5000", "-1", "list",
+               "dict", "object", "1x1-array", "2-array"]
 
 
 def entry_points():
@@ -173,8 +174,7 @@ def entry_points():
         "SolverConfig.from_json": lambda: (unipc.SolverConfig.from_json,
                                            dict(spec=config.to_json())),
         "SolverConfig.resolved_orders": lambda: (config.resolved_orders, dict(M=4)),
-        "SolverState": lambda: (unipc.SolverState, dict(x=x.copy(), buffer=[], step_index=0,
-                                                        capacity=3)),
+        "SolverState": lambda: (unipc.SolverState, dict(x=x.copy(), capacity=3)),
         "SolverState.push": lambda: (state().push, dict(t=0.7, output=np.ones(4))),
         "SyntheticModel": lambda: (unipc.SyntheticModel, dict(
             family="x-free-poly", dim=4, coeffs=np.ones((4, 2)))),

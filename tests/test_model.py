@@ -622,6 +622,13 @@ class TestSyntheticModelConstruction:
         assert SyntheticModel.from_json(xfree.to_json()) == xfree
         assert xfree != SyntheticModel.x_free_poly([0.3, -1.25], 2)
 
+    @pytest.mark.parametrize("model", [
+        SyntheticModel.x_free_poly([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]], 2),
+        SyntheticModel.linear_in_x([0.3, -0.7, 1.1], 3),
+    ], ids=["x-free-poly", "linear-in-x"])
+    def test_round_trip(self, model):
+        assert SyntheticModel.from_json(model.to_json()) == model
+
     def test_linear_round_trip(self):
         m = SyntheticModel.from_json({"family": "linear-in-x", "kappa": 0.3, "dim": 2})
         assert not m.closed_form

@@ -288,6 +288,16 @@ class TestConstruction:
         assert sched == NoiseSchedule()
         assert sched.to_json()["kind"] == "vp-linear"
 
+    @pytest.mark.parametrize("sched", [
+        NoiseSchedule(beta_min=0.2, beta_max=15, t_start=0.9, t_end=0.002),
+        NoiseSchedule(kind="vp-cosine", cosine_s=0.01, t_start=0.99, t_end=0.005),
+    ], ids=["vp-linear", "vp-cosine"])
+    def test_round_trip(self, sched):
+        # to_json writes the fields of the schedule's kind, each as given
+        doc = sched.to_json()
+        assert NoiseSchedule.from_json(doc) == sched
+        assert json.dumps(NoiseSchedule.from_json(doc).to_json()) == json.dumps(doc)
+
     def test_cosine_default_t_start(self):
         sched = NoiseSchedule.from_json({"kind": "vp-cosine"})
         assert sched.t_start == pytest.approx(0.9946)

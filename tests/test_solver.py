@@ -919,7 +919,9 @@ class TestGuards:
         # outputs of +-1e308 and state.x = 1.7e308 returned corrected = [inf, inf] with no
         # error, and the oracle corrector re-evaluated the model there
         model = const_model(1e308, dim=2)
-        state = SolverState(x=np.full(2, 1.7e308), step_index=4)
+        state = SolverState(x=np.full(2, 1.7e308))
+        for t in (0.99, 0.95, 0.92):  # steps 1-3; the order-2 correction reads the last two
+            state.push(t, np.zeros(2))
         state.push(0.9, np.full(2, 1e308))
         state.push(0.8, np.full(2, -1e308))
         with warnings.catch_warnings():
@@ -937,6 +939,23 @@ class TestGuards:
         with pytest.raises(NumericError, match="non-finite value at step 1$"):
             correct(vp_linear, state, 0.7, np.full(2, np.nan), 1, model)
         assert model.eval_count == 0
+
+    def test_correct_names_the_step_it_is_on(self, vp_linear):
+        # the README's UniC-1 loop over DDIM, x_pred made non-finite at step 4: named step 1,
+        # as nothing advanced step_index
+        model = SyntheticModel.linear_in_x(0.3, 4).evaluator(vp_linear)
+        t = make_time_grid(vp_linear, 10).times.tolist()
+        state = SolverState(x=np.ones(4), capacity=1)
+        state.push(t[0], model(state.x, t[0]))
+        with pytest.raises(NumericError, match="non-finite value at step 4$") as excinfo:
+            for step, (t_prev, t_next) in enumerate(zip(t[:-1], t[1:]), start=1):
+                x_pred = ddim_step(vp_linear, state.x, state.buffer[-1].output, t_prev, t_next)
+                if step == 4:
+                    x_pred[0] = np.nan
+                res = correct(vp_linear, state, t_next, x_pred, 1, model, SolverConfig(order=1))
+                state.push(t_next, res.push_output)
+                state.x = res.corrected
+        assert (excinfo.value.step, state.step_index, model.eval_count) == (4, 4, 4)
 
     def test_ddim_step_guards_its_result(self):
         # returned [-inf, -inf] with no error
@@ -1260,6 +1279,25 @@ class TestConfigJSON:
                               corrector="oracle", order_schedule=None,
                               thresholding=Thresholding(0.99, 1.5), varying_coefficients=True)
         assert SolverConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize("th", [{"ratio": 0.99, "floor": 1.5}, {"ratio": 1, "floor": 2}],
+                             ids=["floats", "ints"])
+    def test_thresholding_numbers_kept_as_given(self, th):
+        # ratio and floor were read through float(), so an int came back as 2.0
+        doc = {**SolverConfig(order=2, prediction="data").to_json(), "thresholding": th}
+        config = SolverConfig.from_json(doc)
+        assert config.to_json() == doc and repr(config.to_json()) == repr(doc)
+        assert config == SolverConfig(order=2, prediction="data",
+                                      thresholding=Thresholding(*map(float, th.values())))
+
+    def test_int_thresholding_numbers_sample_the_same_bits(self, vp_linear, rng):
+        model = convert_parameterization(SyntheticModel.linear_in_x(0.3, 64).evaluator(vp_linear),
+                                         vp_linear)
+        grid, x = make_time_grid(vp_linear, 8), 40.0 * rng.standard_normal(64)
+        finals = [sample(model, vp_linear, grid, SolverConfig(
+                      order=2, prediction="data", thresholding=Thresholding(0.9, floor)), x).final
+                  for floor in (2, 2.0)]
+        assert finals[0].tobytes() == finals[1].tobytes()
 
     def test_lowercase_enums(self):
         doc = SolverConfig(order=2).to_json()

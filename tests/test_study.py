@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from unipc import (
     ReferenceAccuracyError,
     SolverConfig,
     SyntheticModel,
+    Thresholding,
     ValidationError,
     emit,
     exact_solution_xfree,
@@ -301,9 +303,11 @@ class TestFitOrder:
         ([10, [20, 30], 40], [0.1, 0.01, 0.001]),
         ([10, 10**400, 40], [0.1, 0.01, 0.001]),
         ([10, 20, 40], [0.1, 10**400, 0.001]),
-    ], ids=["text-M", "text-error", "ragged", "huge-M", "huge-error"])
+        (["10", "20", "40", "80"], ["1e-2", "2.5e-3", "6e-4", "1.6e-4"]),
+    ], ids=["text-M", "text-error", "ragged", "huge-M", "huge-error", "all-text"])
     def test_non_numeric_entry_rejected(self, Ms, errs):
-        # each raised numpy's bare ValueError, and 10**400 an OverflowError
+        # each raised numpy's bare ValueError, and 10**400 an OverflowError; text that numpy
+        # could convert, every entry a string, fitted a slope of 1.996
         with pytest.raises(DomainError, match="step counts and errors must be numbers"):
             fit_order(Ms, errs)
 
@@ -519,6 +523,25 @@ class TestEmit:
             assert parsed["seconds"] == row.seconds
             assert parsed["nfe"] == row.nfe
         assert doc["fits"][0]["slope"] == study.fits()[0][1].slope
+
+    def test_json_is_the_config_plus_results_and_fits(self, tmp_path):
+        study = run_study(small_study([SolverConfig(order=2), SolverConfig(order=1, corrector="off")],
+                                      error_norm="rms", skip_kind="quadratic-time"))
+        doc = json.load(open(emit(study, tmp_path / "out.json", fmt="json")))
+        assert list(doc)[-2:] == ["results", "fits"]
+        config = {key: value for key, value in doc.items() if key not in ("results", "fits")}
+        assert config == study.to_json()
+        assert ConvergenceStudy.from_json(config) == replace(study, results=[])
+
+    def test_config_round_trip(self):
+        # every optional field away from its default
+        study = small_study([SolverConfig(order=3, variant="singlestep", bh="b1",
+                                          prediction="data", thresholding=Thresholding(1, 2))],
+                            error_norm="rms", reference="fine-rk4", skip_kind="uniform-time",
+                            oracle_starts=True)
+        doc = study.to_json()
+        assert doc["seed"] == 42 and ConvergenceStudy.from_json(doc) == study
+        assert json.dumps(ConvergenceStudy.from_json(doc).to_json()) == json.dumps(doc)  # 1 stays 1
 
     def test_deterministic_bytes_excluding_seconds(self, tmp_path):
         def run_once(name):
