@@ -3,44 +3,32 @@
 or the one-step API.
 
 Imports OLD_SRC/unipc and NEW_SRC/unipc in one process as two packages with
-distinct names and alternates them, round after round, over the sample()
-cells of perfbench's workloads: every config in perfbench/workloads.py's
-CONFIGS at M = 10 and 100, on its x-free model under the default schedule.
-Each round runs every cell once on each side, with the side that goes first
-alternating and one input state for both, so host load falls on both sides
-alike; one untimed round first builds each side's plans.
+distinct names and alternates them over a list of cases, round after round:
+each round runs every case once on each tree, the tree that goes first
+alternating, on one input drawn from one seeded generator for both, so host
+load falls on both alike.  Round 0 (which builds sample()'s plans) is not
+timed, nor is a case's set-up, such as a pushed SolverState: only the call.
 
-Prints, per cell, the 0.05-quantile over the rounds of each side's
-microseconds per step (perfbench's cell statistic, not speed-scaled), their
-ratio and the largest relative difference between the two sides' final
-states over the rounds, max |new - old| / max(1, max |old|), then per side
-the p50 and p90 of those quantiles across the cells.  Exits 1 if any cell's
-NFE differs between the sides, or if any final state differs by more than
-R max(1, max |old|) with --rtol R (default 0: any differing bit).
+Prints, per case, the 0.05-quantile over the timed rounds of each tree's
+microseconds per step (perfbench's cell statistic, not speed-scaled; a
+reference or one-step call is one step), their ratio and the largest relative
+difference between the trees' arrays, max |new - old| / max(1, max |old|),
+then per tree the p50 and p90 of those quantiles across the cases.  Exits 1
+if a count (nfe, evals) differs, or an array by more than R max(1, max |old|)
+with --rtol R (default 0: any differing bit, a zero's sign too).
 
-With --reference it alternates the two trees' fine-rk4 reference_solution
-instead, on the study-rk4 workload's setup (linear-in-x with gain 0.3, dim
-4, vp-cosine, over the schedule's whole time range; 12 * steps model calls
-a run), one fresh input state per round for both sides.  It prints each
-side's 0.05-quantile seconds over the rounds, their ratio and the largest
-relative difference between the two sides' references over the rounds,
-max |new - old| / max(1, max |old|), and exits 1 if any reference differs
-by more than R max(1, max |old|) with --rtol R (default 0: any differing
-bit).
-
-With --one-step it alternates the two trees' one-step API instead: correct()
-at orders 1..MAX_ORDER with b1/b2, noise/data prediction, the standard and
-oracle correctors, pinned and varying weights, on both schedules, and
-ddim_step on both schedules, over a linear-in-x model (gain 0.3, dim 4), one
-fresh set of buffered outputs and states per round for both sides.  It
-prints each side's 0.05-quantile seconds a round and their ratio, and exits
-1 if any corrected state, pushed output or evaluation count differs by a bit
-between the sides.
+  (default)    sample() over perfbench/workloads.py's CONFIGS at M = 10 and 100, on
+               its x-free model under the default schedule, at --dim;
+  --reference  fine-rk4 reference_solution on the study-rk4 workload's setup
+               (linear-in-x, gain 0.3, dim 4, vp-cosine; 12 * --steps model calls);
+  --one-step   correct() at orders 1..MAX_ORDER, b1/b2, noise/data, standard/oracle
+               corrector, pinned/varying weights, and ddim_step, on both schedules
+               over a linear-in-x model (gain 0.3, dim 4).
 
 Usage:
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC [--dim N] [--rounds N] [--rtol R]
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC --reference [--steps N] [--rounds N] [--rtol R]
-    python3 scripts/ab_cells.py OLD_SRC NEW_SRC --one-step [--rounds N]
+    python3 scripts/ab_cells.py OLD_SRC NEW_SRC --one-step [--rounds N] [--rtol R]
 """
 
 import argparse
@@ -50,12 +38,24 @@ import itertools
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 MS = (10, 100)
 CELL_Q = 0.05
+ONE_STEP_KINDS = ("vp-linear", "vp-cosine")
+
+
+class Case(NamedTuple):
+    """One timed call: its label, the steps it takes, its input drawn from the generator,
+    and prepare(tree, input), which does the untimed set-up and returns the call to time."""
+    label: str
+    steps: int
+    draw: Callable
+    prepare: Callable
 
 
 def load_tree(src: Path, name: str):
@@ -85,166 +85,133 @@ def benchmark_cells(pkg):
     return CONFIGS, POLY
 
 
-def difference(old: np.ndarray, new: np.ndarray, rtol: float) -> tuple[float, bool]:
-    """max |new - old| / max(1, max |old|), and whether it is a mismatch: above rtol, or with
-    rtol 0 any differing bit (a zero's sign too)."""
-    rel = float(np.max(np.abs(new - old)) / max(1.0, np.max(np.abs(old))))
-    return rel, not (rel <= rtol if rtol else old.tobytes() == new.tobytes())
+def compared(result) -> dict:
+    """What is compared of a result by name: an array, or a result's counts and arrays."""
+    if isinstance(result, np.ndarray):
+        return {"result": result}
+    return {k: v for k, v in vars(result).items() if isinstance(v, (int, np.ndarray))}
 
 
-class Side:
-    """One tree's inputs for every cell: schedule, evaluators, grids and configs."""
-
-    def __init__(self, pkg, configs: dict, poly, dim: int):
-        self.pkg = pkg
-        self.sched = pkg.NoiseSchedule()
-        noise = pkg.SyntheticModel.x_free_poly(list(poly), dim=dim).evaluator(self.sched)
-        self.evaluators = {"noise": noise,
-                           "data": pkg.convert_parameterization(noise, self.sched)}
-        self.grids = {M: pkg.make_time_grid(self.sched, M) for M in MS}
-        self.configs = {label: pkg.SolverConfig.from_json(spec) for label, spec in configs.items()}
-
-    def run(self, label: str, M: int, x: np.ndarray):
-        """(result, seconds) of one sample() call."""
-        config = self.configs[label]
-        evaluator = self.evaluators[config.prediction]
-        start = time.perf_counter()
-        result = self.pkg.sample(evaluator, self.sched, self.grids[M], config, x)
-        return result, time.perf_counter() - start
-
-
-def compare_cells(old, new, dim: int, rounds: int, rtol: float = 0.0) -> list[str]:
-    """Alternate the sample() cells and print their timings and final-state differences;
-    returns the mismatches: an NFE difference, or a final state off by more than
-    rtol max(1, max |old final|)."""
-    configs, poly = benchmark_cells(new)
-    sides = {"old": Side(old, configs, poly, dim), "new": Side(new, configs, poly, dim)}
-    cells = [(label, M) for label in configs for M in MS]
+def alternate(trees: dict, cases: list[Case], rounds: int, rtol: float) -> list[str]:
+    """Run every case on both trees for rounds timed rounds after an untimed one and print
+    each case's timings and largest difference; returns the mismatches: a count that differs,
+    or an array off by more than rtol max(1, max |old|), with rtol 0 by any bit."""
     rng = np.random.default_rng(0)
-    us = {(name, cell): [] for name in sides for cell in cells}
-    diff = dict.fromkeys(cells, 0.0)  # largest relative final-state difference
+    us = {(name, case.label): [] for name in trees for case in cases}
+    diff = {case.label: 0.0 for case in cases}
     mismatches = []
-    for rnd in range(rounds + 1):  # round 0 builds the plans and is not timed
+    for rnd in range(rounds + 1):
         order = ("old", "new") if rnd % 2 else ("new", "old")
-        for label, M in cells:
-            x = rng.standard_normal(dim)
+        for case in cases:
+            drawn = case.draw(rng)
             results = {}
             for name in order:
-                results[name], seconds = sides[name].run(label, M, x)
+                call = case.prepare(trees[name], drawn)
+                start = time.perf_counter()
+                result = call()
+                seconds = time.perf_counter() - start
+                results[name] = compared(result)
                 if rnd:
-                    us[name, (label, M)].append(seconds / M * 1e6)
-            a, b = results["old"], results["new"]
-            rel, off = difference(a.final, b.final, rtol)
-            diff[label, M] = max(diff[label, M], rel)
-            if a.nfe != b.nfe or off:
-                mismatches.append(f"{label} M={M} round {rnd}: nfe {a.nfe} vs {b.nfe}, "
-                                  f"relative final diff {rel:.3e}")
-    cell_us = {key: float(np.quantile(values, CELL_Q)) for key, values in us.items()}
-    print(f"{'cell':<26} {'old us/step':>12} {'new us/step':>12} {'new/old':>8} {'rel diff':>10}")
-    for label, M in cells:
-        o, n = cell_us["old", (label, M)], cell_us["new", (label, M)]
-        print(f"{label + f' M={M}':<26} {o:12.3f} {n:12.3f} {n / o:8.3f} "
-              f"{diff[label, M]:10.2e}")
-    print(f"{rounds} rounds, dim {dim}; per side across cells:")
-    for name in sides:
-        per_cell = [cell_us[name, cell] for cell in cells]
-        print(f"{name:<4} p50 {np.median(per_cell):9.3f} us/step  "
-              f"p90 {np.quantile(per_cell, 0.9):9.3f} us/step")
+                    us[name, case.label].append(seconds / case.steps * 1e6)
+            old, new, offs = results["old"], results["new"], []
+            for key, value in old.items():
+                if isinstance(value, np.ndarray):
+                    rel = float(np.max(np.abs(new[key] - value)) / max(1.0, np.max(np.abs(value))))
+                    diff[case.label] = max(diff[case.label], rel)
+                    if not (rel <= rtol if rtol else value.tobytes() == new[key].tobytes()):
+                        offs.append(f"relative {key} diff {rel:.3e}")
+                elif value != new[key]:
+                    offs.append(f"{key} {value} vs {new[key]}")
+            if offs:
+                mismatches.append(f"{case.label} round {rnd}: {', '.join(offs)}")
+    case_us = {key: float(np.quantile(values, CELL_Q)) for key, values in us.items()}
+    width = max(len(case.label) for case in cases) + 2
+    print(f"{'case':<{width}} {'old us/step':>12} {'new us/step':>12} {'new/old':>8} "
+          f"{'rel diff':>10}")
+    for case in cases:
+        o, n = case_us["old", case.label], case_us["new", case.label]
+        print(f"{case.label:<{width}} {o:12.3f} {n:12.3f} {n / o:8.3f} {diff[case.label]:10.2e}")
+    print(f"per tree across the {len(cases)} cases:")
+    for name in trees:
+        per_case = [case_us[name, case.label] for case in cases]
+        print(f"{name:<4} p50 {np.median(per_case):12.3f} us/step  "
+              f"p90 {np.quantile(per_case, 0.9):12.3f} us/step")
     return mismatches
 
 
-def compare_reference(old, new, steps: int, rounds: int, rtol: float = 0.0) -> list[str]:
-    """Alternate the fine-rk4 references and print their timings and largest difference;
-    returns the mismatches: a reference off by more than rtol max(1, max |old|)."""
-    sides = {}
-    for name, pkg in (("old", old), ("new", new)):
-        sched = pkg.NoiseSchedule.from_json({"kind": "vp-cosine"})
-        sides[name] = (pkg, pkg.SyntheticModel.linear_in_x(0.3, 4), sched)
-    rng = np.random.default_rng(0)
-    seconds = {name: [] for name in sides}
-    mismatches, diff = [], 0.0
-    for rnd in range(rounds):
-        order = ("old", "new") if rnd % 2 else ("new", "old")
-        x = rng.standard_normal(4)
-        results = {}
-        for name in order:
-            pkg, model, sched = sides[name]
-            start = time.perf_counter()
-            results[name] = pkg.reference_solution(model, sched, x, sched.t_start, sched.t_end,
-                                                   "fine-rk4", steps=steps)
-            seconds[name].append(time.perf_counter() - start)
-        rel, off = difference(results["old"], results["new"], rtol)
-        diff = max(diff, rel)
-        if off:
-            mismatches.append(f"round {rnd}: relative reference diff {rel:.3e}")
-    q = {name: float(np.quantile(values, CELL_Q)) for name, values in seconds.items()}
-    print(f"fine-rk4 reference, {steps} steps ({12 * steps} model calls), {rounds} rounds:")
-    print(f"old {q['old']:.6f} s  new {q['new']:.6f} s  new/old {q['new'] / q['old']:.3f}  "
-          f"rel diff {diff:.2e}")
-    return mismatches
+def cell_cases(trees: dict, dim: int) -> tuple[str, str, list[Case]]:
+    """The sample() cells, with each tree's schedule, evaluators, grids and configs; like each
+    mode, returns its header, what its cases are and the cases."""
+    configs, poly = benchmark_cells(trees["new"].pkg)
+    for tree in trees.values():
+        pkg = tree.pkg
+        tree.sched = pkg.NoiseSchedule()
+        noise = pkg.SyntheticModel.x_free_poly(list(poly), dim=dim).evaluator(tree.sched)
+        tree.evaluators = {"noise": noise,
+                           "data": pkg.convert_parameterization(noise, tree.sched)}
+        tree.grids = {M: pkg.make_time_grid(tree.sched, M) for M in MS}
+        tree.configs = {label: pkg.SolverConfig.from_json(s) for label, s in configs.items()}
+
+    def cell(label: str, M: int) -> Case:
+        def prepare(tree, x):
+            config = tree.configs[label]
+            return lambda: tree.pkg.sample(tree.evaluators[config.prediction], tree.sched,
+                                           tree.grids[M], config, x)
+        return Case(f"{label} M={M}", M, lambda rng: rng.standard_normal(dim), prepare)
+
+    return (f"sample() cells, dim {dim}", "cell runs",
+            [cell(label, M) for label in configs for M in MS])
 
 
-ONE_STEP_KINDS = ("vp-linear", "vp-cosine")
+def reference_cases(trees: dict, steps: int) -> tuple[str, str, list[Case]]:
+    """The fine-rk4 reference on the study-rk4 workload's setup."""
+    for tree in trees.values():
+        tree.sched = tree.pkg.NoiseSchedule.from_json({"kind": "vp-cosine"})
+        tree.model = tree.pkg.SyntheticModel.linear_in_x(0.3, 4)
+
+    def prepare(tree, x):
+        return lambda: tree.pkg.reference_solution(tree.model, tree.sched, x, tree.sched.t_start,
+                                                   tree.sched.t_end, "fine-rk4", steps=steps)
+    return (f"fine-rk4 reference, {steps} steps ({12 * steps} model calls)", "references",
+            [Case("fine-rk4", 1, lambda rng: rng.standard_normal(4), prepare)])
 
 
-def one_step_cases(max_order: int) -> list[tuple]:
-    """(schedule kind, order, bh, prediction, corrector, varying) of every correct() case."""
-    return list(itertools.product(ONE_STEP_KINDS, range(1, max_order + 1), ("b1", "b2"),
-                                  ("noise", "data"), ("standard", "oracle"), (False, True)))
+def one_step_cases(trees: dict) -> tuple[str, str, list[Case]]:
+    """correct() over every case and ddim_step, per schedule kind."""
+    max_order = min(tree.pkg.coeffs.MAX_ORDER for tree in trees.values())
+    for tree in trees.values():
+        pkg, tree.kinds = tree.pkg, {}
+        for kind in ONE_STEP_KINDS:
+            sched = pkg.NoiseSchedule.from_json({"kind": kind})
+            noise = pkg.SyntheticModel.linear_in_x(0.3, 4).evaluator(sched)
+            tree.kinds[kind] = SimpleNamespace(
+                sched=sched, t=pkg.make_time_grid(sched, 8, "quadratic-time").times.tolist(),
+                models={"noise": noise, "data": pkg.convert_parameterization(noise, sched)})
 
+    def ddim(kind: str) -> Case:
+        def prepare(tree, drawn):
+            on = tree.kinds[kind]
+            return lambda: tree.pkg.ddim_step(on.sched, drawn[0], drawn[1], on.t[0], on.t[1])
+        return Case(f"{kind} ddim_step", 1, lambda rng: rng.standard_normal((2, 4)), prepare)
 
-def run_one_step(pkg, cases: list[tuple], inputs: dict) -> tuple[dict, float]:
-    """Every case's one-step result under pkg as bytes, and the seconds they took."""
-    results, seconds = {}, 0.0
-    x, outputs, x_pred = inputs["x"], inputs["outputs"], inputs["x_pred"]
-    for kind in ONE_STEP_KINDS:
-        sched = pkg.NoiseSchedule.from_json({"kind": kind})
-        noise = pkg.SyntheticModel.linear_in_x(0.3, 4).evaluator(sched)
-        models = {"noise": noise, "data": pkg.convert_parameterization(noise, sched)}
-        t = pkg.make_time_grid(sched, 8, "quadratic-time").times.tolist()
-        start = time.perf_counter()
-        step = pkg.ddim_step(sched, x, outputs[0], t[0], t[1])
-        seconds += time.perf_counter() - start
-        results[kind, "ddim_step"] = step.tobytes()
-        for case in [c for c in cases if c[0] == kind]:
-            _, p, bh, prediction, corrector, varying = case
-            config = pkg.SolverConfig(order=p, bh=bh, prediction=prediction,
-                                      corrector=corrector, varying_coefficients=varying)
-            state = pkg.SolverState(x=x, capacity=p)
+    def correct(kind, p, bh, prediction, corrector, varying) -> Case:
+        def prepare(tree, drawn):  # rows: x, x_pred, then the p buffered outputs
+            on, (x, x_pred, *outputs) = tree.kinds[kind], drawn
+            config = tree.pkg.SolverConfig(order=p, bh=bh, prediction=prediction,
+                                           corrector=corrector, varying_coefficients=varying)
+            state = tree.pkg.SolverState(x=x, capacity=p)
             for j in range(p):
-                state.push(t[j], outputs[j])
-            model = models[prediction]
-            start = time.perf_counter()
-            res = pkg.correct(sched, state, t[p], x_pred, p, model, config)
-            seconds += time.perf_counter() - start
-            results[case] = (res.corrected.tobytes(), res.push_output.tobytes(), res.evals)
-    return results, seconds
+                state.push(on.t[j], outputs[j])
+            return lambda: tree.pkg.correct(on.sched, state, on.t[p], x_pred, p,
+                                            on.models[prediction], config)
+        label = f"{kind} p={p} {bh} {prediction} {corrector}{' varying' * varying}"
+        return Case(label, 1, lambda rng: rng.standard_normal((p + 2, 4)), prepare)
 
-
-def compare_one_step(old, new, rounds: int) -> list[str]:
-    """Alternate the one-step API over every case and print the timings; returns the
-    mismatches."""
-    max_order = min(old.coeffs.MAX_ORDER, new.coeffs.MAX_ORDER)
-    cases = one_step_cases(max_order)
-    rng = np.random.default_rng(0)
-    seconds = {"old": [], "new": []}
-    mismatches = []
-    for rnd in range(rounds):
-        order = ("old", "new") if rnd % 2 else ("new", "old")
-        inputs = {"x": rng.standard_normal(4), "x_pred": rng.standard_normal(4),
-                  "outputs": list(rng.standard_normal((max_order, 4)))}
-        results = {}
-        for name in order:
-            results[name], spent = run_one_step(old if name == "old" else new, cases, inputs)
-            seconds[name].append(spent)
-        for case, got in results["new"].items():
-            if got != results["old"][case]:
-                mismatches.append(f"{case} round {rnd}")
-    q = {name: float(np.quantile(values, CELL_Q)) for name, values in seconds.items()}
-    print(f"one-step API, {len(cases)} correct() and {len(ONE_STEP_KINDS)} ddim_step cases, "
-          f"{rounds} rounds:")
-    print(f"old {q['old']:.6f} s  new {q['new']:.6f} s  new/old {q['new'] / q['old']:.3f}")
-    return mismatches
+    corrects = [correct(*c) for c in itertools.product(
+        ONE_STEP_KINDS, range(1, max_order + 1), ("b1", "b2"), ("noise", "data"),
+        ("standard", "oracle"), (False, True))]
+    return (f"one-step API, {len(corrects)} correct() and {len(ONE_STEP_KINDS)} ddim_step "
+            "cases", "one-step results", [ddim(kind) for kind in ONE_STEP_KINDS] + corrects)
 
 
 def main(argv=None) -> int:
@@ -253,32 +220,31 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--dim", type=int, default=4)
     parser.add_argument("--rounds", type=int, default=200)
-    parser.add_argument("--reference", action="store_true",
-                        help="time the fine-rk4 reference instead of the sample() cells")
-    parser.add_argument("--one-step", action="store_true",
-                        help="compare correct() and ddim_step instead of the sample() cells")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--reference", action="store_true",
+                      help="time the fine-rk4 reference instead of the sample() cells")
+    mode.add_argument("--one-step", action="store_true",
+                      help="compare correct() and ddim_step instead of the sample() cells")
     parser.add_argument("--steps", type=int, default=20_000,
                         help="fine-rk4 steps of the coarse pass (--reference)")
     parser.add_argument("--rtol", type=float, default=0.0,
-                        help="largest relative difference a cell's final state or a "
-                             "reference may show (default 0: bit for bit)")
+                        help="largest relative difference an array may show "
+                             "(default 0: bit for bit)")
     args = parser.parse_args(argv)
     if args.dim < 1 or args.rounds < 1 or args.steps < 1:
         parser.error("--dim, --rounds and --steps must be >= 1")
     if not 0.0 <= args.rtol < float("inf"):
         parser.error("--rtol must be a finite number >= 0")
-    old, new = load_tree(args.old_src, "unipc_ab_old"), load_tree(args.new_src, "unipc_ab_new")
-    if args.reference and args.one_step:
-        parser.error("--reference and --one-step exclude each other")
+    trees = {name: SimpleNamespace(pkg=load_tree(src, f"unipc_ab_{name}"))
+             for name, src in (("old", args.old_src), ("new", args.new_src))}
     if args.reference:
-        mismatches = compare_reference(old, new, args.steps, args.rounds, args.rtol)
-        what = "references"
+        header, what, cases = reference_cases(trees, args.steps)
     elif args.one_step:
-        mismatches = compare_one_step(old, new, args.rounds)
-        what = "one-step results"
+        header, what, cases = one_step_cases(trees)
     else:
-        mismatches = compare_cells(old, new, args.dim, args.rounds, args.rtol)
-        what = "cell runs"
+        header, what, cases = cell_cases(trees, args.dim)
+    print(f"{header}, {args.rounds} rounds:")
+    mismatches = alternate(trees, cases, args.rounds, args.rtol)
     for line in mismatches[:10]:
         print(f"mismatch: {line}")
     if mismatches:

@@ -72,6 +72,9 @@ def _cmd_fit(args) -> int:
     groups: dict[tuple, list[tuple[int, float]]] = {}  # per solver, its (M, error) points
     with open(args.infile) as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in (*CSV_COLUMNS[:7], "error") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"{args.infile} is missing columns {missing}")
         for row in reader:
             where = f"{args.infile} line {reader.line_num}"
             key = tuple(row[k] for k in CSV_COLUMNS[:6])

@@ -9,6 +9,7 @@ and for every JSON field: "int", "number" (finite), "real" (any real number
 a float can hold), "bool", "list" or "dict"; a class, or a union of classes
 such as str | os.PathLike; or a tuple of the allowed strings.  Its messages, and the range
 checks that print a rejected value, format it with shown, which also shows a too-long int.
+Every JSON reader names the keys it does not know with unknown.
 """
 
 import math
@@ -71,6 +72,11 @@ def shown(value, form=repr) -> str:
         return form(value)
     except ValueError:
         return f"<{type(value).__name__} that {form.__name__} cannot show>"
+
+
+def unknown(keys, known) -> list:
+    """The keys not in known, sorted by repr, so keys of mixed types sort too."""
+    return sorted(set(keys) - set(known), key=repr)
 
 
 def typed(value, kind, what: str, error: type[UniPCError] = ValidationError):

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, shown, typed
+from .errors import DomainError, ValidationError, shown, typed, unknown
 from .schedule import NoiseSchedule, _floats
 
 PREDICTION_KINDS = ("noise", "data")
@@ -239,7 +239,7 @@ class SyntheticModel:
             build, names = cls.x_free_poly, ["coeffs"]
         else:
             build, names = cls.linear_in_x, ["kappa", "coeffs"]  # its gains, by either name
-        extra = sorted(set(spec) - {"family", "dim", *names})
+        extra = unknown(spec, ["family", "dim", *names])
         if extra:
             raise ValidationError(f"unknown {family} model fields {extra}")
         given = [name for name in names if name in spec]

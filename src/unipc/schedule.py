@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, shown, typed
+from .errors import DomainError, ValidationError, shown, typed, unknown
 
 #: Each kind's fields, in the order to_json writes them after its kind.
 _KIND_FIELDS = {"vp-linear": ("beta_min", "beta_max", "t_start", "t_end"),
@@ -78,6 +78,8 @@ class NoiseSchedule:
 
     Every field but kind must be a finite real number (not a bool), kept as
     given, so a schedule is a hashable value that can key sample()'s plan cache.
+    A field the kind does not use must keep its default, so a schedule equals
+    its to_json round trip.
     """
 
     kind: str = "vp-linear"
@@ -91,6 +93,10 @@ class NoiseSchedule:
         typed(self.kind, SCHEDULE_KINDS, "schedule kind")
         for name in _NUMBER_FIELDS:
             typed(getattr(self, name), "number", f"schedule field {name!r}")
+        unused = [name for name in _NUMBER_FIELDS if name not in _KIND_FIELDS[self.kind]
+                  and getattr(self, name) != getattr(NoiseSchedule, name)]  # its default
+        if unused:
+            raise ValidationError(f"{self.kind} schedule does not use {unused}")
         if not 0.0 < self.t_end < self.t_start:
             raise ValidationError("need 0 < t_end < t_start")
         if self.kind == "vp-linear" and not 0.0 < self.beta_min < self.beta_max:
@@ -113,9 +119,9 @@ class NoiseSchedule:
         kind = typed(spec.pop("kind", "vp-linear"), SCHEDULE_KINDS, "schedule kind")
         if kind == "vp-cosine":
             spec.setdefault("t_start", 0.9946)
-        extra = set(spec) - set(_NUMBER_FIELDS)
+        extra = unknown(spec, _KIND_FIELDS[kind])
         if extra:
-            raise ValidationError(f"unknown schedule fields {sorted(extra)}")
+            raise ValidationError(f"unknown {kind} schedule fields {extra}")
         return cls(kind=kind, **spec)
 
     def to_json(self) -> dict:

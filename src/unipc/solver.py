@@ -95,6 +95,7 @@ from .errors import (
     ValidationError,
     shown,
     typed,
+    unknown,
 )
 from .model import PREDICTION_KINDS, ModelEvaluator, _state, _threshold, _time
 from .schedule import _MAX_STEPS, NoiseSchedule, TimeGrid, _floats
@@ -205,15 +206,15 @@ class SolverConfig:
         spec = dict(typed(spec, "dict", "solver config"))
         th = spec.pop("thresholding", None)
         if th is not None:
-            names = {f.name for f in fields(Thresholding)}
-            given = set(typed(th, "dict", "thresholding"))
-            extra, missing = sorted(given - names), sorted(names - given)
+            names = [f.name for f in fields(Thresholding)]
+            given = typed(th, "dict", "thresholding")
+            extra, missing = unknown(given, names), unknown(names, given)
             if extra or missing:
                 raise ValidationError(f"thresholding fields: unknown {extra}, missing {missing}")
             th = Thresholding(**th)
-        extra = set(spec) - {f.name for f in fields(cls)}
+        extra = unknown(spec, [f.name for f in fields(cls)])
         if extra:
-            raise ValidationError(f"unknown solver fields {sorted(extra)}")
+            raise ValidationError(f"unknown solver fields {extra}")
         return cls(thresholding=th, **spec)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DomainError, FitError, NumericError, ReferenceAccuracyError, ValidationError, shown, typed,
+    unknown,
 )
 from .model import SyntheticModel, _state, _time, convert_parameterization, exact_solution_xfree
 from .schedule import SKIP_KINDS, NoiseSchedule, _floats, make_time_grid
@@ -249,7 +250,9 @@ class ConvergenceStudy:
     The fields are checked here, so a study that could not finish fails
     before run_study solves its reference.  Each has its annotated type
     (solver_configs and step_counts are lists), and error_norm, reference and
-    skip_kind are among their choices (ValidationError).
+    skip_kind are among their choices (ValidationError).  A closed-form
+    reference needs a closed-form model, and with oracle_starts every step
+    count must reach every config's order (ValidationError).
     """
 
     model: SyntheticModel
@@ -283,17 +286,24 @@ class ConvergenceStudy:
             if typed(config, SolverConfig, f"solver {i}").order_schedule is not None:
                 raise ValidationError(f"solver {i} has an order_schedule, which fixes M; "
                                       "a study varies M")
+            if self.oracle_starts and config.order > self.step_counts[0]:
+                raise ValidationError(f"solver {i} of order {config.order} needs step counts "
+                                      f">= {config.order} for its oracle starting values, "
+                                      f"got {self.step_counts[0]}")
         if not typed(self.seed, "int", "seed") >= 0:
             raise ValidationError(f"seed must be >= 0, got {shown(self.seed, str)}")
         if self.oracle_starts and not self.model.closed_form:
             raise ValidationError("oracle starting values need a closed-form model")
+        if self.reference == "closed-form" and not self.model.closed_form:
+            raise ValidationError(f"a {self.model.family} model has no closed-form reference; "
+                                  "use fine-rk4")
 
     @classmethod
     def from_json(cls, cfg: dict) -> "ConvergenceStudy":
         """Build from to_json's config, read in its key order; absent fields take their defaults."""
-        extra = set(typed(cfg, "dict", "study config")) - {key for _, key, _, _ in _JSON_FIELDS}
+        extra = unknown(typed(cfg, "dict", "study config"), [key for _, key, _, _ in _JSON_FIELDS])
         if extra:
-            raise ValidationError(f"unknown study fields {sorted(extra)}")
+            raise ValidationError(f"unknown study fields {extra}")
         required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
         given = {}
         for name, key, read, _ in _JSON_FIELDS:

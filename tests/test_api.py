@@ -116,10 +116,10 @@ def test_array_as_a_string_choice_rejected(tmp_path, monkeypatch, call, what, er
 
 #: The fixed hostile values the fuzz puts into every argument position, one at a time.
 #: 10**5000 has more digits than str and repr convert.
-HOSTILE = [None, True, "0.5", 1 + 2j, math.nan, math.inf, 10**400, 10**5000, -1, [], {}, object(),
-           np.array([[1.0]]), np.array([0.5, 0.7])]
+HOSTILE = [None, True, "0.5", 1 + 2j, math.nan, math.inf, 10**400, 10**5000, -1, [], {},
+           {1: 2, "x": 3}, object(), np.array([[1.0]]), np.array([0.5, 0.7])]
 HOSTILE_IDS = ["none", "bool", "text", "complex", "nan", "inf", "10**400", "10**5000", "-1", "list",
-               "dict", "object", "1x1-array", "2-array"]
+               "dict", "mixed-keys-dict", "object", "1x1-array", "2-array"]
 
 
 def entry_points():

@@ -322,6 +322,15 @@ class TestFit:
         err_text = capsys.readouterr().err
         assert "step counts must be finite and > 0" in err_text and "Traceback" not in err_text
 
+    def test_missing_column_exits_2(self, tmp_path, capsys):
+        # printed "error: 'error'", a bare KeyError
+        path = tmp_path / "no-error.csv"
+        path.write_text("solver,order,variant,bh,prediction,corrector,M,nfe,seconds\n"
+                        "unip-1,1,multistep,b2,noise,off,10,10,0.1\n")
+        assert main(["fit", "--in", str(path)]) == 2
+        err_text = capsys.readouterr().err
+        assert f"{path} is missing columns ['error']" in err_text
+
     def test_empty_csv_exits_2(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("solver,order,variant,bh,prediction,corrector,M,nfe,error,seconds\n")

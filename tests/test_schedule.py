@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import log_alpha_reference
 from unipc import DomainError, NoiseSchedule, ValidationError, make_time_grid
-from unipc.schedule import _EDGE_TOL, TimeGrid
+from unipc.schedule import _EDGE_TOL, SCHEDULE_KINDS, TimeGrid
 
 # Frozen with a 40-digit mpmath evaluation of the closed forms.
 ALPHA_AT_1 = 0.0065715864949296154
@@ -298,6 +299,32 @@ class TestConstruction:
         assert NoiseSchedule.from_json(doc) == sched
         assert json.dumps(NoiseSchedule.from_json(doc).to_json()) == json.dumps(doc)
 
+    def test_every_schedule_equals_its_round_trip(self):
+        # a vp-cosine schedule kept beta_min=0.2, which to_json drops: its round trip was
+        # another schedule, and keyed another plan
+        values = {"beta_min": (0.1, 0.2), "beta_max": (20.0, 15), "cosine_s": (0.008, 0.01),
+                  "t_start": (1.0, 0.99), "t_end": (1e-3, 0.005)}
+        built = dict.fromkeys(SCHEDULE_KINDS, 0)
+        for kind, chosen in itertools.product(SCHEDULE_KINDS, itertools.product(*values.values())):
+            try:
+                sched = NoiseSchedule(kind=kind, **dict(zip(values, chosen)))
+            except ValidationError:
+                continue
+            again = NoiseSchedule.from_json(sched.to_json())
+            assert again == sched and hash(again) == hash(sched)
+            built[kind] += 1
+        assert built == {"vp-linear": 16, "vp-cosine": 4}  # the other kind's fields at defaults
+
+    @pytest.mark.parametrize("kind, fields, unused", [
+        ("vp-cosine", {"t_start": 0.99, "beta_min": 0.2}, "beta_min"),
+        ("vp-cosine", {"t_start": 0.99, "beta_max": 15}, "beta_max"),
+        ("vp-linear", {"cosine_s": 0.01}, "cosine_s"),
+    ])
+    def test_other_kinds_fields_refused(self, kind, fields, unused):
+        message = rf"^{kind} schedule does not use \['{unused}'\]$"
+        with pytest.raises(ValidationError, match=message):
+            NoiseSchedule(kind=kind, **fields)
+
     def test_cosine_default_t_start(self):
         sched = NoiseSchedule.from_json({"kind": "vp-cosine"})
         assert sched.t_start == pytest.approx(0.9946)
@@ -307,6 +334,10 @@ class TestConstruction:
             NoiseSchedule.from_json({"kind": "vp-linear", "gamma": 2.0})
         with pytest.raises(ValidationError):
             NoiseSchedule.from_json({"kind": "edm"})
+        # another kind's field is unknown to this one, even at its default
+        with pytest.raises(ValidationError,
+                           match=r"unknown vp-cosine schedule fields \['beta_min'\]"):
+            NoiseSchedule.from_json({"kind": "vp-cosine", "beta_min": 0.1})
 
     @pytest.mark.parametrize("name, fields", [
         ("beta_min", {"kind": "vp-cosine", "t_start": 0.9, "beta_min": "x", "beta_max": None}),

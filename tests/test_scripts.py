@@ -4,6 +4,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -127,6 +129,35 @@ def test_ab_cells_one_step_mode_fails_when_the_trees_disagree(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "one-step results differ between the trees" in printed
     assert "ddim_step" not in printed.split("mismatch", 1)[1]
+
+
+def test_ab_cells_one_step_mode_rtol_forgives_round_off_only(tmp_path, capsys):
+    src = SCRIPTS.parent / "src"
+    ab_cells = load("ab_cells")
+    one_step = ["--one-step", "--rounds", "1"]
+    line = "corrected = row.dot(np.stack(outputs + [f_pred, x]))"
+    for name, scale, forgiven in (("round-off", "2.0**-51", True), ("real", "1e-9", False)):
+        tree = tmp_path / name
+        shutil.copytree(src / "unipc", tree / "unipc",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        solver = tree / "unipc" / "solver.py"
+        text = solver.read_text()
+        assert line in text
+        # each corrected state scaled by 1 + scale: round-off, or a real difference
+        solver.write_text(text.replace(line, f"{line} * (1 + {scale})"))
+        assert ab_cells.main([str(src), str(tree)] + one_step) == 1
+        printed = capsys.readouterr().out
+        assert "one-step results differ between the trees" in printed and "rel diff" in printed
+        assert ab_cells.main([str(src), str(tree), "--rtol", "1e-12"] + one_step) == 1 - forgiven
+        assert ("mismatch" in capsys.readouterr().out) != forgiven, name
+
+
+def test_ab_cells_modes_exclude_each_other(capsys):
+    src = str(SCRIPTS.parent / "src")
+    with pytest.raises(SystemExit) as exit_info:
+        load("ab_cells").main([src, src, "--reference", "--one-step"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_bh_and_schedules_runs_every_schedule(capsys):

@@ -1306,6 +1306,13 @@ class TestConfigJSON:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValidationError):
             SolverConfig.from_json({"order": 2, "step_mode": "fancy"})
+        # keys of mixed types raised a bare TypeError while they were sorted
+        with pytest.raises(ValidationError, match=r"unknown solver fields \['x', 1\]"):
+            SolverConfig.from_json({1: 2, "x": 3})
+        th = {"ratio": 0.9, "floor": 1.0, 1: 2, "x": 3}
+        with pytest.raises(ValidationError,
+                           match=r"thresholding fields: unknown \['x', 1\], missing \[\]"):
+            SolverConfig.from_json({"order": 2, "prediction": "data", "thresholding": th})
 
     @pytest.mark.parametrize("th,message", [
         ({"ratio": 0.9, "floor": 1.0, "flor": 2}, r"unknown \['flor'\]"),  # was accepted

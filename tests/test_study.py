@@ -473,9 +473,16 @@ class TestRunStudy:
         ({"step_counts": None}, "^step_counts must be a list, got None$"),
         ({"step_counts": 4}, "^step_counts must be a list, got 4$"),
         ({"oracle_starts": np.array([True, False])}, "^oracle_starts must be a bool, got "),
+        # each solved the reference, then failed: warm_start longer than the grid allows,
+        # and exact solution requires an x-free polynomial model
+        ({"solver_configs": [SolverConfig(order=3)], "step_counts": [2, 3, 4, 5],
+          "oracle_starts": True},
+         "^solver 0 of order 3 needs step counts >= 3 for its oracle starting values, got 2$"),
+        ({"model": SyntheticModel.linear_in_x(0.3, 4)},
+         "^a linear-in-x model has no closed-form reference; use fine-rk4$"),
     ], ids=["skip", "zero-M", "float-M", "bool-M", "order-schedule", "float-seed", "bool-seed",
             "evaluator-model", "dict-schedule", "none-configs", "dict-config", "none-M", "int-M",
-            "array-oracle"])
+            "array-oracle", "oracle-short-M", "closed-form-linear"])
     def test_rejected_before_run(self, change, message):
         fields = dict(model=SyntheticModel.x_free_poly(SMALL_COEFFS, 4), schedule=NoiseSchedule(),
                       solver_configs=[SolverConfig(order=2)], step_counts=[10, 20, 40, 80])
