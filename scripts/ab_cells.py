@@ -25,6 +25,8 @@ with --rtol R (default 0: any differing bit, a zero's sign too).
                corrector, pinned/varying weights, and ddim_step, on both schedules
                over a linear-in-x model (gain 0.3, dim 4).
 
+--dim belongs to the cells and --steps to --reference; another mode refuses them.
+
 Usage:
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC [--dim N] [--rounds N] [--rtol R]
     python3 scripts/ab_cells.py OLD_SRC NEW_SRC --reference [--steps N] [--rounds N] [--rtol R]
@@ -218,19 +220,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--dim", type=int, default=4)
+    parser.add_argument("--dim", type=int, help="state size of the sample() cells (default 4)")
     parser.add_argument("--rounds", type=int, default=200)
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--reference", action="store_true",
                       help="time the fine-rk4 reference instead of the sample() cells")
     mode.add_argument("--one-step", action="store_true",
                       help="compare correct() and ddim_step instead of the sample() cells")
-    parser.add_argument("--steps", type=int, default=20_000,
-                        help="fine-rk4 steps of the coarse pass (--reference)")
+    parser.add_argument("--steps", type=int,
+                        help="fine-rk4 steps of the coarse pass (--reference; default 20000)")
     parser.add_argument("--rtol", type=float, default=0.0,
                         help="largest relative difference an array may show "
                              "(default 0: bit for bit)")
     args = parser.parse_args(argv)
+    if args.dim is not None and (args.reference or args.one_step):
+        parser.error("--dim applies to the sample() cells only")
+    if args.steps is not None and not args.reference:
+        parser.error("--steps applies to --reference only")
+    args.dim = 4 if args.dim is None else args.dim
+    args.steps = 20_000 if args.steps is None else args.steps
     if args.dim < 1 or args.rounds < 1 or args.steps < 1:
         parser.error("--dim, --rounds and --steps must be >= 1")
     if not 0.0 <= args.rtol < float("inf"):

@@ -48,15 +48,23 @@ def _cmd_run(args) -> int:
     emit(study, args.out, fmt=args.format)
     print(f"wrote {len(study.results)} rows to {args.out}")
     for config, fit, reason in study.fits():
-        if fit is not None:
-            print(
-                f"{config.name()} ({config.variant}, {config.bh}, {config.prediction}, "
-                f"corrector={config.corrector}): order={fit.slope:.3f} "
-                f"r2={fit.r_squared:.5f} n={fit.n_used}"
-            )
-        else:
-            print(f"{config.name()}: unfittable ({reason})")
+        print(_fit_line((config.name(), config.order, config.variant, config.bh,
+                         config.prediction, config.corrector), fit, reason))
     return 0
+
+
+def _label(key: tuple) -> str:
+    """A solver group by its CSV_COLUMNS[:6] values, as run and fit name it."""
+    solver, _, variant, bh, prediction, corrector = key
+    return f"{solver} ({variant}, {bh}, {prediction}, corrector={corrector})"
+
+
+def _fit_line(key: tuple, fit, reason) -> str:
+    """The line run and fit print for a group's fit, or for why it is unfittable."""
+    if fit is None:
+        return f"{_label(key)}: unfittable ({reason})"
+    return (f"{_label(key)}: order={fit.slope:.3f} intercept={fit.intercept:.3f} "
+            f"r2={fit.r_squared:.5f} n={fit.n_used}")
 
 
 def _cell(row: dict, where: str, column: str, kind: type):
@@ -69,7 +77,7 @@ def _cell(row: dict, where: str, column: str, kind: type):
 
 
 def _cmd_fit(args) -> int:
-    groups: dict[tuple, list[tuple[int, float]]] = {}  # per solver, its (M, error) points
+    groups: dict[tuple, dict[int, float]] = {}  # per solver, its error per M
     with open(args.infile) as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in (*CSV_COLUMNS[:7], "error") if c not in (reader.fieldnames or ())]
@@ -78,22 +86,21 @@ def _cmd_fit(args) -> int:
         for row in reader:
             where = f"{args.infile} line {reader.line_num}"
             key = tuple(row[k] for k in CSV_COLUMNS[:6])
-            groups.setdefault(key, []).append(
-                (_cell(row, where, "M", int), _cell(row, where, "error", float)))
+            M, error = _cell(row, where, "M", int), _cell(row, where, "error", float)
+            points = groups.setdefault(key, {})
+            if M in points:  # two configs the columns cannot tell apart, or one listed twice
+                raise ValidationError(f"{where}: M={M} repeats in group {_label(key)}")
+            points[M] = error
     if not groups:
         raise ValidationError(f"no data rows in {args.infile}")
     failures = 0
     for key, points in groups.items():
-        points.sort(key=lambda point: point[0])
-        Ms, errs = zip(*points)
-        label = f"{key[0]} ({key[2]}, {key[3]}, {key[4]}, corrector={key[5]})"
         try:
-            fit = fit_order(Ms, errs)
-            print(f"{label}: order={fit.slope:.3f} intercept={fit.intercept:.3f} "
-                  f"r2={fit.r_squared:.5f} n={fit.n_used}")
+            fit, reason = fit_order(*zip(*sorted(points.items()))), None
         except FitError as exc:
-            print(f"{label}: unfittable ({exc})")
+            fit, reason = None, exc
             failures += 1
+        print(_fit_line(key, fit, reason))
     return 3 if failures else 0
 
 

@@ -40,6 +40,8 @@ from .errors import DomainError, ValidationError, shown, typed, unknown
 _KIND_FIELDS = {"vp-linear": ("beta_min", "beta_max", "t_start", "t_end"),
                 "vp-cosine": ("cosine_s", "t_start", "t_end")}
 SCHEDULE_KINDS = tuple(_KIND_FIELDS)
+#: Each kind's t_start when none is given: vp-cosine's alpha vanishes at t = 1.
+_T_START = {"vp-linear": 1.0, "vp-cosine": 0.9946}
 SKIP_KINDS = ("uniform-lambda", "uniform-time", "quadratic-time")
 #: The most steps make_time_grid builds: a grid's arrays stay under 8 MB each.
 _MAX_STEPS = 10**6
@@ -79,18 +81,21 @@ class NoiseSchedule:
     Every field but kind must be a finite real number (not a bool), kept as
     given, so a schedule is a hashable value that can key sample()'s plan cache.
     A field the kind does not use must keep its default, so a schedule equals
-    its to_json round trip.
+    its to_json round trip.  t_start=None (the default) takes the kind's, 1.0
+    for vp-linear and 0.9946 for vp-cosine.
     """
 
     kind: str = "vp-linear"
     beta_min: float = 0.1
     beta_max: float = 20.0
     cosine_s: float = 0.008
-    t_start: float = 1.0
+    t_start: float | None = None
     t_end: float = 1e-3
 
     def __post_init__(self):
         typed(self.kind, SCHEDULE_KINDS, "schedule kind")
+        if self.t_start is None:
+            object.__setattr__(self, "t_start", _T_START[self.kind])
         for name in _NUMBER_FIELDS:
             typed(getattr(self, name), "number", f"schedule field {name!r}")
         unused = [name for name in _NUMBER_FIELDS if name not in _KIND_FIELDS[self.kind]
@@ -117,8 +122,6 @@ class NoiseSchedule:
         """Build from a JSON-style dict, e.g. {"kind": "vp-linear", "beta_min": 0.1, ...}."""
         spec = dict(typed(spec, "dict", "schedule"))
         kind = typed(spec.pop("kind", "vp-linear"), SCHEDULE_KINDS, "schedule kind")
-        if kind == "vp-cosine":
-            spec.setdefault("t_start", 0.9946)
         extra = unknown(spec, _KIND_FIELDS[kind])
         if extra:
             raise ValidationError(f"unknown {kind} schedule fields {extra}")

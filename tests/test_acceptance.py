@@ -9,14 +9,17 @@ entirely by the min(p, i) warm-up steps: the first step is first-order
 (error O(h^2)), its corrected variant third-order-local (O(h^3)), and
 those ramp-up errors only propagate afterwards.  The fitted slopes hence
 cap near 2 (predictor) and 3 (corrected), below the gated 2.6 / 3.5.
-The companion test afterwards shows all six gates pass on a quartic model
+The companion test afterwards shows every gate pass on a quartic model
 once the run is started from accurate states, which is the regime the
-order claims describe; see also scripts/order_study.py.
+order claims describe.  Both sweeps are the shipped study configs, which
+`unipc run` reads too: configs/order_study.json and
+configs/accurate_starts.json.
 """
 
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,38 +42,29 @@ from unipc import (
 from unipc.cli import main as cli_main
 from unipc.coeffs import MAX_ORDER, update_rows
 
-DEGREE2_COEFFS = [1.5e-4, -6.0e-4, 2.5e-4]
-STEP_COUNTS = [10, 20, 40, 80, 160, 320]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: The degree-2 warm-up sweep: its model also drives criteria 7-9.
+ORDER_STUDY = json.loads((CONFIGS / "order_study.json").read_text())
 
-SWEEP_CONFIGS = {
-    "unip-1": SolverConfig(order=1, corrector="off"),
-    "unip-2": SolverConfig(order=2, corrector="off"),
-    "unip-3": SolverConfig(order=3, corrector="off"),
-    "unipc-1": SolverConfig(order=1, corrector="standard"),
-    "unipc-2": SolverConfig(order=2, corrector="standard"),
-    "unipc-3": SolverConfig(order=3, corrector="standard"),
-    "unipc_v-2": SolverConfig(order=2, corrector="standard", varying_coefficients=True),
-}
+
+def run_sweep(cfg: dict) -> tuple[dict, float]:
+    """Each solver's fit by name, and the sweep's seconds."""
+    study = ConvergenceStudy.from_json(cfg)
+    t0 = time.perf_counter()
+    run_study(study)
+    elapsed = time.perf_counter() - t0
+    fits = {}
+    for config, fit, reason in study.fits():
+        assert fit is not None, f"{config.name()}: {reason}"
+        fits[config.name()] = fit
+    assert len(fits) == len(study.solver_configs), "two solvers share a name"
+    return fits, elapsed
 
 
 @pytest.fixture(scope="module")
 def order_sweep():
     """Shared degree-2 sweep used by criteria 3, 4, and 6."""
-    study = ConvergenceStudy(
-        model=SyntheticModel.x_free_poly(DEGREE2_COEFFS, 4),
-        schedule=NoiseSchedule(),
-        solver_configs=list(SWEEP_CONFIGS.values()),
-        step_counts=STEP_COUNTS,
-        seed=2024,
-    )
-    t0 = time.perf_counter()
-    run_study(study)
-    elapsed = time.perf_counter() - t0
-    fits = {}
-    for (cfg, fit, reason), key in zip(study.fits(), SWEEP_CONFIGS):
-        assert fit is not None, f"{key}: {reason}"
-        fits[key] = fit
-    return fits, elapsed
+    return run_sweep(ORDER_STUDY)
 
 
 def test_criterion_1_basis_function_correctness():
@@ -157,38 +151,22 @@ def test_criterion_3_order3_gates(order_sweep):
 
 
 def test_convergence_orders_with_accurate_starting_values():
-    """All six order gates pass on a quartic model started from exact states.
+    """Every order gate passes on a quartic model started from exact states.
 
     The order-of-convergence statements assume starting values as accurate
     as the method order; seeding the first p-1 nodes from the closed-form
     trajectory realizes that assumption, and a quartic model keeps every
     update genuinely inexact so the asymptotic slopes are measurable.
     """
-    quartic = np.array([4.0e-4, -3.0e-4, 1.6e-4, -8.0e-5, 4.0e-5])
-    study = ConvergenceStudy(
-        model=SyntheticModel.x_free_poly(quartic, 4),
-        schedule=NoiseSchedule(),
-        solver_configs=[
-            SolverConfig(order=1, corrector="off"),
-            SolverConfig(order=2, corrector="off"),
-            SolverConfig(order=3, corrector="off"),
-            SolverConfig(order=1, corrector="standard"),
-            SolverConfig(order=2, corrector="standard"),
-            SolverConfig(order=3, corrector="standard"),
-        ],
-        step_counts=[40, 80, 160, 320, 640],
-        seed=2024,
-        oracle_starts=True,
-    )
-    run_study(study)
-    gates = [0.8, 1.7, 2.6, 1.7, 2.6, 3.5]
-    report = []
-    for (cfg, fit, reason), gate in zip(study.fits(), gates):
-        assert fit is not None, f"{cfg.name()}: {reason}"
-        assert fit.slope >= gate, f"{cfg.name()}: slope {fit.slope:.3f} < {gate}"
+    fits, _ = run_sweep(json.loads((CONFIGS / "accurate_starts.json").read_text()))
+    gates = {"unip-1": 0.8, "unip-2": 1.7, "unip-3": 2.6, "unipc-1": 1.7, "unipc-2": 2.6,
+             "unipc-3": 3.5, "unipc_v-2": 2.6}
+    assert set(fits) <= set(gates), "a solver without a gate"
+    for key, fit in fits.items():
+        assert fit.slope >= gates[key], f"{key}: slope {fit.slope:.3f} < {gates[key]}"
         assert fit.r_squared >= 0.98
-        report.append(f"{cfg.name()}={fit.slope:.2f}")
-    print(f"\nSUPPLEMENT order gates with accurate starts: PASS ({', '.join(report)})")
+    report = ", ".join(f"{key}={fit.slope:.2f}" for key, fit in fits.items())
+    print(f"\nSUPPLEMENT order gates with accurate starts: PASS ({report})")
 
 
 def test_criterion_4_corrector_lift_on_ddim(order_sweep):
@@ -254,7 +232,7 @@ def test_criterion_6_varying_coefficients(order_sweep):
 
 def test_criterion_7_nfe_accounting():
     sched = NoiseSchedule()
-    model_spec = SyntheticModel.x_free_poly(DEGREE2_COEFFS, 4)
+    model_spec = SyntheticModel.from_json(ORDER_STUDY["model"])
     x0 = np.random.default_rng(7).standard_normal(4)
     checked = []
     for M in (5, 10):
@@ -271,7 +249,7 @@ def test_criterion_7_nfe_accounting():
 
 def test_criterion_8_order_schedule_validation():
     sched = NoiseSchedule()
-    model_spec = SyntheticModel.x_free_poly(DEGREE2_COEFFS, 4)
+    model_spec = SyntheticModel.from_json(ORDER_STUDY["model"])
     x0 = np.random.default_rng(8).standard_normal(4)
     for schedule in ("123321", "1223334"):
         M = len(schedule)
@@ -288,9 +266,7 @@ def test_criterion_8_order_schedule_validation():
 
 def test_criterion_9_determinism(tmp_path):
     config = {
-        "model": {"family": "x-free-poly", "coeffs": DEGREE2_COEFFS, "dim": 4},
-        "schedule": {"kind": "vp-linear", "beta_min": 0.1, "beta_max": 20.0,
-                     "t_start": 1.0, "t_end": 0.001},
+        **ORDER_STUDY,
         "solvers": [{"order": 2, "corrector": "standard"},
                     {"order": 3, "corrector": "standard"}],
         "step_counts": [10, 20, 40, 80],

@@ -2,13 +2,16 @@ import copy
 import csv
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from unipc import ConvergenceStudy, emit, run_study
 from unipc.cli import main
 
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 CONFIG = {
     "model": {"family": "x-free-poly", "coeffs": [1.5e-4, -6.0e-4, 2.5e-4], "dim": 4},
     "schedule": {"kind": "vp-linear", "beta_min": 0.1, "beta_max": 20.0,
@@ -55,6 +58,13 @@ class TestRun:
         assert len(rows) == 8
         assert {r["solver"] for r in rows} == {"unip-1", "unipc-2"}
         assert "order=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", SHIPPED, ids=lambda path: path.name)
+    def test_shipped_config_fits_every_solver(self, config, tmp_path, capsys):
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+        printed = capsys.readouterr().out
+        assert "unfittable" not in printed
+        assert printed.count("order=") == len(json.loads(config.read_text())["solvers"])
 
     def test_determinism_byte_identical(self, config_path, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -273,10 +283,25 @@ class TestFit:
     def test_fit_from_run_output(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "results.csv")
         main(["run", "--config", config_path, "--out", out])
-        capsys.readouterr()
+        ran = capsys.readouterr().out.splitlines()[1:]  # after "wrote N rows"
         assert main(["fit", "--in", out]) == 0
         printed = capsys.readouterr().out
         assert "unip-1" in printed and "unipc-2" in printed and "order=" in printed
+        assert printed.splitlines() == ran  # one fit-line format
+
+    @pytest.mark.parametrize("second", [
+        {"order": 2, "prediction": "data", "thresholding": {"ratio": 0.995, "floor": 1.0}},
+        {"order": 2, "prediction": "data"},
+    ], ids=["thresholding", "listed-twice"])
+    def test_configs_the_columns_cannot_tell_apart_exit_2(self, tmp_path, capsys, second):
+        # they were fitted as one solver, over both configs' points
+        cfg = {**CONFIG, "solvers": [{"order": 2, "prediction": "data"}, second]}
+        out = emit(run_study(ConvergenceStudy.from_json(cfg)), tmp_path / "results.csv")
+        assert main(["fit", "--in", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{out} line 6: M=10 repeats in group "
+                "unipc-2 (multistep, b2, data, corrector=standard)") in captured.err
 
     def test_unfittable_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -7,7 +7,8 @@ import numpy as np
 
 from unipc import SolverConfig, sample
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.M | re.S)
 
 
@@ -33,3 +34,14 @@ def test_plug_and_play_recipe_equals_sample():
     # equal up to round-off, as TestPlugAndPlayCorrector allows
     scale = float(np.max(np.abs(driver.final)))
     assert np.max(np.abs(ns["state"].x - driver.final)) <= 8 * np.finfo(float).eps * scale
+
+
+def test_scripts_list_names_exactly_the_scripts():
+    section = README.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `scripts/([^` ]+)", section, flags=re.M)
+    assert sorted(listed) == sorted(p.name for p in (ROOT / "scripts").iterdir() if p.is_file())
+
+
+def test_every_shipped_config_is_named():
+    shipped = [p.name for p in (ROOT / "configs").glob("*.json")]
+    assert shipped and [name for name in shipped if f"configs/{name}" not in README] == []

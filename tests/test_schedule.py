@@ -329,6 +329,16 @@ class TestConstruction:
         sched = NoiseSchedule.from_json({"kind": "vp-cosine"})
         assert sched.t_start == pytest.approx(0.9946)
 
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_one_default_per_kind(self, kind):
+        # the constructor refused vp-cosine's dataclass default t_start = 1.0, which only
+        # from_json replaced
+        sched = NoiseSchedule(kind=kind)
+        assert sched == NoiseSchedule.from_json({"kind": kind}) == NoiseSchedule(t_start=None,
+                                                                                  kind=kind)
+        assert hash(sched) == hash(NoiseSchedule.from_json({"kind": kind}))
+        assert NoiseSchedule.from_json(sched.to_json()) == sched
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValidationError):
             NoiseSchedule.from_json({"kind": "vp-linear", "gamma": 2.0})

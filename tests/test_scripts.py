@@ -16,20 +16,6 @@ def load(name):
     return module
 
 
-def test_order_study_fits_every_config_in_both_sweeps(capsys):
-    order_study = load("order_study")
-    assert order_study.main(["--mode", "both"]) == 0
-    printed = capsys.readouterr().out
-    assert "unfittable" not in printed
-    for mode in ("warmup", "accurate-starts"):
-        assert f"== {mode} sweep" in printed
-    sweeps = printed.split("== accurate-starts sweep")
-    for sweep in sweeps:
-        fitted = [line for line in sweep.splitlines()
-                  if line.startswith(("unip-", "unipc-", "unipc_v-"))]
-        assert len(fitted) == len(order_study.CONFIGS)
-
-
 def test_ab_cells_runs_one_tree_against_itself(capsys):
     src = str(SCRIPTS.parent / "src")
     assert load("ab_cells").main([src, src, "--rounds", "2"]) == 0
@@ -158,6 +144,20 @@ def test_ab_cells_modes_exclude_each_other(capsys):
         load("ab_cells").main([src, src, "--reference", "--one-step"])
     assert exit_info.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--one-step", "--dim", "7"], "--dim applies to the sample() cells only"),
+    (["--reference", "--dim", "4"], "--dim applies to the sample() cells only"),
+    (["--steps", "1000"], "--steps applies to --reference only"),
+    (["--one-step", "--steps", "1000"], "--steps applies to --reference only"),
+])
+def test_ab_cells_refuses_flags_its_mode_ignores(capsys, flags, message):
+    src = str(SCRIPTS.parent / "src")
+    with pytest.raises(SystemExit) as exit_info:
+        load("ab_cells").main([src, src] + flags)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bh_and_schedules_runs_every_schedule(capsys):
